@@ -10,15 +10,12 @@ periodic solutions.
 """
 
 import math
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import roots_jacobi
 
 from .errors import NonConvergenceError, ParameterError, SingularityError
 from .params import FracParams, KernelSpec
-from .specfun import hyp2f1, log_gamma, log_gamma_abs2_vec
+from .specfun import hyp2f1, jacobi_unit_rule, log_gamma, log_gamma_abs2_vec, panel_rule
 
 _PERIODIZE_REL_TOL = 1e-15
 _PERIODIZE_MAX_SHELLS = 400
@@ -84,33 +81,27 @@ def cyl_curvature(p):
     return math.exp(2.0 * p.s * math.log(2.0) + 2.0 * lg)
 
 
-def _log_sinh(h):
-    """log sinh h for h > 0 without overflow."""
-    return h + math.log1p(-math.exp(-2.0 * h)) - math.log(2.0)
-
-
-def _log_cosh(h):
-    return h + math.log1p(math.exp(-2.0 * h)) - math.log(2.0)
-
-
 def kernel_base(p, h):
-    """Unnormalized axial kernel profile at separation h > 0.
+    """Unnormalized axial kernel profile at separations h > 0.
 
     sinh(h)^(-1-2s) cosh(h)^((2-n+2s)/2) 2F1(a, b; n/2; sech^2 h) with
     a = (n-2s-2)/4 and b = (n-2s)/4.  Behaves like h^(-1-2s) at 0 and decays
-    like 2^(s+n/2) e^(-(n+2s)h/2).
+    like 2^(s+n/2) e^(-(n+2s)h/2).  Accepts scalar or array h; a scalar gives
+    a float.
     """
     _check_cylinder_dim(p)
-    h = float(h)
-    if h <= 0.0:
+    hs = np.asarray(h, dtype=float)
+    if not np.all(hs > 0.0):
         raise ParameterError(f"kernel profile needs h > 0, got {h!r}")
     s, n = p.s, p.n
-    a = (n - 2.0 * s - 2.0) / 4.0
-    b = (n - 2.0 * s) / 4.0
-    z = 1.0 / math.cosh(h) ** 2
-    hyp = hyp2f1(a, b, 0.5 * n, z)
-    log_pre = (-1.0 - 2.0 * s) * _log_sinh(h) + 0.5 * (2.0 - n + 2.0 * s) * _log_cosh(h)
-    return math.exp(log_pre) * hyp
+    # sinh, cosh and sech^2 through e^(-2h), which cannot overflow
+    decay = np.exp(-2.0 * hs)
+    z = 4.0 * decay / (1.0 + decay) ** 2
+    hyp = hyp2f1((n - 2.0 * s - 2.0) / 4.0, (n - 2.0 * s) / 4.0, 0.5 * n, z)
+    log_sinh = hs - math.log(2.0) + np.log(-np.expm1(-2.0 * hs))
+    log_cosh = hs - math.log(2.0) + np.log1p(decay)
+    out = np.exp((-1.0 - 2.0 * s) * log_sinh + 0.5 * (2.0 - n + 2.0 * s) * log_cosh) * hyp
+    return float(out) if hs.ndim == 0 else out
 
 
 def _require_kernel_params(p):
@@ -124,36 +115,24 @@ def _require_kernel_params(p):
         raise ParameterError(f"kernel calibration needs s in (0, 1), got s = {p.s}")
 
 
-@lru_cache(maxsize=32)
-def _jacobi_unit_rule(beta, size=64):
-    """Nodes/weights for int_0^1 t^beta g(t) dt with g smooth."""
-    x, w = roots_jacobi(size, 0.0, beta)
-    return (x + 1.0) / 2.0, w * 2.0 ** (-beta - 1.0)
-
-
-def _difference_integral(p, xi, h_cut):
+def _difference_integral(p, xi):
     """int_R (1 - cos(xi h)) K0(h) dh for the unnormalized profile.
 
     On (0, 1) the integrand is h^(1-2s) times a smooth even function, so the
-    algebraic factor goes into a Gauss-Jacobi weight; the rest is adaptive
-    quadrature plus the closed-form exponential tail beyond h_cut.
+    algebraic factor goes into a Gauss-Jacobi weight.  On (1, h_cut)
+    composite Gauss-Legendre panels of width 1/max(4, xi) resolve the decay
+    and the oscillation, and the closed-form exponential tail covers
+    h > h_cut.
     """
-    s, n = p.s, p.n
-
-    def integrand(h):
-        return (1.0 - math.cos(xi * h)) * kernel_base(p, h)
-
-    nodes, weights = _jacobi_unit_rule(1.0 - 2.0 * s)
-    inner = 0.0
-    for h, w in zip(nodes, weights):
-        smooth = (h / math.sinh(h)) ** (1.0 + 2.0 * s) * math.cosh(h) ** (
-            0.5 * (2.0 - n + 2.0 * s)
-        ) * hyp2f1(
-            (n - 2.0 * s - 2.0) / 4.0, (n - 2.0 * s) / 4.0, 0.5 * n, 1.0 / math.cosh(h) ** 2
-        )
-        osc = 2.0 * math.sin(0.5 * xi * h) ** 2 / (h * h)
-        inner += w * osc * smooth
-    outer = quad(integrand, 1.0, h_cut, epsabs=0.0, epsrel=1e-12, limit=400)[0]
+    s = p.s
+    h_cut = 45.0 / p.sigma
+    nodes, weights = jacobi_unit_rule(1.0 - 2.0 * s, 64)
+    smooth = nodes ** (1.0 + 2.0 * s) * kernel_base(p, nodes)
+    osc = 2.0 * np.sin(0.5 * xi * nodes) ** 2 / (nodes * nodes)
+    inner = float(weights @ (osc * smooth))
+    count = math.ceil((h_cut - 1.0) * max(4.0, xi))
+    h, w = panel_rule(1.0, h_cut, count)
+    outer = float(w @ ((1.0 - np.cos(xi * h)) * kernel_base(p, h)))
     lam = p.sigma
     amp = 2.0 ** (p.s + 0.5 * p.n)
     decay = math.exp(-lam * h_cut)
@@ -175,14 +154,13 @@ def calibrate_kernel(p, xi_star=1.0):
     if not 0.5 <= xi_star <= 2.0:
         raise ParameterError(f"calibration frequency must lie in [0.5, 2], got {xi_star}")
     c = cyl_curvature(p)
-    h_cut = 45.0 / p.sigma
-    raw = _difference_integral(p, xi_star, h_cut)
+    raw = _difference_integral(p, xi_star)
     target = theta0(p, xi_star) - c
     norm = target / raw
     if norm <= 0.0:
         raise ParameterError("kernel calibration produced a non-positive constant")
     xi_check = 2.0 * xi_star
-    predicted = c + norm * _difference_integral(p, xi_check, h_cut)
+    predicted = c + norm * _difference_integral(p, xi_check)
     reference = theta0(p, xi_check)
     record = {
         "xi_star": xi_star,
@@ -210,47 +188,38 @@ def kernel_multiplier(spec, xi):
     promises equals Theta0(xi); comparing the two is the duality check.
     """
     p = spec.params
-    h_cut = 45.0 / p.sigma
-    return cyl_curvature(p) + spec.normalization * _difference_integral(
-        p, abs(float(xi)), h_cut
-    )
+    return cyl_curvature(p) + spec.normalization * _difference_integral(p, abs(float(xi)))
 
 
 def periodized_kernel(spec, period, xi):
     """Lattice sum K_L(xi) = sum_j K(xi - j L) of the calibrated kernel.
 
     Shells are added until an exponential bound on the remainder drops below
-    1e-15 of the running total.  xi may be any non-lattice real; the result
-    is L-periodic and symmetric about L/2 by construction.
+    1e-15 of the running total at every entry.  xi may be any non-lattice
+    real, scalar or array (a scalar gives a float); the result is L-periodic
+    and symmetric about L/2 by construction.
     """
     period = float(period)
     if not period > 0.0 or not math.isfinite(period):
         raise ParameterError(f"period must be positive and finite, got {period!r}")
-    x = math.fmod(float(xi), period)
-    if x < 0.0:
-        x += period
-    xc = min(x, period - x)
-    if xc <= 1e-9 * period:
+    xs = np.asarray(xi, dtype=float)
+    x = np.mod(xs, period)
+    xc = np.minimum(x, period - x)
+    if not np.all(xc > 1e-9 * period):
         raise SingularityError(
             f"periodized kernel diverges on the period lattice (xi = {xi!r})"
         )
-    lam = spec.params.sigma
-    total = cyl_kernel(spec, xc)
+    p = spec.params
+    norm = spec.normalization
+    # K(h) e^(lam h) decreases toward its limit, so the last shell's left
+    # term bounds the geometric remainder of both sides from above.
+    remainder_ratio = 2.0 * 1.05 / math.expm1(p.sigma * period)
+    total = norm * kernel_base(p, xc)
     for j in range(1, _PERIODIZE_MAX_SHELLS + 1):
-        left = cyl_kernel(spec, j * period - xc)
-        right = cyl_kernel(spec, j * period + xc)
-        total += left + right
-        # K(h) e^(lam h) decreases toward its limit, so the last shell bounds
-        # the geometric remainder from above.
-        envelope = 1.05 * left * math.exp(lam * (j * period - xc))
-        remainder = (
-            2.0
-            * envelope
-            * math.exp(-lam * ((j + 1) * period - xc))
-            / -math.expm1(-lam * period)
-        )
-        if remainder < _PERIODIZE_REL_TOL * total:
-            return total
+        left = norm * kernel_base(p, j * period - xc)
+        total = total + left + norm * kernel_base(p, j * period + xc)
+        if np.all(remainder_ratio * left < _PERIODIZE_REL_TOL * total):
+            return float(total) if xs.ndim == 0 else total
     raise NonConvergenceError(
         f"periodized kernel did not converge within {_PERIODIZE_MAX_SHELLS} shells"
     )

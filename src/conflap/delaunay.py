@@ -258,9 +258,7 @@ def kernel_functional_FL(spec, f):
     size = f.size
     h = f.dt
     offsets = np.arange(1, size)
-    kernel = np.array(
-        [periodized_kernel(spec, f.period, h * j) for j in offsets]
-    )
+    kernel = periodized_kernel(spec, f.period, h * offsets)
     acc = 0.0
     for j, k in zip(offsets, kernel):
         diff = values - np.roll(values, -int(j))

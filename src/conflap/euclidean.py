@@ -13,13 +13,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import ParameterError, SupportError, TaperError
 from .params import FracParams
+from .specfun import jacobi_unit_rule, panel_rule
 from .sphere import ModeSpectrum, sphere_symbol
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+#: Gauss-Jacobi size for the unit-interval parts of the line quadratures
+_JACOBI_SIZE = 112
 
 #: cubic Lagrange basis on offsets {-1, 0, 1, 2}, coefficients in tau^k
 _CUBIC_BASIS = np.array(
@@ -302,26 +304,7 @@ def _nudft(values, x, xi, dx):
     return dx / math.sqrt(2.0 * math.pi) * out
 
 
-def _panel_rule(xi_max, width=0.125):
-    """Composite 12-point Gauss-Legendre nodes and weights on (1, xi_max)."""
-    glx, glw = np.polynomial.legendre.leggauss(12)
-    count = max(1, int(math.ceil((xi_max - 1.0) / width)))
-    edges = 1.0 + (xi_max - 1.0) * np.arange(count + 1) / count
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * glx[None, :]).ravel()
-    weights = (half[:, None] * glw[None, :]).ravel()
-    return nodes, weights
-
-
-@lru_cache(maxsize=32)
-def _unit_jacobi(beta, size=112):
-    """Gauss rule for int_0^1 xi^beta g(xi) d xi with smooth g, beta > -1."""
-    x, w = roots_jacobi(size, 0.0, beta)
-    return (x + 1.0) / 2.0, w * 2.0 ** (-beta - 1.0)
-
-
-def _halfline_apply(lam, mode, unit_rule, fhat_unit, panel_rule, fhat_panel,
+def _halfline_apply(lam, mode, unit_rule, fhat_unit, panels, fhat_panel,
                     targets, fhat_zero=0.0):
     """sqrt(2/pi) * int_0^inf xi^lam Re(fhat(xi) e^(i xi x)) d xi at each target.
 
@@ -331,7 +314,7 @@ def _halfline_apply(lam, mode, unit_rule, fhat_unit, panel_rule, fhat_panel,
     Re(fhat(0)); "derivative" inserts the extra factor i xi of d/dx.
     """
     unit_nodes, unit_weights = unit_rule
-    panel_nodes, panel_weights = panel_rule
+    panel_nodes, panel_weights = panels
     phase_u = np.exp(1j * np.outer(targets, unit_nodes))
     phase_p = np.exp(1j * np.outer(targets, panel_nodes))
     if mode == "derivative":
@@ -414,9 +397,9 @@ def commutator_check(p, f, max_targets=257, support_tol=1e-10):
     xi_max = min(math.pi / f.dx, probe[keep[-1]] + 1.0)
 
     lam = 2.0 * s - 2.0
-    rule_s = _unit_jacobi(2.0 * s)
-    rule_shift = _unit_jacobi(2.0 * s - 1.0)
-    panels = _panel_rule(xi_max)
+    rule_s = jacobi_unit_rule(2.0 * s, _JACOBI_SIZE)
+    rule_shift = jacobi_unit_rule(2.0 * s - 1.0, _JACOBI_SIZE)
+    panels = panel_rule(1.0, xi_max, max(1, math.ceil(8.0 * (xi_max - 1.0))))
 
     bu = weight * u
     fh_u_s = _nudft(u, x, rule_s[0], f.dx)
@@ -441,7 +424,7 @@ def commutator_check(p, f, max_targets=257, support_tol=1e-10):
             fhat_zero=fh_zero,
         )
     else:
-        rule_g = _unit_jacobi(lam)
+        rule_g = jacobi_unit_rule(lam, _JACOBI_SIZE)
         g = _halfline_apply(
             lam, "plain", rule_g, _nudft(u, x, rule_g[0], f.dx), panels,
             fh_u_panel, targets,
@@ -476,18 +459,6 @@ def _mode_values(spectrum, alpha):
     return out
 
 
-@lru_cache(maxsize=1)
-def _unit_panel_rule(count=16):
-    """Composite 12-point Gauss-Legendre rule on (0, 1)."""
-    glx, glw = np.polynomial.legendre.leggauss(12)
-    edges = np.arange(count + 1) / count
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * glx[None, :]).ravel()
-    weights = (half[:, None] * glw[None, :]).ravel()
-    return nodes, weights
-
-
 def _factor_power_flat_lap(p, points, constant):
     """(-Delta)^s of ((1 + x^2)/2)^(s - 1/2) at the given points.
 
@@ -505,7 +476,7 @@ def _factor_power_flat_lap(p, points, constant):
 
     # second difference written through expm1/log1p: the raw subtraction
     # loses half the digits at the smallest nodes once divided by t^2
-    near_nodes, near_weights = _unit_jacobi(1.0 - 2.0 * s)
+    near_nodes, near_weights = jacobi_unit_rule(1.0 - 2.0 * s, _JACOBI_SIZE)
     base = 1.0 + pts**2
     shift_plus = (2.0 * pts * near_nodes + near_nodes**2) / base
     shift_minus = (-2.0 * pts * near_nodes + near_nodes**2) / base
@@ -514,7 +485,7 @@ def _factor_power_flat_lap(p, points, constant):
     )
     near = -(center[:, None] * second_diff / near_nodes**2) @ near_weights
 
-    tau, tau_weights = _unit_panel_rule()
+    tau, tau_weights = panel_rule(0.0, 1.0, 16)
     quad_plus = (1.0 + 2.0 * pts * tau + (1.0 + pts**2) * tau**2) ** expo
     quad_minus = (1.0 - 2.0 * pts * tau + (1.0 + pts**2) * tau**2) ** expo
     far = 2.0**-expo * ((quad_plus + quad_minus) @ tau_weights)

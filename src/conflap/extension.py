@@ -80,8 +80,14 @@ def _graded_mesh(s, xi, size, y_max):
 
 def _flux_coefficients(y, s):
     """Exact-flux couplings 2s / (y_(k+1)^(2s) - y_k^(2s)) across each cell."""
-    powers = y ** (2.0 * s)
-    return 2.0 * s / np.diff(powers)
+    gaps = np.diff(y ** (2.0 * s))
+    if not np.all(gaps > 0.0):
+        # the grading 1/s underflows the first nodes to 0 for small s
+        raise ParameterError(
+            f"graded mesh degenerates at s = {s!r}, mesh_size = {y.size - 1}: "
+            "consecutive nodes have equal y^(2s)"
+        )
+    return 2.0 * s / gaps
 
 
 def _mass_weights(y, s):

@@ -1,46 +1,24 @@
-"""Scalar special functions backing the symbol and kernel routines.
+"""Special functions and quadrature rules backing the symbol and kernel routines.
 
-Three things are needed beyond the stdlib: a signed log-Gamma on the real
+Three functions are needed beyond the stdlib: a signed log-Gamma on the real
 line, the squared modulus ``|Gamma(x+iy)|^2`` along vertical lines in the
 complex plane, and the Gauss hypergeometric function on ``[0, 1]``.  They are
-implemented here once (Lanczos approximation in complex arithmetic, reflection
-formula, power series plus the ``z -> 1-z`` connection formula) so every
-symbol and kernel in the package draws from the same well-tested core.
+thin validated wrappers over ``scipy.special``: the wrappers raise
+ParameterError on poles and out-of-domain input instead of returning inf or
+NaN.  The two quadrature rules shared by the cylinder and line routines (a
+Gauss-Jacobi rule on the unit interval and composite Gauss-Legendre panels)
+live here too, so each rule exists once.
 """
 
-import cmath
 import math
+from functools import lru_cache
 
 import numpy as np
+from scipy import special
 
-from .errors import NonConvergenceError, ParameterError
+from .errors import ParameterError
 
-# Lanczos approximation, g = 7, 9 coefficients.  Good for roughly 1e-14
-# relative accuracy of Gamma itself on the right half plane.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-_LOG_PI = math.log(math.pi)
-
-# Above this, sinh(p)^2 in log|sin z|^2 would overflow; the asymptotic form
-# 2p - log 4 is then accurate to better than e^(-700) relative.
-_SINH_LOG_CUTOFF = 350.0
-
-_SERIES_RTOL = 1e-17
-_SERIES_MAX_TERMS = 10000
-_DEGENERATE_TOL = 1e-6
-_NUDGE = 1e-9
+_GAUSS_LEGENDRE_12 = np.polynomial.legendre.leggauss(12)
 
 
 def _require_finite(**values):
@@ -65,51 +43,20 @@ def signed_gamma(x):
     """Sign and log-magnitude of Gamma at a real non-pole point.
 
     Returns ``(sign, log_abs)`` with ``sign`` in ``{-1.0, 1.0}`` so that
-    ``Gamma(x) = sign * exp(log_abs)``.  Negative arguments go through the
-    reflection formula; poles (x a non-positive integer) raise.
+    ``Gamma(x) = sign * exp(log_abs)``.  Poles (x a non-positive integer)
+    raise.
     """
     _require_finite(x=x)
     if x > 0.0:
         return 1.0, math.lgamma(x)
     if x == math.floor(x):
         raise ParameterError(f"Gamma has a pole at x = {x!r}")
-    # Gamma(x) Gamma(1-x) = pi / sin(pi x).  |sin(pi x)| = sin(pi d) with d
-    # the distance to the nearest integer; x - round(x) is exact in floating
-    # point, so this stays accurate arbitrarily close to the poles.
-    d = abs(x - round(x))
-    log_abs = _LOG_PI - math.log(math.sin(math.pi * d)) - math.lgamma(1.0 - x)
-    sign = 1.0 if int(math.floor(x)) % 2 == 0 else -1.0
-    return sign, log_abs
-
-
-def _log_gamma_lanczos(z):
-    """Principal branch of log Gamma(z) for complex z with Re(z) >= 0.5."""
-    acc = _LANCZOS_COEFFS[0]
-    for k in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[k] / (z - 1.0 + k)
-    t = z - 0.5 + _LANCZOS_G
-    return _LOG_SQRT_TWO_PI + (z - 0.5) * cmath.log(t) - t + cmath.log(acc)
-
-
-def _log_abs_sin2(x, y):
-    """log |sin(pi (x + i y))|^2, overflow safe in y."""
-    p = math.pi * abs(y)
-    s = math.sin(math.pi * abs(x - round(x)))
-    if p < _SINH_LOG_CUTOFF:
-        return math.log(s * s + math.sinh(p) ** 2)
-    return 2.0 * p - math.log(4.0)
+    return float(special.gammasgn(x)), float(special.gammaln(x))
 
 
 def log_gamma_abs2(x, y):
     """log of ``|Gamma(x + i y)|^2`` for real x, y away from poles."""
-    _require_finite(x=x, y=y)
-    if x >= 0.5:
-        return 2.0 * _log_gamma_lanczos(complex(x, y)).real
-    if y == 0.0 and x == math.floor(x):
-        raise ParameterError(f"Gamma has a pole at z = {x!r}")
-    # Reflection: |Gamma(z)|^2 |Gamma(1-z)|^2 = pi^2 / |sin(pi z)|^2, and
-    # |Gamma(1-x-iy)| = |Gamma(1-x+iy)|, so one reflection lands at Re >= 0.5.
-    return 2.0 * _LOG_PI - _log_abs_sin2(x, y) - log_gamma_abs2(1.0 - x, y)
+    return float(log_gamma_abs2_vec(x, y))
 
 
 def gamma_abs2(x, y):
@@ -121,114 +68,57 @@ def log_gamma_abs2_vec(x, y):
     """Vectorized ``log |Gamma(x + i y)|^2`` for scalar x and array y."""
     y = np.asarray(y, dtype=float)
     if not math.isfinite(x) or not np.all(np.isfinite(y)):
-        raise ParameterError("log_gamma_abs2_vec requires finite arguments")
-    if x < 0.5 and x == math.floor(x) and np.any(y == 0.0):
+        raise ParameterError(f"log |Gamma|^2 requires finite arguments, got x = {x!r}")
+    if _is_nonpositive_int(x) and np.any(y == 0.0):
         raise ParameterError(f"Gamma has a pole at z = {x!r}")
-    xr = x if x >= 0.5 else 1.0 - x
-    z = xr + 1j * y
-    acc = np.full(z.shape, _LANCZOS_COEFFS[0], dtype=complex)
-    for k in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[k] / (z - 1.0 + k)
-    t = z - 0.5 + _LANCZOS_G
-    core = 2.0 * (_LOG_SQRT_TWO_PI + (z - 0.5) * np.log(t) - t + np.log(acc)).real
-    if x >= 0.5:
-        return core
-    p = np.pi * np.abs(y)
-    s2 = math.sin(math.pi * abs(x - round(x))) ** 2
-    safe = np.minimum(p, _SINH_LOG_CUTOFF)
-    log_sin2 = np.where(
-        p < _SINH_LOG_CUTOFF,
-        np.log(s2 + np.sinh(safe) ** 2),
-        2.0 * p - math.log(4.0),
-    )
-    return 2.0 * _LOG_PI - log_sin2 - core
-
-
-def _gamma_ratio(numerators, denominators):
-    """prod Gamma(n_i) / prod Gamma(d_j) through signed logs.
-
-    A pole in a denominator annihilates the ratio (returns 0.0); a pole in a
-    numerator raises, since the ratio would be infinite.
-    """
-    sign = 1.0
-    log_abs = 0.0
-    for d in denominators:
-        if _is_nonpositive_int(d):
-            return 0.0
-    for v in numerators:
-        sg, la = signed_gamma(v)
-        sign *= sg
-        log_abs += la
-    for d in denominators:
-        sg, la = signed_gamma(d)
-        sign *= sg
-        log_abs -= la
-    return sign * math.exp(log_abs)
-
-
-def _hyp2f1_series(a, b, c, z):
-    """Power series for 2F1; also exact for terminating (polynomial) cases."""
-    term = 1.0
-    total = 1.0
-    for k in range(_SERIES_MAX_TERMS):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-        total += term
-        if abs(term) <= _SERIES_RTOL * abs(total):
-            return total
-    raise NonConvergenceError(
-        f"2F1 series exceeded {_SERIES_MAX_TERMS} terms at z = {z!r}"
-    )
-
-
-def _hyp2f1_connect(a, b, c, z):
-    """z -> 1-z connection formula, valid when c-a-b is not an integer.
-
-    The combination t = c-a-b is formed once and reused with flipped sign:
-    near-degenerate parameters put simple poles ~1/t in both terms, and the
-    poles only cancel cleanly if both Gamma factors see the same rounded t.
-    """
-    w = 1.0 - z
-    t = c - a - b
-    p1 = _gamma_ratio((c, t), (c - a, c - b))
-    p2 = _gamma_ratio((c, -t), (a, b))
-    out = 0.0
-    if p1 != 0.0:
-        out += p1 * _hyp2f1_series(a, b, 1.0 - t, w)
-    if p2 != 0.0:
-        out += p2 * w ** t * _hyp2f1_series(c - a, c - b, 1.0 + t, w)
-    return out
+    return 2.0 * special.loggamma(x + 1j * y).real
 
 
 def hyp2f1(a, b, c, z):
     """Gauss hypergeometric function 2F1(a, b; c; z) for z in [0, 1].
 
-    The series is summed directly for z <= 1/2 and routed through the
-    connection formula in 1-z above that.  When c-a-b sits within 1e-6 of an
-    integer the connection formula degenerates, and the value is taken as the
-    average of evaluations at c +/- 1e-9 (accuracy then degrades to roughly
-    1e-7; exact degenerate parameters with terminating series are unaffected).
-    At z = 1 the Gauss summation formula applies and requires c-a-b > 0.
+    The parameters are scalars; z may be a scalar (a float is returned) or an
+    array.  scipy's evaluation stays at full precision where c-a-b is an
+    integer, as for the cylinder kernel at s = 1/2.  At z = 1 the series
+    converges only for c-a-b > 0, unless a or b is a non-positive integer and
+    the series terminates.
     """
-    _require_finite(a=a, b=b, c=c, z=z)
+    _require_finite(a=a, b=b, c=c)
+    zs = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(zs)):
+        raise ParameterError("z must be finite")
     if _is_nonpositive_int(c):
         raise ParameterError(f"2F1 undefined for c a non-positive integer, got {c!r}")
-    if not 0.0 <= z <= 1.0:
+    if not np.all((zs >= 0.0) & (zs <= 1.0)):
         raise ParameterError(f"hyp2f1 implemented for z in [0, 1], got {z!r}")
-    if z == 0.0 or a == 0.0 or b == 0.0:
-        return 1.0
-    if _is_nonpositive_int(a) or _is_nonpositive_int(b):
-        return _hyp2f1_series(a, b, c, z)
-    if z == 1.0:
-        if c - a - b <= 0.0:
-            raise ParameterError(
-                f"2F1 diverges at z = 1 for c-a-b = {c - a - b!r} <= 0"
-            )
-        return _gamma_ratio((c, c - a - b), (c - a, c - b))
-    if z <= 0.5:
-        return _hyp2f1_series(a, b, c, z)
-    t = c - a - b
-    if abs(t - round(t)) < _DEGENERATE_TOL:
-        hi = _hyp2f1_connect(a, b, c + _NUDGE, z)
-        lo = _hyp2f1_connect(a, b, c - _NUDGE, z)
-        return 0.5 * (hi + lo)
-    return _hyp2f1_connect(a, b, c, z)
+    terminating = _is_nonpositive_int(a) or _is_nonpositive_int(b)
+    if not terminating and c - a - b <= 0.0 and np.any(zs == 1.0):
+        raise ParameterError(f"2F1 diverges at z = 1 for c-a-b = {c - a - b!r} <= 0")
+    out = special.hyp2f1(a, b, c, zs)
+    return float(out) if zs.ndim == 0 else out
+
+
+@lru_cache(maxsize=32)
+def jacobi_unit_rule(beta, size):
+    """Gauss rule for int_0^1 t^beta g(t) dt with smooth g, beta > -1.
+
+    The cached arrays are read-only, since every caller shares them.
+    """
+    x, w = special.roots_jacobi(size, 0.0, beta)
+    nodes = (x + 1.0) / 2.0
+    weights = w * 2.0 ** (-beta - 1.0)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def panel_rule(lo, hi, count):
+    """Composite 12-point Gauss-Legendre nodes and weights on (lo, hi),
+    split into ``count`` equal panels."""
+    glx, glw = _GAUSS_LEGENDRE_12
+    edges = lo + (hi - lo) * np.arange(count + 1) / count
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * glx[None, :]).ravel()
+    weights = (half[:, None] * glw[None, :]).ravel()
+    return nodes, weights

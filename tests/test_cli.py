@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import conflap
 from conflap.cli import main
 
 ORACLE_PERIOD = 5.1538187584122886
@@ -290,6 +294,19 @@ class TestHarness:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["results"]
+
+    def test_import_leaves_scipy_integrate_out(self):
+        # the kernel quadratures are fixed rules, so the CLI import does not
+        # pay for scipy.integrate
+        src = os.path.dirname(os.path.dirname(conflap.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = "import sys, conflap.cli; print('scipy.integrate' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert proc.stdout.strip() == "False"
 
 
 class TestSelftest:

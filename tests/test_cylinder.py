@@ -162,7 +162,8 @@ def test_kernel_large_separation_decay():
 
 
 def test_calibration_and_duality():
-    for n, s in [(3, 0.5), (3, 0.3), (4, 0.7)]:
+    # s = 1/2 with n != 3 puts c-a-b of the kernel's 2F1 on an integer
+    for n, s in [(3, 0.5), (3, 0.3), (4, 0.7), (2, 0.5), (4, 0.5), (5, 0.5)]:
         p = FracParams(n, s)
         spec = calibrate_kernel(p)
         assert spec.calibration["residual"] < 1e-10

@@ -1,6 +1,7 @@
 """Tests for the degenerate extension solver and its trace constants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,13 @@ class TestExtensionMode:
             solve_extension_mode(p, 1.0, mesh_size=16)
         with pytest.raises(ParameterError):
             solve_extension_mode(FracParams(3, 1.2), 1.0)
+
+    def test_degenerate_mesh_raises_typed_error(self):
+        # at s = 0.005 the grading 1/s = 200 underflows the first mesh nodes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="s = 0.005, mesh_size = 600"):
+                solve_extension_mode(FracParams(3, 0.005), 1.0)
 
     def test_solution_arrays_frozen(self):
         sol = solve_extension_mode(FracParams(3, 0.4), 1.0)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conflap.errors import NonConvergenceError, ParameterError
+from conflap.errors import ParameterError
 from conflap.specfun import (
     gamma_abs2,
     hyp2f1,
@@ -54,20 +54,25 @@ SIGNED_GAMMA_TABLE = [
     (-15.2, 1.0, "-26.772634915787180563"),
 ]
 
-# ((a, b, c, z), 2F1(a,b;c;z), rel tol), mpmath.  The two entries with
-# c-a-b within 1e-6 of an integer go through the nudged connection formula
-# and are only good to about 1e-7 by design.
+# ((a, b, c, z), 2F1(a,b;c;z), rel tol), mpmath.  The entries with c-a-b on
+# or within 1e-6 of an integer are the degenerate cases of the z -> 1-z
+# connection formula; the last four are the cylinder kernel's parameters at
+# s = 1/2 for n = 2 and n = 4.
 HYP2F1_TABLE = [
     ((0.3, 0.7, 1.9, 0.25), "1.0306788055704876127", 1e-10),
     ((0.3, 0.7, 1.9, 0.97), "1.2191341766438875639", 1e-10),
     ((-0.25, 1.25, 1.5, 0.6), "0.83564961309708833392", 1e-10),
     ((2.0, 3.0, 7.5, 0.999999), "4.085697943052374825", 1e-10),
     ((0.5, 0.5, 1.5, 0.5), "1.1107207345395915618", 1e-10),
-    ((1.1, -2.3, 0.8, 0.77), "-0.16026632818327795778", 5e-7),
+    ((1.1, -2.3, 0.8, 0.77), "-0.16026632818327795778", 1e-12),
     ((0.05, 4.0, 2.25, 0.9999999), "35961754139.341341527", 1e-10),
     ((1.75, 0.25, 3.1, 1.0), "1.3410886550945229769", 1e-10),
     ((-3.0, 2.2, 1.4, 0.85), "-0.055214285714285710098", 1e-12),
-    ((0.6, 0.8, 1.40000037, 0.75), "1.5353087518196122488", 5e-7),
+    ((0.6, 0.8, 1.40000037, 0.75), "1.5353087518196122488", 1e-12),
+    ((0.25, 0.75, 2.0, 0.5), "1.0586518057536175233", 1e-12),
+    ((0.25, 0.75, 2.0, 0.9), "1.1463212867435260546", 1e-12),
+    ((-0.25, 0.25, 1.0, 0.5), "0.96395220702064793747", 1e-12),
+    ((-0.25, 0.25, 1.0, 0.9), "0.92058925138209276481", 1e-12),
 ]
 
 
@@ -216,10 +221,9 @@ def test_hyp2f1_domain_errors():
 )
 def test_euler_transformation_property(a, b, c, z):
     # (1-z)^(c-a-b) 2F1(c-a, c-b; c; z) = 2F1(a, b; c; z); the two sides
-    # route through different series, so this cross-checks the connection
-    # formula.  Stay away from the deliberately nudged degenerate strip.
+    # evaluate different parameter sets, so this cross-checks the
+    # evaluation, including integer c-a-b.
     t = c - a - b
-    assume(abs(t - round(t)) > 1e-3)
     assume(abs((a + b) - round(a + b)) > 1e-3)
     lhs = (1.0 - z) ** t * hyp2f1(c - a, c - b, c, z)
     rhs = hyp2f1(a, b, c, z)
