@@ -257,13 +257,12 @@ def kernel_functional_FL(spec, f):
     values = f.values
     size = f.size
     h = f.dt
-    offsets = np.arange(1, size)
-    kernel = periodized_kernel(spec, f.period, h * offsets)
-    acc = 0.0
-    for j, k in zip(offsets, kernel):
-        diff = values - np.roll(values, -int(j))
-        acc += k * float(diff @ diff)
-    quadratic = cyl_curvature(p) * h * float(values @ values)
+    kernel = periodized_kernel(spec, f.period, h * np.arange(1, size))
+    # ||v - roll(v, -j)||^2 = 2 (||v||^2 - c_j), c the circular autocorrelation
+    norm2 = float(values @ values)
+    autocorr = np.fft.irfft(np.abs(np.fft.rfft(values)) ** 2, size)
+    acc = 2.0 * float(kernel @ (norm2 - autocorr[1:]))
+    quadratic = cyl_curvature(p) * h * norm2
     quadratic += 0.5 * h * h * acc
     return quadratic / denominator
 

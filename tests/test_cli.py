@@ -296,11 +296,15 @@ class TestHarness:
         assert json.loads(target.read_text())["results"]
 
     def test_import_leaves_scipy_integrate_out(self):
-        # the kernel quadratures are fixed rules, so the CLI import does not
-        # pay for scipy.integrate
+        # the kernel quadratures are fixed rules and the chirp-z sums run on
+        # numpy.fft, so the CLI import pays for neither scipy.integrate nor
+        # scipy.signal
         src = os.path.dirname(os.path.dirname(conflap.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        probe = "import sys, conflap.cli; print('scipy.integrate' in sys.modules)"
+        probe = (
+            "import sys, conflap.cli; "
+            "print(any(m in sys.modules for m in ('scipy.integrate', 'scipy.signal')))"
+        )
         proc = subprocess.run(
             [sys.executable, "-c", probe],
             env=dict(os.environ, PYTHONPATH=path),

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conflap.cylinder import calibrate_kernel, cyl_curvature, cyl_symbol
+from conflap.cylinder import (
+    calibrate_kernel,
+    cyl_curvature,
+    cyl_symbol,
+    periodized_kernel,
+)
 from conflap.delaunay import (
     DelaunaySolution,
     PeriodicGridFunction,
@@ -21,6 +26,7 @@ from conflap.delaunay import (
     kernel_functional_FL,
     limit_amplitude,
     solve_delaunay,
+    _critical_mass,
 )
 from conflap.errors import NewtonDivergenceError, ParameterError
 from conflap.params import FracParams
@@ -266,6 +272,22 @@ class TestEnergy:
             errors.append(abs(other - sol.energy) / abs(sol.energy))
         assert errors[0] < 1e-2
         assert errors[1] < errors[0] / 1.5
+
+    def test_kernel_route_matches_loop_form(self):
+        # reference: the double sum over each cyclic offset, term by term
+        p = FracParams(3, 0.5)
+        spec = calibrate_kernel(p)
+        f = solve_delaunay(p, 1.2 * PERIOD_THRESHOLD_3_HALF, size=512).grid()
+        v = f.values
+        offsets = np.arange(1, v.size)
+        kernel = periodized_kernel(spec, f.period, f.dt * offsets)
+        acc = 0.0
+        for j, k in zip(offsets, kernel):
+            diff = v - np.roll(v, -int(j))
+            acc += k * float(diff @ diff)
+        numerator = cyl_curvature(p) * f.dt * float(v @ v) + 0.5 * f.dt**2 * acc
+        expected = numerator / _critical_mass(p, f)
+        assert kernel_functional_FL(spec, f) == pytest.approx(expected, rel=1e-12)
 
 
 class TestTowerLimit:
