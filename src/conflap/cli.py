@@ -1,17 +1,15 @@
 """Command-line surface over the library operations.
 
 Every number in the output comes from a library call; the commands only
-collect parameters, dispatch (optionally across threads for sweeps), and
-format the records.  JSON output carries ``params``, ``results`` and
-``diagnostics``; CSV output is the flattened results table alone.
+collect parameters, dispatch, and format the records.  JSON output carries
+``params``, ``results`` and ``diagnostics``; CSV output is the flattened
+results table alone.
 """
 
 import csv
+import functools
 import io
 import json
-import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 import numpy as np
@@ -25,6 +23,7 @@ from .cylinder import (
     periodized_kernel,
 )
 from .delaunay import (
+    BIFURCATION_XTOL,
     PeriodicGridFunction,
     bifurcation_period,
     bubble_tower_defect,
@@ -32,14 +31,9 @@ from .delaunay import (
     functional_FL,
     solve_delaunay,
 )
-from .errors import (
-    ConflapError,
-    ParameterError,
-    SingularityError,
-    SupportError,
-    TaperError,
-)
+from .errors import ConflapError, ParameterError
 from .euclidean import (
+    INTEGRAL_CALIBRATION_SIZE,
     LineGridFunction,
     cached_integral_constant,
     commutator_check,
@@ -64,52 +58,16 @@ from .sphere import (
     vol_sphere,
 )
 
-_VALIDATION_ERRORS = (
-    ParameterError,
-    SupportError,
-    TaperError,
-    SingularityError,
-    ValueError,
-    OSError,
-)
+# every conflap input error subclasses ValueError (see errors.py)
+_VALIDATION_ERRORS = (ValueError, OSError)
 
 PERIOD_THRESHOLD_REFERENCE = 5.1538187584122886
 """Root of xi coth(pi xi / 2) = 4 / pi as a period, for the self test."""
 
 
-def _thread_limit(count):
-    raw = os.environ.get("CONFLAP_THREADS", "").strip()
-    if raw:
-        try:
-            limit = int(raw)
-        except ValueError:
-            raise ParameterError(
-                f"CONFLAP_THREADS must be an integer, got {raw!r}"
-            ) from None
-    else:
-        limit = os.cpu_count() or 1
-    return max(1, min(limit, count))
-
-
-def _sweep(fn, items):
-    """Map fn over items, keeping input order regardless of completion."""
-    items = list(items)
-    if not items:
-        return []
-    workers = _thread_limit(len(items))
-    if workers == 1 or len(items) == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _emit(fmt, output, params, results, diagnostics):
     if fmt == "json":
-        payload = {
-            "params": params,
-            "results": results,
-            "diagnostics": diagnostics,
-        }
+        payload = {"params": params, "results": results, "diagnostics": diagnostics}
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     else:
         buffer = io.StringIO()
@@ -124,12 +82,6 @@ def _emit(fmt, output, params, results, diagnostics):
         text = buffer.getvalue()
     with click.open_file(output, "w") as handle:
         handle.write(text)
-
-
-def _run_params(ctx, command, **kw):
-    out = {"command": command, "seed": ctx.obj["seed"]}
-    out.update(kw)
-    return out
 
 
 _format_option = click.option(
@@ -148,6 +100,10 @@ _output_option = click.option(
 )
 
 
+def _orders_option(**kw):
+    return click.option("--s", "orders", type=float, multiple=True, **kw)
+
+
 @click.group()
 @click.option(
     "--seed",
@@ -162,7 +118,32 @@ def cli(ctx, seed):
     ctx.obj = {"seed": seed}
 
 
-@cli.command()
+def _command(name):
+    """Register ``body``, which returns ``(params, results, diagnostics)``, as
+    the command ``name``; its report records the command and the seed, and
+    listed ``failures`` in its diagnostics exit 2 after the report is written.
+    """
+
+    def register(body):
+        @cli.command(name)
+        @_format_option
+        @_output_option
+        @click.pass_context
+        @functools.wraps(body)
+        def command(ctx, fmt, output, **options):
+            params, results, diagnostics = body(**options)
+            params = {"command": name, "seed": ctx.obj["seed"], **params}
+            _emit(fmt, output, params, results, diagnostics)
+            failures = diagnostics.get("failures")
+            if failures:
+                raise ConflapError(f"{name} failures: {', '.join(failures)}")
+
+        return command
+
+    return register
+
+
+@_command("symbol")
 @click.argument("geometry", type=click.Choice(["sphere", "cylinder"]))
 @click.option("--n", type=int, required=True, help="Boundary dimension.")
 @click.option("--s", type=float, required=True, help="Fractional order.")
@@ -180,79 +161,52 @@ def cli(ctx, seed):
     multiple=True,
     help="Axial frequencies for the cylinder table (default 0 1 2 4).",
 )
-@_format_option
-@_output_option
-@click.pass_context
-def symbol(ctx, geometry, n, s, modes, frequencies, fmt, output):
+def symbol(geometry, n, s, modes, frequencies):
     """Tabulate a scattering symbol over modes or frequencies."""
     p = FracParams(n, s)
     if geometry == "sphere":
         if frequencies:
             raise ParameterError("--xi applies to the cylinder symbol only")
         chosen = list(modes) if modes else list(range(11))
-        results = _sweep(
-            lambda m: {"m": m, "symbol": float(sphere_symbol(p, m))}, chosen
-        )
-        params = _run_params(ctx, "symbol", geometry=geometry, n=n, s=s, m=chosen)
-        diagnostics = {}
+        results = [{"m": m, "symbol": float(sphere_symbol(p, m))} for m in chosen]
+        params = {"m": chosen}
     else:
         if len(modes) > 1:
             raise ParameterError("cylinder tables sweep xi; give at most one --m")
         m = modes[0] if modes else 0
         chosen = list(frequencies) if frequencies else [0.0, 1.0, 2.0, 4.0]
-        results = _sweep(
-            lambda x: {"xi": x, "symbol": float(cyl_symbol(p, m, x))}, chosen
-        )
-        params = _run_params(
-            ctx, "symbol", geometry=geometry, n=n, s=s, m=m, xi=chosen
-        )
-        diagnostics = {}
-    _emit(fmt, output, params, results, diagnostics)
+        values = cyl_symbol(p, m, np.array(chosen))
+        results = [{"xi": x, "symbol": float(v)} for x, v in zip(chosen, values)]
+        params = {"m": m, "xi": chosen}
+    return {"geometry": geometry, "n": n, "s": s, **params}, results, {}
 
 
-@cli.command()
+@_command("curvature")
 @click.option("--n", type=int, required=True, help="Boundary dimension.")
-@click.option(
-    "--s",
-    "orders",
-    type=float,
-    multiple=True,
-    required=True,
-    help="Fractional orders; repeat for a sweep.",
-)
-@_format_option
-@_output_option
-@click.pass_context
-def curvature(ctx, n, orders, fmt, output):
+@_orders_option(required=True, help="Fractional orders; repeat for a sweep.")
+def curvature(n, orders):
     """Curvature and trace constants: Q_s, c_(n,s), d_s, d*_s, V_s."""
 
     def one(s):
         p = FracParams(n, s)
         q_s = float(sphere_curvature(p))
-        record = {"s": s, "Q_s": q_s}
-        record["c_ns"] = float(cyl_curvature(p)) if n >= 2 else None
+        c_ns = float(cyl_curvature(p)) if n >= 2 else None
+        record = {"s": s, "Q_s": q_s, "c_ns": c_ns}
+        record.update(d_s=None, d_star_s=None, V_s=None)
         if 0.0 < s < 1.0 and abs(n - 2.0 * s) > 1e-12:
             record["d_s"] = float(d_s_const(s))
             record["d_star_s"] = float(d_star_const(s))
-            record["V_s"] = float(
-                weighted_volume_coefficient(p, q_s, vol_sphere(n))
-            )
-        else:
-            record["d_s"] = None
-            record["d_star_s"] = None
-            record["V_s"] = None
+            record["V_s"] = float(weighted_volume_coefficient(p, q_s, vol_sphere(n)))
         return record
 
-    results = _sweep(one, orders)
-    params = _run_params(ctx, "curvature", n=n, s=list(orders))
     diagnostics = {
         "trace_constants_domain": "0 < s < 1 and s != n/2; null otherwise",
         "sphere_volume": float(vol_sphere(n)),
     }
-    _emit(fmt, output, params, results, diagnostics)
+    return {"n": n, "s": list(orders)}, [one(s) for s in orders], diagnostics
 
 
-@cli.command()
+@_command("kernel")
 @click.argument("geometry", type=click.Choice(["sphere", "cylinder"]))
 @click.option("--n", type=int, required=True, help="Boundary dimension.")
 @click.option("--s", type=float, required=True, help="Fractional order.")
@@ -276,10 +230,7 @@ def curvature(ctx, n, orders, fmt, output):
     default=None,
     help="Also tabulate the periodized kernel K_L at this period (cylinder).",
 )
-@_format_option
-@_output_option
-@click.pass_context
-def kernel(ctx, geometry, n, s, cosines, separations, period, fmt, output):
+def kernel(geometry, n, s, cosines, separations, period):
     """Sample a calibrated singular kernel, with its calibration record."""
     p = FracParams(n, s)
     if geometry == "sphere":
@@ -287,41 +238,32 @@ def kernel(ctx, geometry, n, s, cosines, separations, period, fmt, output):
             raise ParameterError("--h and --period apply to the cylinder kernel")
         spec = calibrate_sphere_kernel(p)
         chosen = list(cosines) if cosines else [-0.5, 0.0, 0.5, 0.9]
+        values = sphere_kernel(spec, np.array(chosen))
         results = [
-            {"cos_theta": c, "kernel": float(sphere_kernel(spec, c))}
-            for c in chosen
+            {"cos_theta": c, "kernel": float(k)} for c, k in zip(chosen, values)
         ]
-        params = _run_params(
-            ctx, "kernel", geometry=geometry, n=n, s=s, cos_theta=chosen
-        )
+        params = {"cos_theta": chosen}
     else:
         if cosines:
             raise ParameterError("--cos-theta applies to the sphere kernel")
         spec = calibrate_kernel(p)
         chosen = list(separations) if separations else [0.25, 0.5, 1.0, 2.0, 4.0]
-        results = []
-        for h in chosen:
-            record = {"h": h, "kernel": float(cyl_kernel(spec, h))}
-            record["periodized"] = (
-                float(periodized_kernel(spec, period, h))
-                if period is not None
-                else None
-            )
-            results.append(record)
-        params = _run_params(
-            ctx, "kernel", geometry=geometry, n=n, s=s, h=chosen, period=period
+        values = [float(cyl_kernel(spec, h)) for h in chosen]
+        periodized = (
+            [None] * len(chosen)
+            if period is None
+            else periodized_kernel(spec, period, np.array(chosen)).tolist()
         )
+        results = [
+            {"h": h, "kernel": k, "periodized": k_l}
+            for h, k, k_l in zip(chosen, values, periodized)
+        ]
+        params = {"h": chosen, "period": period}
     diagnostics = {
-        "normalization": float(spec.normalization),
-        "calibration": {k: _plain(v) for k, v in spec.calibration.items()},
+        "normalization": spec.normalization,
+        "calibration": spec.calibration,
     }
-    _emit(fmt, output, params, results, diagnostics)
-
-
-def _plain(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
+    return {"geometry": geometry, "n": n, "s": s, **params}, results, diagnostics
 
 
 def _read_samples(path):
@@ -349,25 +291,16 @@ def _read_samples(path):
 
 
 def _line_grid(x, values):
-    size = x.size
-    if size < 8 or size & (size - 1) != 0:
-        raise ParameterError(
-            f"need a power-of-two sample count >= 8, got {size}"
-        )
-    half_width = -x[0]
-    if not half_width > 0.0:
-        raise ParameterError("abscissae must start at -T with T > 0")
-    step = 2.0 * half_width / size
-    expected = -half_width + step * np.arange(size)
-    if not np.allclose(x, expected, rtol=0.0, atol=1e-9 * max(1.0, half_width)):
+    f = LineGridFunction(-x[0], values)
+    if not np.allclose(x, f.x, rtol=0.0, atol=1e-9 * max(1.0, f.half_width)):
         raise ParameterError(
             "abscissae must form the uniform grid -T + j (2T/size) "
             "with the right endpoint excluded; inputs are never resampled"
         )
-    return LineGridFunction(half_width, values)
+    return f
 
 
-@cli.command("apply")
+@_command("apply")
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--s", type=float, required=True, help="Fractional order.")
 @click.option(
@@ -384,13 +317,9 @@ def _line_grid(x, values):
     show_default=True,
     help="Relative boundary-band bound enforced by the spectral route.",
 )
-@_format_option
-@_output_option
-@click.pass_context
-def apply_command(ctx, input_path, s, route, edge_tol, fmt, output):
+def apply_command(input_path, s, route, edge_tol):
     """Apply the line operator to samples from a two-column CSV file."""
-    x, values = _read_samples(input_path)
-    f = _line_grid(x, values)
+    f = _line_grid(*_read_samples(input_path))
     p = FracParams(1, s)
     if route == "spectral":
         out = frac_lap_spectral(p, f, edge_tol=edge_tol)
@@ -401,26 +330,19 @@ def apply_command(ctx, input_path, s, route, edge_tol, fmt, output):
         diagnostics = {
             "route": route,
             "integral_constant": constant,
-            "calibration_size": 8192,
+            "calibration_size": INTEGRAL_CALIBRATION_SIZE,
         }
-    diagnostics["half_width"] = float(f.half_width)
-    diagnostics["size"] = int(f.values.size)
+    diagnostics["half_width"] = f.half_width
+    diagnostics["size"] = f.size
     results = [
         {"x": float(a), "value": float(v)} for a, v in zip(f.x, out.values)
     ]
-    params = _run_params(ctx, "apply", s=s, input=input_path, route=route)
-    _emit(fmt, output, params, results, diagnostics)
+    params = {"s": s, "input": input_path, "route": route}
+    return params, results, diagnostics
 
 
-@cli.command("extension-check")
-@click.option(
-    "--s",
-    "orders",
-    type=float,
-    multiple=True,
-    default=(0.2, 0.5, 0.8),
-    show_default=True,
-)
+@_command("extension-check")
+@_orders_option(default=(0.2, 0.5, 0.8), show_default=True)
 @click.option(
     "--xi",
     "frequencies",
@@ -430,56 +352,37 @@ def apply_command(ctx, input_path, s, route, edge_tol, fmt, output):
     show_default=True,
 )
 @click.option("--mesh-size", type=int, default=600, show_default=True)
-@_format_option
-@_output_option
-@click.pass_context
-def extension_check(ctx, orders, frequencies, mesh_size, fmt, output):
+def extension_check(orders, frequencies, mesh_size):
     """Dirichlet-to-Neumann error table for the weighted extension."""
-    for xi in frequencies:
-        if not xi > 0.0:
-            raise ParameterError("frequencies must be positive for the error table")
-    pairs = [(s, xi) for s in orders for xi in frequencies]
+    if not all(xi > 0.0 for xi in frequencies):
+        raise ParameterError("frequencies must be positive for the error table")
 
-    def one(pair):
-        s, xi = pair
+    def one(s, xi):
         sol = solve_extension_mode(FracParams(3, s), xi, mesh_size=mesh_size)
         reference = xi ** (2.0 * s)
         return {
             "s": s,
             "xi": xi,
-            "dtn": float(sol.dtn),
+            "dtn": sol.dtn,
             "reference": reference,
             "rel_error": abs(sol.dtn - reference) / reference,
         }
 
-    results = _sweep(one, pairs)
+    results = [one(s, xi) for s in orders for xi in frequencies]
     identity = max(
         abs(d_star_const(s) + d_s_const(s) / (2.0 * s)) for s in orders
     )
-    params = _run_params(
-        ctx,
-        "extension-check",
-        s=list(orders),
-        xi=list(frequencies),
-        mesh_size=mesh_size,
-    )
+    params = {"s": list(orders), "xi": list(frequencies), "mesh_size": mesh_size}
     diagnostics = {
         "mesh_size": mesh_size,
         "d_star_identity_max_residual": identity,
         "target_rel_error": 1e-3,
     }
-    _emit(fmt, output, params, results, diagnostics)
+    return params, results, diagnostics
 
 
-@cli.command("covariance-check")
-@click.option(
-    "--s",
-    "orders",
-    type=float,
-    multiple=True,
-    default=(0.3, 0.5, 0.7),
-    show_default=True,
-)
+@_command("covariance-check")
+@_orders_option(default=(0.3, 0.5, 0.7), show_default=True)
 @click.option(
     "--degree",
     type=int,
@@ -489,17 +392,12 @@ def extension_check(ctx, orders, frequencies, mesh_size, fmt, output):
 )
 @click.option("--size", type=int, default=1 << 16, show_default=True)
 @click.option("--half-width", type=float, default=1000.0, show_default=True)
-@_format_option
-@_output_option
-@click.pass_context
-def covariance_check(ctx, orders, degree, size, half_width, fmt, output):
+def covariance_check(orders, degree, size, half_width):
     """Stereographic bridge residuals between circle and line operators."""
     if degree < 0:
         raise ParameterError("degree must be nonnegative")
-    combos = [(s, m) for s in orders for m in range(degree + 1)]
 
-    def one(combo):
-        s, m = combo
+    def one(s, m):
         coeffs = np.zeros(m + 1)
         coeffs[m] = 1.0
         report = covariance_bridge(
@@ -515,53 +413,32 @@ def covariance_check(ctx, orders, degree, size, half_width, fmt, output):
             "mismatch_l2": report["mismatch_l2"],
         }
 
-    results = _sweep(one, combos)
-    params = _run_params(
-        ctx,
-        "covariance-check",
-        s=list(orders),
-        degree=degree,
-        size=size,
-        half_width=half_width,
-    )
+    results = [one(s, m) for s in orders for m in range(degree + 1)]
+    params = {
+        "s": list(orders),
+        "degree": degree,
+        "size": size,
+        "half_width": half_width,
+    }
     diagnostics = {"size": size, "half_width": half_width, "target": 1e-3}
-    _emit(fmt, output, params, results, diagnostics)
+    return params, results, diagnostics
 
 
-@cli.command()
-@click.option(
-    "--n",
-    "dims",
-    type=int,
-    multiple=True,
-    default=(3,),
-    show_default=True,
-)
-@click.option(
-    "--s",
-    "orders",
-    type=float,
-    multiple=True,
-    required=True,
-)
-@_format_option
-@_output_option
-@click.pass_context
-def bifurcation(ctx, dims, orders, fmt, output):
+@_command("bifurcation")
+@click.option("--n", "dims", type=int, multiple=True, default=(3,), show_default=True)
+@_orders_option(required=True)
+def bifurcation(dims, orders):
     """Bifurcation period of the constant branch over a parameter grid."""
-    combos = [(n, s) for n in dims for s in orders]
-
-    def one(combo):
-        n, s = combo
-        return {"n": n, "s": s, "L0": float(bifurcation_period(FracParams(n, s)))}
-
-    results = _sweep(one, combos)
-    params = _run_params(ctx, "bifurcation", n=list(dims), s=list(orders))
-    diagnostics = {"root_solver": "bisection", "xtol": 1e-12}
-    _emit(fmt, output, params, results, diagnostics)
+    results = [
+        {"n": n, "s": s, "L0": float(bifurcation_period(FracParams(n, s)))}
+        for n in dims
+        for s in orders
+    ]
+    diagnostics = {"root_solver": "bisection", "xtol": BIFURCATION_XTOL}
+    return {"n": list(dims), "s": list(orders)}, results, diagnostics
 
 
-@cli.command()
+@_command("delaunay")
 @click.option("--n", type=int, default=3, show_default=True)
 @click.option("--s", type=float, required=True)
 @click.option(
@@ -581,49 +458,37 @@ def bifurcation(ctx, dims, orders, fmt, output):
     help="Emit every stride-th grid sample.",
 )
 @click.option("--tol", type=float, default=1e-11, show_default=True)
-@_format_option
-@_output_option
-@click.pass_context
-def delaunay(ctx, n, s, periods, size, stride, tol, fmt, output):
+def delaunay(n, s, periods, size, stride, tol):
     """Solve the periodic curvature equation along a list of periods."""
     if stride < 1:
         raise ParameterError("stride must be at least 1")
-    p = FracParams(n, s)
-    solutions = continue_branch(p, list(periods), size=size, tol=tol)
-    results = []
-    summaries = []
-    for sol in solutions:
-        grid = sol.grid()
-        summaries.append(
-            {
-                "period": sol.period,
-                "residual_norm": sol.residual_norm,
-                "energy": sol.energy,
-                "tower_defect": bubble_tower_defect(sol),
-                "nonconstant": sol.nonconstant,
-                "peak": float(sol.values.max()),
-            }
-        )
-        for j in range(0, size, stride):
-            results.append(
-                {
-                    "period": sol.period,
-                    "t": float(grid.t[j]),
-                    "v": float(sol.values[j]),
-                }
-            )
-    params = _run_params(
-        ctx,
-        "delaunay",
-        n=n,
-        s=s,
-        period=list(periods),
-        size=size,
-        stride=stride,
-        tol=tol,
-    )
+    solutions = continue_branch(FracParams(n, s), list(periods), size=size, tol=tol)
+    results = [
+        {"period": sol.period, "t": float(t), "v": float(v)}
+        for sol in solutions
+        for t, v in zip(sol.grid().t[::stride], sol.values[::stride])
+    ]
+    summaries = [
+        {
+            "period": sol.period,
+            "residual_norm": sol.residual_norm,
+            "energy": sol.energy,
+            "tower_defect": bubble_tower_defect(sol),
+            "nonconstant": sol.nonconstant,
+            "peak": float(sol.values.max()),
+        }
+        for sol in solutions
+    ]
+    params = {
+        "n": n,
+        "s": s,
+        "period": list(periods),
+        "size": size,
+        "stride": stride,
+        "tol": tol,
+    }
     diagnostics = {"solutions": summaries, "size": size, "tol": tol}
-    _emit(fmt, output, params, results, diagnostics)
+    return params, results, diagnostics
 
 
 def _selftest_records():
@@ -724,23 +589,17 @@ def _selftest_records():
     return checks
 
 
-@cli.command()
-@_format_option
-@_output_option
-@click.pass_context
-def selftest(ctx, fmt, output):
+@_command("selftest")
+def selftest():
     """Run the deterministic invariant suite and report pass/fail lines."""
     results = _selftest_records()
     failed = [r["check"] for r in results if r["status"] != "pass"]
-    params = _run_params(ctx, "selftest")
     diagnostics = {
         "checks": len(results),
         "failures": failed,
         "all_passed": not failed,
     }
-    _emit(fmt, output, params, results, diagnostics)
-    if failed:
-        raise ConflapError(f"selftest failures: {', '.join(failed)}")
+    return {}, results, diagnostics
 
 
 def main(argv=None):

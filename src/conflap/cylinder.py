@@ -87,11 +87,12 @@ def kernel_base(p, h):
     sinh(h)^(-1-2s) cosh(h)^((2-n+2s)/2) 2F1(a, b; n/2; sech^2 h) with
     a = (n-2s-2)/4 and b = (n-2s)/4.  Behaves like h^(-1-2s) at 0 and decays
     like 2^(s+n/2) e^(-(n+2s)h/2).  Accepts scalar or array h; a scalar gives
-    a float.
+    a float.  Raises SingularityError where h is so small that the profile
+    overflows float64.
     """
     _check_cylinder_dim(p)
     hs = np.asarray(h, dtype=float)
-    if not np.all(hs > 0.0):
+    if not (hs > 0.0).all():
         raise ParameterError(f"kernel profile needs h > 0, got {h!r}")
     s, n = p.s, p.n
     # sinh, cosh and sech^2 through e^(-2h), which cannot overflow
@@ -100,7 +101,11 @@ def kernel_base(p, h):
     hyp = hyp2f1((n - 2.0 * s - 2.0) / 4.0, (n - 2.0 * s) / 4.0, 0.5 * n, z)
     log_sinh = hs - math.log(2.0) + np.log(-np.expm1(-2.0 * hs))
     log_cosh = hs - math.log(2.0) + np.log1p(decay)
-    out = np.exp((-1.0 - 2.0 * s) * log_sinh + 0.5 * (2.0 - n + 2.0 * s) * log_cosh) * hyp
+    log_out = (-1.0 - 2.0 * s) * log_sinh + 0.5 * (2.0 - n + 2.0 * s) * log_cosh
+    with np.errstate(over="ignore"):
+        out = np.exp(log_out) * hyp
+    if not np.isfinite(out).all():
+        raise SingularityError(f"kernel profile overflows float64 at h = {h!r}")
     return float(out) if hs.ndim == 0 else out
 
 

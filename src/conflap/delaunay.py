@@ -21,6 +21,8 @@ from .params import FracParams
 
 _RESIDUAL_CAP = 1e-10
 _CONSTANT_GAP = 1e-6
+#: absolute tolerance of the bisection in ``bifurcation_period``, on xi
+BIFURCATION_XTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,7 @@ def bifurcation_period(p):
         hi *= 2.0
         if hi > 1e8:
             raise NonConvergenceError("no bifurcation frequency below 1e8")
-    root = bisect(gap, 1e-12, hi, xtol=1e-12)
+    root = bisect(gap, 1e-12, hi, xtol=BIFURCATION_XTOL)
     return 2.0 * math.pi / root
 
 

@@ -22,6 +22,8 @@ from .sphere import ModeSpectrum, sphere_symbol
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 #: Gauss-Jacobi size for the unit-interval parts of the line quadratures
 _JACOBI_SIZE = 112
+#: grid size of the calibration behind ``cached_integral_constant``
+INTEGRAL_CALIBRATION_SIZE = 8192
 
 #: cubic Lagrange basis on offsets {-1, 0, 1, 2}, coefficients in tau^k
 _CUBIC_BASIS = np.array(
@@ -242,7 +244,9 @@ def calibrate_integral_constant(p, half_width=40.0, size=4096, sigma=1.0):
 @lru_cache(maxsize=16)
 def cached_integral_constant(s):
     """Calibrated difference-quadrature constant for order s, memoized."""
-    constant, _ = calibrate_integral_constant(FracParams(1, s), size=8192)
+    constant, _ = calibrate_integral_constant(
+        FracParams(1, s), size=INTEGRAL_CALIBRATION_SIZE
+    )
     return constant
 
 

@@ -73,7 +73,8 @@ class ExtensionSolution:
 
 def _graded_mesh(s, xi, size, y_max):
     if y_max is None:
-        y_max = max(30.0 / max(abs(xi), 1e-30), 6.0)
+        # the solution decays like e^(-xi y), so it lives on y <~ 30 / xi
+        y_max = 30.0 / max(abs(xi), 1e-30)
     grading = max(2.0, 1.0 / s)
     return y_max * (np.arange(size + 1) / size) ** grading
 
@@ -115,6 +116,9 @@ def solve_extension_mode(p, xi, mesh_size=600, y_max=None):
         raise ParameterError(f"frequency must be finite, got {xi!r}")
     if mesh_size < 32:
         raise ParameterError(f"mesh_size must be at least 32, got {mesh_size}")
+    xi_sq = xi * xi
+    if not math.isfinite(xi_sq):
+        raise ParameterError(f"frequency {xi!r} is too large: xi^2 overflows")
     y = _graded_mesh(s, xi, mesh_size, y_max)
     if xi == 0.0:
         return ExtensionSolution(
@@ -127,7 +131,7 @@ def solve_extension_mode(p, xi, mesh_size=600, y_max=None):
     diag = np.empty(size)
     diag[:-1] = flux[:-1] + flux[1:]
     diag[-1] = flux[-1] + xi * y[-1] ** (1.0 - 2.0 * s)
-    diag += xi**2 * mass
+    diag += xi_sq * mass
     upper = -flux[1:]
     rhs = np.zeros(size)
     rhs[0] = flux[0]
@@ -146,12 +150,13 @@ def solve_extension_mode(p, xi, mesh_size=600, y_max=None):
     cap = 0.05 * min(1.0, 1.0 / xi)
     count = int(np.searchsorted(y, cap))
     count = min(max(count, 8), size)
-    y_fit = y[1 : count + 1]
+    # in the scaled variable xi y the branches stay O(1) at any frequency
+    t_fit = xi * y[1 : count + 1]
     design = np.stack(
-        [y_fit ** (2.0 * s), y_fit**2, y_fit ** (2.0 + 2.0 * s)], axis=1
+        [t_fit ** (2.0 * s), t_fit**2, t_fit ** (2.0 + 2.0 * s)], axis=1
     )
     coeffs, *_ = np.linalg.lstsq(design, values[1 : count + 1] - 1.0, rcond=None)
-    dtn = d_s_const(s) * coeffs[0]
+    dtn = d_s_const(s) * coeffs[0] * xi ** (2.0 * s)
     return ExtensionSolution(
         s=s, xi=xi, mesh=y, values=values, dtn=float(dtn),
         boundary_flux=float(boundary_flux),

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import conflap
+from conflap import cli
 from conflap.cli import main
 
 ORACLE_PERIOD = 5.1538187584122886
@@ -147,6 +148,20 @@ class TestApply:
         assert code == 1
         assert "two columns" in err
 
+    def test_params_and_diagnostics_at_defaults(self, capsys, tmp_path):
+        path = tmp_path / "gauss.csv"
+        write_gaussian_csv(path)
+        code, out, _ = run(capsys, ["apply", str(path), "--s", "0.6"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["params"] == {
+            "command": "apply", "seed": 0, "s": 0.6, "input": str(path),
+            "route": "spectral",
+        }
+        assert payload["diagnostics"] == {
+            "route": "spectral", "edge_tol": 1e-7, "half_width": 32.0, "size": 512,
+        }
+
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["apply", "no-such.csv", "--s", "0.6"])
         assert code == 1
@@ -161,6 +176,12 @@ class TestChecks:
         assert len(payload["results"]) == 12
         assert all(r["rel_error"] < 1e-3 for r in payload["results"])
         assert payload["diagnostics"]["d_star_identity_max_residual"] < 1e-13
+
+    def test_overflowing_frequency_is_input_error(self, capsys):
+        code, out, err = run(capsys, ["extension-check", "--s", "0.5", "--xi", "1e200"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_covariance_bridge_small_run(self, capsys):
         code, out, _ = run(
@@ -254,29 +275,50 @@ class TestHarness:
         assert code == 1
         assert "No such command" in err
 
-    def test_thread_cap_keeps_bytes(self, capsys, monkeypatch):
-        args = [
-            "extension-check",
-            "--s",
-            "0.3",
-            "--s",
-            "0.6",
-            "--xi",
-            "1.0",
-            "--xi",
-            "2.0",
-        ]
-        monkeypatch.setenv("CONFLAP_THREADS", "1")
-        _, serial, _ = run(capsys, args)
-        monkeypatch.setenv("CONFLAP_THREADS", "4")
-        _, parallel, _ = run(capsys, args)
-        assert serial == parallel
-
-    def test_invalid_thread_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("CONFLAP_THREADS", "many")
-        code, _, err = run(capsys, ["bifurcation", "--n", "3", "--s", "0.5"])
-        assert code == 1
-        assert "CONFLAP_THREADS" in err
+    @pytest.mark.parametrize(
+        "args, params",
+        [
+            (
+                ["symbol", "sphere", "--n", "4", "--s", "0.6"],
+                {"geometry": "sphere", "n": 4, "s": 0.6, "m": list(range(11))},
+            ),
+            (
+                ["symbol", "cylinder", "--n", "3", "--s", "0.5"],
+                {"geometry": "cylinder", "n": 3, "s": 0.5, "m": 0,
+                 "xi": [0.0, 1.0, 2.0, 4.0]},
+            ),
+            (["curvature", "--n", "3", "--s", "0.5"], {"n": 3, "s": [0.5]}),
+            (
+                ["kernel", "sphere", "--n", "1", "--s", "0.3"],
+                {"geometry": "sphere", "n": 1, "s": 0.3,
+                 "cos_theta": [-0.5, 0.0, 0.5, 0.9]},
+            ),
+            (
+                ["kernel", "cylinder", "--n", "3", "--s", "0.5"],
+                {"geometry": "cylinder", "n": 3, "s": 0.5,
+                 "h": [0.25, 0.5, 1.0, 2.0, 4.0], "period": None},
+            ),
+            (
+                ["extension-check"],
+                {"s": [0.2, 0.5, 0.8], "xi": [0.5, 1.0, 2.0, 4.0], "mesh_size": 600},
+            ),
+            (
+                ["covariance-check"],
+                {"s": [0.3, 0.5, 0.7], "degree": 4, "size": 65536, "half_width": 1000.0},
+            ),
+            (["bifurcation", "--s", "0.5"], {"n": [3], "s": [0.5]}),
+            (
+                ["delaunay", "--s", "0.5", "--period", "6.2"],
+                {"n": 3, "s": 0.5, "period": [6.2], "size": 512, "stride": 8,
+                 "tol": 1e-11},
+            ),
+        ],
+    )
+    def test_params_at_defaults(self, capsys, args, params):
+        code, out, _ = run(capsys, args)
+        assert code == 0
+        expected = {"command": args[0], "seed": 0, **params}
+        assert json.loads(out)["params"] == expected
 
     def test_seed_recorded(self, capsys):
         code, out, _ = run(
@@ -323,3 +365,13 @@ class TestSelftest:
         code, second, _ = run(capsys, ["selftest"])
         assert code == 0
         assert first == second
+        assert payload["params"] == {"command": "selftest", "seed": 0}
+
+    def test_failed_check_reports_then_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "PERIOD_THRESHOLD_REFERENCE", 5.0)
+        code, out, err = run(capsys, ["selftest"])
+        assert code == 2
+        assert "bifurcation_period_reference" in err
+        payload = json.loads(out)
+        assert payload["diagnostics"]["all_passed"] is False
+        assert payload["diagnostics"]["failures"] == ["bifurcation_period_reference"]

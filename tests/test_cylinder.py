@@ -1,6 +1,7 @@
 """Cylinder tests: symbol values, kernel profile, calibration duality."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,11 @@ def test_cyl_kernel_even_and_singular():
     assert cyl_kernel(spec, 1.3) == cyl_kernel(spec, -1.3)
     with pytest.raises(SingularityError):
         cyl_kernel(spec, 0.0)
+    # the profile ~ h^(-2) overflows float64 below h ~ 1e-154
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularityError, match="h = 1e-300"):
+            cyl_kernel(spec, 1e-300)
 
 
 def test_periodized_kernel_matches_direct_sum():
