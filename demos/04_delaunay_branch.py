@@ -12,7 +12,7 @@ import numpy as np
 
 from conflap import (
     FracParams,
-    PeriodicGridFunction,
+    GridFunction,
     asymptotic_profile,
     bifurcation_period,
     bubble_tower_defect,
@@ -34,7 +34,7 @@ def main():
           "(Newton returns to the constant)")
 
     above = solve_delaunay(p, 1.2 * period0)
-    constant = PeriodicGridFunction(above.period, np.ones(above.values.size))
+    constant = GridFunction(above.period, np.ones(above.values.size))
     print(f"L = 1.2 L0: nonconstant = {above.nonconstant}, "
           f"residual = {above.residual_norm:.2e}")
     print(f"            peak = {np.max(above.values):.6f}, "
@@ -56,8 +56,7 @@ def main():
     print()
 
     sol = branch[-1]
-    grid = sol.grid()
-    t = grid.t - 0.5 * grid.period
+    t = sol.grid().x
     window = np.abs(t) <= 2.0
     ratio = sol.values[window] / asymptotic_profile(p, t[window])
     print("profile / single bubble on |t| <= 2 at L = 4 L0: "

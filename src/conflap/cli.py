@@ -24,7 +24,6 @@ from .cylinder import (
 )
 from .delaunay import (
     BIFURCATION_XTOL,
-    PeriodicGridFunction,
     bifurcation_period,
     bubble_tower_defect,
     continue_branch,
@@ -34,7 +33,6 @@ from .delaunay import (
 from .errors import ConflapError, ParameterError
 from .euclidean import (
     INTEGRAL_CALIBRATION_SIZE,
-    LineGridFunction,
     cached_integral_constant,
     commutator_check,
     covariance_bridge,
@@ -47,7 +45,7 @@ from .extension import (
     solve_extension_mode,
     weighted_volume_coefficient,
 )
-from .params import FracParams
+from .params import FracParams, GridFunction
 from .sphere import (
     ModeSpectrum,
     calibrate_sphere_kernel,
@@ -168,7 +166,8 @@ def symbol(geometry, n, s, modes, frequencies):
         if frequencies:
             raise ParameterError("--xi applies to the cylinder symbol only")
         chosen = list(modes) if modes else list(range(11))
-        results = [{"m": m, "symbol": float(sphere_symbol(p, m))} for m in chosen]
+        values = sphere_symbol(p, np.array(chosen))
+        results = [{"m": m, "symbol": float(v)} for m, v in zip(chosen, values)]
         params = {"m": chosen}
     else:
         if len(modes) > 1:
@@ -291,8 +290,8 @@ def _read_samples(path):
 
 
 def _line_grid(x, values):
-    f = LineGridFunction(-x[0], values)
-    if not np.allclose(x, f.x, rtol=0.0, atol=1e-9 * max(1.0, f.half_width)):
+    f = GridFunction(-2.0 * x[0], values)
+    if not np.allclose(x, f.x, rtol=0.0, atol=1e-9 * max(1.0, -x[0])):
         raise ParameterError(
             "abscissae must form the uniform grid -T + j (2T/size) "
             "with the right endpoint excluded; inputs are never resampled"
@@ -332,7 +331,7 @@ def apply_command(input_path, s, route, edge_tol):
             "integral_constant": constant,
             "calibration_size": INTEGRAL_CALIBRATION_SIZE,
         }
-    diagnostics["half_width"] = f.half_width
+    diagnostics["half_width"] = 0.5 * f.length
     diagnostics["size"] = f.size
     results = [
         {"x": float(a), "value": float(v)} for a, v in zip(f.x, out.values)
@@ -466,7 +465,7 @@ def delaunay(n, s, periods, size, stride, tol):
     results = [
         {"period": sol.period, "t": float(t), "v": float(v)}
         for sol in solutions
-        for t, v in zip(sol.grid().t[::stride], sol.values[::stride])
+        for t, v in zip(sol.grid().x[::stride], sol.values[::stride])
     ]
     summaries = [
         {
@@ -548,7 +547,7 @@ def _selftest_records():
     size = 4096
     half_width = 64.0
     x = -half_width + (2.0 * half_width / size) * np.arange(size)
-    gauss = LineGridFunction(half_width, np.exp(-0.5 * x * x))
+    gauss = GridFunction(2.0 * half_width, np.exp(-0.5 * x * x))
     p16 = FracParams(1, 0.7)
     spectral = frac_lap_spectral(p16, gauss).values
     integral = frac_lap_integral(p16, gauss, cached_integral_constant(0.7)).values
@@ -579,7 +578,7 @@ def _selftest_records():
     )
     bump = solve_delaunay(p35, 1.2 * threshold)
     add("delaunay_residual", bump.residual_norm, 1e-10)
-    constant = PeriodicGridFunction(1.2 * threshold, np.ones(bump.values.size))
+    constant = GridFunction(1.2 * threshold, np.ones(bump.values.size))
     add("delaunay_energy_drop", bump.energy - functional_FL(p35, constant), 0.0)
     defects = [
         bubble_tower_defect(solve_delaunay(p35, mult * threshold))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NonConvergenceError, ParameterError, SingularityError
 from .params import FracParams, KernelSpec
-from .specfun import hyp2f1, jacobi_unit_rule, log_gamma, log_gamma_abs2_vec, panel_rule
+from .specfun import hyp2f1, jacobi_unit_rule, log_gamma, log_gamma_abs2, panel_rule
 
 _PERIODIZE_REL_TOL = 1e-15
 _PERIODIZE_MAX_SHELLS = 400
@@ -56,7 +56,7 @@ def cyl_symbol(p, m, xi):
     x_plus = 0.5 * (1.0 + p.s + beta)
     x_minus = 0.5 * (1.0 - p.s + beta)
     y = 0.5 * np.asarray(xi, dtype=float)
-    log_ratio = log_gamma_abs2_vec(x_plus, y) - log_gamma_abs2_vec(x_minus, y)
+    log_ratio = log_gamma_abs2(x_plus, y) - log_gamma_abs2(x_minus, y)
     out = np.exp(2.0 * p.s * math.log(2.0) + log_ratio)
     return float(out) if np.isscalar(xi) else out
 
@@ -95,14 +95,15 @@ def kernel_base(p, h):
     if not (hs > 0.0).all():
         raise ParameterError(f"kernel profile needs h > 0, got {h!r}")
     s, n = p.s, p.n
-    # sinh, cosh and sech^2 through e^(-2h), which cannot overflow
-    decay = np.exp(-2.0 * hs)
-    z = 4.0 * decay / (1.0 + decay) ** 2
-    hyp = hyp2f1((n - 2.0 * s - 2.0) / 4.0, (n - 2.0 * s) / 4.0, 0.5 * n, z)
-    log_sinh = hs - math.log(2.0) + np.log(-np.expm1(-2.0 * hs))
-    log_cosh = hs - math.log(2.0) + np.log1p(decay)
-    log_out = (-1.0 - 2.0 * s) * log_sinh + 0.5 * (2.0 - n + 2.0 * s) * log_cosh
+    # sinh, cosh and sech^2 through e^(-2h); near h = 1e308 the products
+    # below overflow to -inf, which the exponential takes to a profile of 0
     with np.errstate(over="ignore"):
+        decay = np.exp(-2.0 * hs)
+        z = 4.0 * decay / (1.0 + decay) ** 2
+        hyp = hyp2f1((n - 2.0 * s - 2.0) / 4.0, (n - 2.0 * s) / 4.0, 0.5 * n, z)
+        log_sinh = hs - math.log(2.0) + np.log(-np.expm1(-2.0 * hs))
+        log_cosh = hs - math.log(2.0) + np.log1p(decay)
+        log_out = (-1.0 - 2.0 * s) * log_sinh + 0.5 * (2.0 - n + 2.0 * s) * log_cosh
         out = np.exp(log_out) * hyp
     if not np.isfinite(out).all():
         raise SingularityError(f"kernel profile overflows float64 at h = {h!r}")

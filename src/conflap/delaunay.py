@@ -17,7 +17,7 @@ from scipy.optimize import bisect
 
 from .cylinder import cyl_curvature, cyl_symbol, periodized_kernel
 from .errors import NewtonDivergenceError, NonConvergenceError, ParameterError
-from .params import FracParams
+from .params import FracParams, GridFunction
 
 _RESIDUAL_CAP = 1e-10
 _CONSTANT_GAP = 1e-6
@@ -25,54 +25,10 @@ _CONSTANT_GAP = 1e-6
 BIFURCATION_XTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PeriodicGridFunction:
-    """Samples on the periodic grid t_j = j L / N, j = 0 .. N-1."""
-
-    period: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        length = float(self.period)
-        if not math.isfinite(length) or length <= 0.0:
-            raise ParameterError(f"period must be positive, got {self.period!r}")
-        object.__setattr__(self, "period", length)
-        v = np.asarray(self.values, dtype=float)
-        n = v.size
-        if v.ndim != 1 or n < 8 or n & (n - 1) != 0:
-            raise ParameterError(
-                f"values must be 1-d with a power-of-two length >= 8, got shape {v.shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ParameterError("values must be finite")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    @property
-    def size(self):
-        return self.values.size
-
-    @property
-    def dt(self):
-        return self.period / self.values.size
-
-    @property
-    def t(self):
-        return self.dt * np.arange(self.values.size)
-
-
-def _mode_multipliers(p, period, size):
-    """Zero-mode symbol at the discrete frequencies 2 pi k / period."""
-    xi = 2.0 * math.pi * np.fft.rfftfreq(size, d=period / size)
-    return cyl_symbol(p, 0, xi)
-
-
 def apply_Ls_periodic(p, f):
     """Apply the nonlocal operator to a periodic profile through its modes."""
-    theta = _mode_multipliers(p, f.period, f.size)
-    out = np.fft.irfft(np.fft.rfft(f.values) * theta, f.size)
-    return PeriodicGridFunction(f.period, out)
+    theta = cyl_symbol(p, 0, f.frequencies)
+    return GridFunction(f.length, np.fft.irfft(np.fft.rfft(f.values) * theta, f.size))
 
 
 def delaunay_residual(p, f):
@@ -105,11 +61,13 @@ def bifurcation_period(p):
 
 
 def _symmetrize(values):
-    """Project onto profiles even across t = 0 (and hence t = L/2)."""
+    """Project onto profiles even about x = 0, the grid midpoint (and hence
+    about x = -L/2, the first node)."""
     return 0.5 * (values + np.roll(values[::-1], 1))
 
 
 def _center_peak(values):
+    """Roll the maximum to index N/2, the node x = 0 of the centred grid."""
     shift = values.size // 2 - int(np.argmax(values))
     return np.roll(values, shift)
 
@@ -138,7 +96,7 @@ class DelaunaySolution:
         object.__setattr__(self, "values", v)
 
     def grid(self):
-        return PeriodicGridFunction(self.period, self.values)
+        return GridFunction(self.period, self.values)
 
 
 def solve_delaunay(p, period, init="auto", size=512, tol=1e-11, max_iter=60):
@@ -147,18 +105,18 @@ def solve_delaunay(p, period, init="auto", size=512, tol=1e-11, max_iter=60):
     ``init`` is "auto" (the periodized limit profile, which tracks the bump
     branch all the way down to the bifurcation), "constant", or an array on
     the solver grid.  Iterates are projected onto even profiles and the peak
-    is pinned to the grid midpoint, removing the translation degeneracy of
-    the Jacobian.  Collapse onto the constant solution is reported through
-    the ``nonconstant`` flag rather than treated as failure.
+    is pinned to the grid midpoint x = 0, removing the translation
+    degeneracy of the Jacobian.  Collapse onto the constant solution is
+    reported through the ``nonconstant`` flag rather than treated as failure.
+    The Newton loop works on raw arrays, since its trial iterates may be
+    non-finite.
     """
     q = p.q
     curvature = cyl_curvature(p)
-    if size < 8 or size & (size - 1) != 0:
-        raise ParameterError(f"size must be a power of two >= 8, got {size}")
+    grid = GridFunction(period, np.ones(size))
     if isinstance(init, str):
         if init == "auto":
-            t = (period / size) * np.arange(size) - period / 2.0
-            v = _tower_values(p, period, t)
+            v = _tower_values(p, period, grid.x)
         elif init == "constant":
             v = np.ones(size)
         else:
@@ -171,7 +129,7 @@ def solve_delaunay(p, period, init="auto", size=512, tol=1e-11, max_iter=60):
             )
         v = _symmetrize(_center_peak(v))
 
-    theta = _mode_multipliers(p, period, size)
+    theta = cyl_symbol(p, 0, grid.frequencies)
     full_theta = np.concatenate([theta, theta[-2:0:-1]])
     operator = circulant(np.fft.ifft(full_theta).real)
 
@@ -204,8 +162,8 @@ def solve_delaunay(p, period, init="auto", size=512, tol=1e-11, max_iter=60):
         )
 
     mean = float(np.mean(v))
-    gap = math.sqrt(period / size * float(np.sum((v - mean) ** 2)))
-    profile = PeriodicGridFunction(period, v)
+    gap = math.sqrt(grid.dx * float(np.sum((v - mean) ** 2)))
+    profile = GridFunction(period, v)
     return DelaunaySolution(
         n=p.n,
         s=p.s,
@@ -222,28 +180,21 @@ def _critical_mass(p, f):
     if np.any(f.values <= 0.0):
         raise ParameterError("the curvature quotient needs v > 0")
     two_star = p.two_star
-    mass = f.dt * float(np.sum(f.values**two_star))
+    mass = f.dx * float(np.sum(f.values**two_star))
     return mass ** (2.0 / two_star)
 
 
 def functional_FL(p, f):
     """Curvature quotient <v, L v> / (int v^(2*))^(2/2*) via the mode sums.
 
-    The numerator is the spectral quadratic form L sum_k w_k theta_k |c_k|^2
-    (real-FFT weights), the denominator the critical Lebesgue norm, so the
-    value is invariant under v -> lam v and the constant profile scores
+    The numerator is the quadratic form dx v . (L v) with L applied through
+    its modes, the denominator the critical Lebesgue norm, so the value is
+    invariant under v -> lam v and the constant profile scores
     c_(n,s) L^(1 - 2/2*).  Nonconstant minimizers beat the constant exactly
     when the period exceeds the bifurcation period.
     """
-    denominator = _critical_mass(p, f)
-    theta = _mode_multipliers(p, f.period, f.size)
-    coeffs = np.fft.rfft(f.values) / f.size
-    weights = np.full(theta.size, 2.0)
-    weights[0] = 1.0
-    if f.size % 2 == 0:
-        weights[-1] = 1.0
-    quadratic = f.period * float(weights @ (theta * np.abs(coeffs) ** 2))
-    return quadratic / denominator
+    quadratic = f.dx * float(f.values @ apply_Ls_periodic(p, f).values)
+    return quadratic / _critical_mass(p, f)
 
 
 def kernel_functional_FL(spec, f):
@@ -258,8 +209,8 @@ def kernel_functional_FL(spec, f):
     denominator = _critical_mass(p, f)
     values = f.values
     size = f.size
-    h = f.dt
-    kernel = periodized_kernel(spec, f.period, h * np.arange(1, size))
+    h = f.dx
+    kernel = periodized_kernel(spec, f.length, h * np.arange(1, size))
     # ||v - roll(v, -j)||^2 = 2 (||v||^2 - c_j), c the circular autocorrelation
     norm2 = float(values @ values)
     autocorr = np.fft.irfft(np.abs(np.fft.rfft(values)) ** 2, size)
@@ -294,8 +245,9 @@ _CAL_SPREAD_CAP = 1e-3
 
 
 @lru_cache(maxsize=32)
-def _amplitude_calibration(p):
-    """Amplitude that makes amp * cosh(t)^(-(n-2s)/2) solve the limit equation.
+def limit_amplitude(p):
+    """Calibrated peak value of the infinite-period profile: the amplitude
+    that makes amp * cosh(t)^(-(n-2s)/2) solve the limit equation.
 
     The operator is linear and the nonlinearity homogeneous, so for the unit
     shape w the ratio [L w] / (c_(n,s) w^q) must equal the constant
@@ -308,8 +260,7 @@ def _amplitude_calibration(p):
     size = 4096
     t = (period / size) * np.arange(size) - period / 2.0
     shape = np.cosh(t) ** (-decay)
-    theta = _mode_multipliers(p, period, size)
-    applied = np.fft.irfft(np.fft.rfft(shape) * theta, size)
+    applied = apply_Ls_periodic(p, GridFunction(period, shape)).values
     window = np.abs(t) <= _CAL_WINDOW
     ratio = applied[window] / (cyl_curvature(p) * shape[window] ** p.q)
     mean = float(np.mean(ratio))
@@ -320,11 +271,6 @@ def _amplitude_calibration(p):
             f"is not constant (spread {spread:.1e})"
         )
     return mean ** (1.0 / (p.q - 1.0))
-
-
-def limit_amplitude(p):
-    """Calibrated peak value of the infinite-period profile."""
-    return _amplitude_calibration(p)
 
 
 def asymptotic_profile(p, t):
@@ -352,6 +298,5 @@ def bubble_tower_defect(sol):
     bumps translated by the period lattice."""
     p = FracParams(sol.n, sol.s)
     grid = sol.grid()
-    t = grid.t - 0.5 * sol.period
-    tower = _tower_values(p, sol.period, t)
-    return math.sqrt(grid.dt * float(np.sum((sol.values - tower) ** 2)))
+    tower = _tower_values(p, sol.period, grid.x)
+    return math.sqrt(grid.dx * float(np.sum((sol.values - tower) ** 2)))

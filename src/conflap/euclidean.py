@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError, SupportError, TaperError
-from .params import FracParams
+from .params import FracParams, GridFunction
 from .specfun import jacobi_unit_rule, panel_rule
 from .sphere import ModeSpectrum, sphere_symbol
 
@@ -24,6 +24,10 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _JACOBI_SIZE = 112
 #: grid size of the calibration behind ``cached_integral_constant``
 INTEGRAL_CALIBRATION_SIZE = 8192
+#: relative size below which the commutator check counts input as zero
+_SUPPORT_TOL = 1e-10
+#: half-width of the window |x| <= cap where the bridge compares both sides
+_COMPARE_CAP = 4.0
 
 #: cubic Lagrange basis on offsets {-1, 0, 1, 2}, coefficients in tau^k
 _CUBIC_BASIS = np.array(
@@ -34,48 +38,6 @@ _CUBIC_BASIS = np.array(
         [0.0, -1.0 / 6.0, 0.0, 1.0 / 6.0],
     ]
 )
-
-
-@dataclass(frozen=True)
-class LineGridFunction:
-    """Samples on the uniform symmetric grid x_i = -T + i (2T/N).
-
-    N must be a power of two with N >= 8 so the spectral route always has a
-    clean FFT length; the right endpoint +T is excluded, matching the
-    periodic convention of the transforms.
-    """
-
-    half_width: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        t = float(self.half_width)
-        if not math.isfinite(t) or t <= 0.0:
-            raise ParameterError(f"half_width must be positive, got {self.half_width!r}")
-        object.__setattr__(self, "half_width", t)
-        v = np.asarray(self.values, dtype=float)
-        n = v.size
-        if v.ndim != 1 or n < 8 or n & (n - 1) != 0:
-            raise ParameterError(
-                f"values must be 1-d with a power-of-two length >= 8, got shape {v.shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ParameterError("values must be finite")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    @property
-    def size(self):
-        return self.values.size
-
-    @property
-    def dx(self):
-        return 2.0 * self.half_width / self.values.size
-
-    @property
-    def x(self):
-        return -self.half_width + self.dx * np.arange(self.values.size)
 
 
 def cosine_taper(size, fraction=0.1):
@@ -115,9 +77,8 @@ def frac_lap_spectral(p, f, edge_tol=1e-7):
                 f"edge magnitude {edge:.3e} exceeds {edge_tol:.1e} of the peak; "
                 "taper the input before the spectral route"
             )
-    xi = 2.0 * math.pi * np.fft.rfftfreq(n, d=f.dx)
-    out = np.fft.irfft(np.fft.rfft(values) * xi ** (2.0 * p.s), n)
-    return LineGridFunction(f.half_width, out)
+    out = np.fft.irfft(np.fft.rfft(values) * f.frequencies ** (2.0 * p.s), n)
+    return GridFunction(f.length, out)
 
 
 def _require_integral_order(p):
@@ -202,7 +163,7 @@ def frac_lap_integral(p, f, constant):
     c = float(constant)
     if not math.isfinite(c) or c <= 0.0:
         raise ParameterError(f"calibration constant must be positive, got {constant!r}")
-    return LineGridFunction(f.half_width, c * _integral_apply_base(p, f))
+    return GridFunction(f.length, c * _integral_apply_base(p, f))
 
 
 def calibrate_integral_constant(p, half_width=40.0, size=4096, sigma=1.0):
@@ -219,7 +180,7 @@ def calibrate_integral_constant(p, half_width=40.0, size=4096, sigma=1.0):
 
     def routes(sig):
         z = x / sig
-        f = LineGridFunction(half_width, (z**4 - 6.0 * z**2 + 3.0) * np.exp(-0.5 * z**2))
+        f = GridFunction(2.0 * half_width, (z**4 - 6.0 * z**2 + 3.0) * np.exp(-0.5 * z**2))
         spectral = frac_lap_spectral(p, f).values
         base = _integral_apply_base(p, f)
         return spectral, base
@@ -413,7 +374,7 @@ def _halfline_apply(lam, mode, unit_rule, fhat_unit, layout, fhat_panel,
     return _SQRT_2_OVER_PI * out
 
 
-def commutator_check(p, f, max_targets=257, support_tol=1e-10):
+def commutator_check(p, f, max_targets=257):
     """Numerically test [(-Delta)^s, B] f = -s (2 X + n + 2(s-1)) (-Delta)^(s-1) f
     on the line, with B the multiplication by (1 + |x|^2)/2.
 
@@ -442,21 +403,21 @@ def commutator_check(p, f, max_targets=257, support_tol=1e-10):
     scale = np.max(np.abs(u))
     if scale == 0.0:
         return {"s": s, "residual": 0.0, "targets": 0}
-    outside = np.abs(x) > 0.75 * f.half_width
-    if np.max(np.abs(u[outside])) > support_tol * scale:
+    outside = np.abs(x) > 0.375 * f.length
+    if np.max(np.abs(u[outside])) > _SUPPORT_TOL * scale:
         raise SupportError(
             "input must be supported in the inner three quarters of the grid"
         )
     weight = 0.5 * (1.0 + x**2)
 
     if s == 1.0:
-        xi = 2.0 * math.pi * np.fft.fftfreq(u.size, d=f.dx)
+        xi = f.frequencies
 
         def lap(v):
-            return np.fft.ifft(np.fft.fft(v) * xi**2).real
+            return np.fft.irfft(np.fft.rfft(v) * xi**2, u.size)
 
         def ddx(v):
-            return np.fft.ifft(np.fft.fft(v) * 1j * xi).real
+            return np.fft.irfft(np.fft.rfft(v) * 1j * xi, u.size)
 
         lhs = lap(weight * u) - weight * lap(u)
         rhs = -(2.0 * x * ddx(u) + u)
@@ -469,7 +430,7 @@ def commutator_check(p, f, max_targets=257, support_tol=1e-10):
         }
 
     stride = max(1, int(math.ceil(u.size / max_targets)))
-    mask = np.abs(x) <= 0.5 * f.half_width
+    mask = np.abs(x) <= 0.25 * f.length
     targets = x[mask][::stride]
     target_step = stride * f.dx
 
@@ -575,7 +536,7 @@ def _factor_power_flat_lap(p, points, constant):
     return constant * (near + center / s - far)
 
 
-def covariance_bridge(p, spectrum, half_width=2000.0, size=1 << 17, compare_cap=4.0):
+def covariance_bridge(p, spectrum, half_width=2000.0, size=1 << 17):
     """Push (-Delta)^s through stereographic projection and compare against
     the intrinsic circle operator mode by mode.
 
@@ -585,7 +546,7 @@ def covariance_bridge(p, spectrum, half_width=2000.0, size=1 << 17, compare_cap=
     through an exact quadrature of the non-decaying conformal-factor power.
     Recombining and weighting by ((1 + x^2)/2)^(s + 1/2) must reproduce
     sum c_m theta(m) cos(m alpha) with theta the circle symbol.  Returns a
-    report dict with the mismatch over |x| <= compare_cap.
+    report dict with the mismatch over |x| <= 4 (``compare_cap``).
     """
     _require_integral_order(p)
     if spectrum.n != 1:
@@ -603,13 +564,13 @@ def covariance_bridge(p, spectrum, half_width=2000.0, size=1 << 17, compare_cap=
     alpha = 2.0 * np.arctan(x)
     factor = 0.5 * (1.0 + x**2)
     flat = factor ** (s - 0.5) * _mode_values(ModeSpectrum(1, reduced), alpha)
-    tapered = LineGridFunction(half_width, flat * cosine_taper(size, 0.1))
+    tapered = GridFunction(2.0 * half_width, flat * cosine_taper(size, 0.1))
     # after the pole split the profile decays like |x|^(2s-3); what the taper
     # removes feeds back into the comparison window at the 1e-8 level, well
     # inside the relaxed edge tolerance
     transformed = frac_lap_spectral(p, tapered, edge_tol=1e-3).values
 
-    mask = np.abs(x) <= compare_cap
+    mask = np.abs(x) <= _COMPARE_CAP
     points = x[mask]
     constant = cached_integral_constant(s)
     if pole_value != 0.0:
@@ -618,9 +579,7 @@ def covariance_bridge(p, spectrum, half_width=2000.0, size=1 << 17, compare_cap=
         pole_term = np.zeros(points.size)
     pushed = factor[mask] ** (s + 0.5) * (transformed[mask] + pole_term)
 
-    multipliers = np.array(
-        [sphere_symbol(p, m) for m in range(coeffs.size)]
-    )
+    multipliers = sphere_symbol(p, np.arange(coeffs.size))
     circle_side = _mode_values(ModeSpectrum(1, coeffs * multipliers), alpha[mask])
 
     # When the symbol annihilates the whole spectrum (s = 1/2 kills the
@@ -640,5 +599,5 @@ def covariance_bridge(p, spectrum, half_width=2000.0, size=1 << 17, compare_cap=
         "pole_constant": pole_value,
         "half_width": half_width,
         "size": size,
-        "compare_cap": compare_cap,
+        "compare_cap": _COMPARE_CAP,
     }

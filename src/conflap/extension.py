@@ -11,6 +11,7 @@ convention.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,12 +72,10 @@ class ExtensionSolution:
             object.__setattr__(self, name, arr)
 
 
-def _graded_mesh(s, xi, size, y_max):
-    if y_max is None:
-        # the solution decays like e^(-xi y), so it lives on y <~ 30 / xi
-        y_max = 30.0 / max(abs(xi), 1e-30)
+def _graded_mesh(s, xi, size):
+    # the solution decays like e^(-xi y), so it lives on y <~ 30 / xi
     grading = max(2.0, 1.0 / s)
-    return y_max * (np.arange(size + 1) / size) ** grading
+    return 30.0 / xi * (np.arange(size + 1) / size) ** grading
 
 
 def _flux_coefficients(y, s):
@@ -100,14 +99,17 @@ def _mass_weights(y, s):
     return cells[1:]
 
 
-def solve_extension_mode(p, xi, mesh_size=600, y_max=None):
+def solve_extension_mode(p, xi, mesh_size=600):
     """Solve the extension problem for one frequency and recover the trace.
 
     The mesh is graded toward y = 0 where U behaves like 1 + A y^(2s); flux
     couplings are integrated exactly against the degenerate weight, and the
     far end carries the radiation closure U' = -|xi| U.  The trace is fitted
     on the leading nodes against the y^(2s) and y^2 branches, which removes
-    the smooth contamination that a raw one-sided flux would keep.
+    the smooth contamination that a raw one-sided flux would keep.  xi = 0
+    gives U = 1 on the single node y = 0.  Where xi^2 overflows or falls
+    below the normal floats the xi^2 term of the equation is wrong, so those
+    frequencies raise ParameterError.
     """
     s = p.s
     _require_order(s)
@@ -116,14 +118,16 @@ def solve_extension_mode(p, xi, mesh_size=600, y_max=None):
         raise ParameterError(f"frequency must be finite, got {xi!r}")
     if mesh_size < 32:
         raise ParameterError(f"mesh_size must be at least 32, got {mesh_size}")
+    if xi == 0.0:
+        return ExtensionSolution(
+            s=s, xi=0.0, mesh=np.zeros(1), values=np.ones(1), dtn=0.0, boundary_flux=0.0
+        )
     xi_sq = xi * xi
     if not math.isfinite(xi_sq):
         raise ParameterError(f"frequency {xi!r} is too large: xi^2 overflows")
-    y = _graded_mesh(s, xi, mesh_size, y_max)
-    if xi == 0.0:
-        return ExtensionSolution(
-            s=s, xi=0.0, mesh=y, values=np.ones(y.size), dtn=0.0, boundary_flux=0.0
-        )
+    if xi_sq < sys.float_info.min:
+        raise ParameterError(f"frequency {xi!r} is too small: xi^2 underflows")
+    y = _graded_mesh(s, xi, mesh_size)
 
     flux = _flux_coefficients(y, s)
     mass = _mass_weights(y, s)

@@ -1,7 +1,9 @@
-"""Parameter containers shared by all geometry modules."""
+"""Parameter and grid containers shared by all geometry modules."""
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ParameterError
 
@@ -90,3 +92,51 @@ class KernelSpec:
                 f"kernel calibration residual {residual!r} exceeds "
                 f"{CALIBRATION_RESIDUAL_CAP}"
             )
+
+
+@dataclass(frozen=True)
+class GridFunction:
+    """Samples on the centred uniform grid x_j = -length/2 + j length/N.
+
+    One container for the line, where the data must be negligible near both
+    ends, and for one period of a periodic profile.  N must be a power of two
+    with N >= 8 so the transforms always get a clean FFT length; the right
+    endpoint length/2 is excluded, matching their periodic convention.
+    """
+
+    length: float
+    values: np.ndarray
+
+    def __post_init__(self):
+        length = float(self.length)
+        if not math.isfinite(length) or length <= 0.0:
+            raise ParameterError(f"grid length must be positive, got {self.length!r}")
+        object.__setattr__(self, "length", length)
+        v = np.asarray(self.values, dtype=float)
+        n = v.size
+        if v.ndim != 1 or n < 8 or n & (n - 1) != 0:
+            raise ParameterError(
+                f"grid size must be a power of two >= 8 on a 1-d array, got shape {v.shape}"
+            )
+        if not np.all(np.isfinite(v)):
+            raise ParameterError("values must be finite")
+        v = v.copy()
+        v.flags.writeable = False
+        object.__setattr__(self, "values", v)
+
+    @property
+    def size(self):
+        return self.values.size
+
+    @property
+    def dx(self):
+        return self.length / self.values.size
+
+    @property
+    def x(self):
+        return -0.5 * self.length + self.dx * np.arange(self.values.size)
+
+    @property
+    def frequencies(self):
+        """Angular frequencies 2 pi k / length of the real-FFT bins."""
+        return 2.0 * math.pi * np.fft.rfftfreq(self.values.size, d=self.dx)

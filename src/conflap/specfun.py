@@ -55,23 +55,22 @@ def signed_gamma(x):
 
 
 def log_gamma_abs2(x, y):
-    """log of ``|Gamma(x + i y)|^2`` for real x, y away from poles."""
-    return float(log_gamma_abs2_vec(x, y))
+    """``log |Gamma(x + i y)|^2`` for real scalar x and real y away from poles.
+
+    y may be a scalar (a float is returned) or an array.
+    """
+    ys = np.asarray(y, dtype=float)
+    if not math.isfinite(x) or not np.all(np.isfinite(ys)):
+        raise ParameterError(f"log |Gamma|^2 requires finite arguments, got x = {x!r}")
+    if _is_nonpositive_int(x) and np.any(ys == 0.0):
+        raise ParameterError(f"Gamma has a pole at z = {x!r}")
+    out = 2.0 * special.loggamma(x + 1j * ys).real
+    return float(out) if ys.ndim == 0 else out
 
 
 def gamma_abs2(x, y):
     """Squared modulus ``|Gamma(x + i y)|^2``."""
     return math.exp(log_gamma_abs2(x, y))
-
-
-def log_gamma_abs2_vec(x, y):
-    """Vectorized ``log |Gamma(x + i y)|^2`` for scalar x and array y."""
-    y = np.asarray(y, dtype=float)
-    if not math.isfinite(x) or not np.all(np.isfinite(y)):
-        raise ParameterError(f"log |Gamma|^2 requires finite arguments, got x = {x!r}")
-    if _is_nonpositive_int(x) and np.any(y == 0.0):
-        raise ParameterError(f"Gamma has a pole at z = {x!r}")
-    return 2.0 * special.loggamma(x + 1j * y).real
 
 
 def hyp2f1(a, b, c, z):

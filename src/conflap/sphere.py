@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
-from scipy.special import roots_jacobi
+from scipy.special import poch, roots_jacobi
 
 from .errors import ParameterError, SingularityError
 from .params import FracParams, KernelSpec
-from .specfun import log_gamma, signed_gamma
+from .specfun import log_gamma
 
 #: Modes above this fraction of the grid size are discarded before spectral
 #: differentiation; inputs are band-limited by precondition, so this only
@@ -29,34 +29,33 @@ _MIN_GRID = 16
 
 
 def _check_mode(m):
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+    """A degree or an integer array of degrees, as an array."""
+    degrees = np.asarray(m)
+    if degrees.dtype.kind not in "iu":
         raise ParameterError(f"mode degree must be an int, got {m!r}")
-    if m < 0:
+    if np.any(degrees < 0):
         raise ParameterError(f"mode degree must be >= 0, got {m}")
-    return int(m)
+    return degrees
 
 
 def mode_eigenvalue(n, m):
     """Laplace-Beltrami eigenvalue m (m + n - 1) of degree-m harmonics on S^n."""
     m = _check_mode(m)
-    return float(m * (m + n - 1))
+    out = m * (m + n - 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def sphere_symbol(p, m):
     """Spectral multiplier of the order-2s conformal operator on S^n.
 
-    Equals Gamma(m + n/2 + s) / Gamma(m + n/2 - s).  For s >= n/2 this is the
-    analytic continuation of the ratio; it vanishes at poles of the
-    denominator Gamma and may be negative between them.
+    Equals Gamma(m + n/2 + s) / Gamma(m + n/2 - s), the Pochhammer symbol
+    (m + n/2 - s)_(2s).  For s >= n/2 this is the analytic continuation of
+    the ratio; it vanishes at poles of the denominator Gamma and may be
+    negative between them.  m is an int (a float is returned) or an integer
+    array of degrees.
     """
-    m = _check_mode(m)
-    num = m + 0.5 * p.n + p.s
-    den = m + 0.5 * p.n - p.s
-    if den <= 0.0 and den == math.floor(den):
-        return 0.0
-    sign_num, log_num = signed_gamma(num)
-    sign_den, log_den = signed_gamma(den)
-    return sign_num * sign_den * math.exp(log_num - log_den)
+    out = poch(_check_mode(m) + 0.5 * p.n - p.s, 2.0 * p.s)
+    return float(out) if out.ndim == 0 else out
 
 
 def sphere_curvature(p):
@@ -144,8 +143,7 @@ def apply_sphere(p, f):
         raise ParameterError(
             f"spectrum dimension {f.n} does not match parameters n = {p.n}"
         )
-    mult = np.array([sphere_symbol(p, m) for m in range(f.coeffs.size)])
-    return ModeSpectrum(f.n, f.coeffs * mult)
+    return ModeSpectrum(f.n, f.coeffs * sphere_symbol(p, np.arange(f.coeffs.size)))
 
 
 def _circle_moment(alpha):
@@ -278,23 +276,20 @@ def _legendre_coefficients(values, nodes_weights):
     return scale * (vand.T @ (w * values)), vand
 
 
-def _s2_multipliers(p, max_degree, quad_size):
+def _s2_multipliers(spec, max_degree, quad_size):
     """Kernel-route multipliers on S^2 by Gauss-Jacobi quadrature.
 
     J_m = int (1 - P_m(t)) (1-t)^(-1-s) dt is computed with the weight
     (1-t)^(-s) applied to the degree m-1 polynomial (1 - P_m(t))/(1 - t),
-    which the rule integrates exactly.
+    which the rule integrates exactly; the kernel constant is the spec's.
     """
-    curv = sphere_curvature(p)
-    target = sphere_symbol(p, 1) - curv
-    j1 = 2.0 ** (1.0 - p.s) / (1.0 - p.s)
-    kappa = target / (2.0 * math.pi * j1)
+    p = spec.params
     nq = max(quad_size, max_degree // 2 + 4)
     tq, wq = roots_jacobi(nq, -p.s, 0.0)
     vand = legvander(tq, max_degree)
     ratios = (1.0 - vand) / (1.0 - tq)[:, None]
     j = ratios.T @ wq
-    return curv + 2.0 * math.pi * kappa * j
+    return sphere_curvature(p) + 2.0 * math.pi * spec.normalization * j
 
 
 def singular_integral_apply(spec, values, resolution=None):
@@ -329,7 +324,7 @@ def singular_integral_apply(spec, values, resolution=None):
             raise ParameterError("need at least 4 Gauss-Legendre samples")
         nodes = leggauss(r)
         coeffs, vand = _legendre_coefficients(values, nodes)
-        lam = _s2_multipliers(p, r - 1, int(resolution) if resolution else 40)
+        lam = _s2_multipliers(spec, r - 1, int(resolution) if resolution else 40)
         return vand @ (coeffs * lam)
     raise ParameterError(f"singular-integral route implemented for n in {{1, 2}}, got {p.n}")
 
@@ -342,8 +337,7 @@ def apply_sphere_grid(p, values):
     if values.ndim != 1 or values.size < 2:
         raise ParameterError("values must be a 1-d array with at least 2 samples")
     spec = np.fft.rfft(values)
-    mult = np.array([sphere_symbol(p, m) for m in range(spec.size)])
-    return np.fft.irfft(spec * mult, values.size)
+    return np.fft.irfft(spec * sphere_symbol(p, np.arange(spec.size)), values.size)
 
 
 def yamabe_quotient_sphere(p, values):
@@ -361,18 +355,15 @@ def yamabe_quotient_sphere(p, values):
     if np.any(values <= 0.0):
         raise ParameterError("the quotient is defined for positive u only")
     if p.n == 1:
-        n = values.size
-        spec = np.fft.fft(values) / n
-        degrees = np.abs(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
-        mult = np.array([sphere_symbol(p, m) for m in range(degrees.max() + 1)])
-        energy = 2.0 * math.pi * float(np.sum(np.abs(spec) ** 2 * mult[degrees]))
+        applied = apply_sphere_grid(p, values)
+        energy = 2.0 * math.pi / values.size * float(values @ applied)
         mass = 2.0 * math.pi * float(np.mean(values**two_star))
     elif p.n == 2:
         r = values.size
         t, w = leggauss(r)
         coeffs, _ = _legendre_coefficients(values, (t, w))
         degrees = np.arange(r)
-        mult = np.array([sphere_symbol(p, int(m)) for m in degrees])
+        mult = sphere_symbol(p, degrees)
         energy = float(np.sum(coeffs**2 * mult * 4.0 * math.pi / (2.0 * degrees + 1.0)))
         mass = 2.0 * math.pi * float(np.sum(w * values**two_star))
     else:

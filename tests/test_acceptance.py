@@ -12,9 +12,8 @@ import numpy as np
 
 from conflap import (
     FracParams,
-    LineGridFunction,
+    GridFunction,
     ModeSpectrum,
-    PeriodicGridFunction,
     bifurcation_period,
     bubble_tower_defect,
     calibrate_kernel,
@@ -165,7 +164,7 @@ def test_c09_dilation_commutator_identity():
     size = 4096
     half_width = 40.0
     x = -half_width + (2.0 * half_width / size) * np.arange(size)
-    f = LineGridFunction(half_width, np.exp(-0.5 * x * x))
+    f = GridFunction(2.0 * half_width, np.exp(-0.5 * x * x))
     for s in (0.3, 0.7):
         report = commutator_check(FracParams(1, s), f)
         assert report["residual"] < 1e-4, (s, report["residual"])
@@ -183,7 +182,7 @@ def test_c10_delaunay_bifurcation_and_branch():
     assert above.nonconstant
     assert above.residual_norm < 1e-10
     assert np.min(above.values) > 0.0
-    constant = PeriodicGridFunction(above.period, np.ones(above.values.size))
+    constant = GridFunction(above.period, np.ones(above.values.size))
     assert above.energy < functional_FL(p, constant)
 
     below = solve_delaunay(p, 0.8 * period0)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,15 @@ class TestKernel:
         assert all(r["kernel"] > 0.0 for r in payload["results"])
         assert payload["diagnostics"]["normalization"] > 0.0
 
+    def test_huge_separation_gives_zero_without_warnings(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(
+                capsys, ["kernel", "cylinder", "--n", "3", "--s", "0.5", "--h", "1e308"]
+            )
+        assert code == 0
+        assert json.loads(out)["results"][0]["kernel"] == 0.0
+
     def test_mixed_flags_rejected(self, capsys):
         code, _, err = run(
             capsys,
@@ -178,10 +188,13 @@ class TestChecks:
         assert payload["diagnostics"]["d_star_identity_max_residual"] < 1e-13
 
     def test_overflowing_frequency_is_input_error(self, capsys):
-        code, out, err = run(capsys, ["extension-check", "--s", "0.5", "--xi", "1e200"])
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error:")
+        # xi^2 out of the normal floats at either end; at s = 0.8 and
+        # xi = 1e-300 the reference xi^(2s) would also underflow to 0
+        for s, xi in (("0.5", "1e200"), ("0.2", "1e-300"), ("0.8", "1e-300")):
+            code, out, err = run(capsys, ["extension-check", "--s", s, "--xi", xi])
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error:") and "xi^2" in err
 
     def test_covariance_bridge_small_run(self, capsys):
         code, out, _ = run(
@@ -239,6 +252,11 @@ class TestDelaunay:
         assert summary["residual_norm"] < 1e-9
         assert summary["tower_defect"] < 0.5
         assert len(payload["results"]) == 512 // 64
+        # samples run over the centred period [-L/2, L/2), peak at t = 0
+        ts = [r["t"] for r in payload["results"]]
+        assert ts[0] == -3.1 and ts[4] == 0.0 and ts[-1] < 3.1
+        peak = max(payload["results"], key=lambda r: r["v"])
+        assert peak["t"] == 0.0 and peak["v"] == summary["peak"]
 
     def test_csv_is_flat_sample_table(self, capsys):
         code, out, _ = run(

@@ -160,6 +160,13 @@ def test_kernel_large_separation_decay():
         assert math.isclose(math.log(ratio), 5.0 * lam, rel_tol=1e-8)
         amp = kernel_base(p, 30.0) * math.exp(lam * 30.0)
         assert math.isclose(amp, 2.0 ** (s + 0.5 * n), rel_tol=1e-8)
+        # out to h = 1e308, where -2h and the log-profile overflow to -inf,
+        # the profile is 0 without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kernel_base(p, 1e308) == 0.0
+            table = kernel_base(p, np.array([1.7e308, 1e200, 30.0]))
+            assert np.array_equal(table, [0.0, 0.0, kernel_base(p, 30.0)])
 
 
 def test_calibration_and_duality():

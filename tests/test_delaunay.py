@@ -15,7 +15,6 @@ from conflap.cylinder import (
 )
 from conflap.delaunay import (
     DelaunaySolution,
-    PeriodicGridFunction,
     apply_Ls_periodic,
     asymptotic_profile,
     bifurcation_period,
@@ -29,67 +28,37 @@ from conflap.delaunay import (
     _critical_mass,
 )
 from conflap.errors import NewtonDivergenceError, ParameterError
-from conflap.params import FracParams
+from conflap.params import FracParams, GridFunction
 
 # Root of xi coth(pi xi / 2) = 4 / pi mapped to the period 2 pi / xi,
 # computed with mpmath.findroot at 40 digits for n = 3, s = 1/2.
 PERIOD_THRESHOLD_3_HALF = 5.1538187584122886
 
 
-class TestPeriodicGridFunction:
-    def test_grid_layout(self):
-        f = PeriodicGridFunction(8.0, np.zeros(16))
-        assert f.size == 16
-        assert f.dt == pytest.approx(0.5)
-        assert f.t[0] == 0.0
-        assert f.t[-1] == pytest.approx(7.5)
-
-    def test_rejects_bad_period(self):
-        with pytest.raises(ParameterError):
-            PeriodicGridFunction(0.0, np.zeros(16))
-        with pytest.raises(ParameterError):
-            PeriodicGridFunction(math.inf, np.zeros(16))
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ParameterError):
-            PeriodicGridFunction(8.0, np.zeros(24))
-        with pytest.raises(ParameterError):
-            PeriodicGridFunction(8.0, np.zeros(4))
-        bad = np.zeros(16)
-        bad[3] = math.nan
-        with pytest.raises(ParameterError):
-            PeriodicGridFunction(8.0, bad)
-
-    def test_values_are_frozen(self):
-        f = PeriodicGridFunction(8.0, np.zeros(16))
-        with pytest.raises(ValueError):
-            f.values[0] = 1.0
-
-
 class TestApplyOperator:
     def test_single_mode_matches_symbol(self):
         p = FracParams(3, 0.5)
         period = 7.0
-        f = PeriodicGridFunction(period, np.cos(4.0 * math.pi / period * np.arange(64) * period / 64))
+        f = GridFunction(period, np.cos(4.0 * math.pi / period * np.arange(64) * period / 64))
         applied = apply_Ls_periodic(p, f)
         expected = cyl_symbol(p, 0, 4.0 * math.pi / period) * f.values
         assert np.max(np.abs(applied.values - expected)) < 1e-12
 
     def test_constant_is_exact_solution(self):
         p = FracParams(4, 0.35)
-        f = PeriodicGridFunction(5.0, np.ones(32))
+        f = GridFunction(5.0, np.ones(32))
         res = delaunay_residual(p, f)
         assert np.max(np.abs(res)) < 1e-14
 
     def test_residual_not_equivariant_under_scaling(self):
         # the nonlinearity breaks v -> lam v covariance: 2 * constant misses
         p = FracParams(3, 0.5)
-        f = PeriodicGridFunction(5.0, 2.0 * np.ones(32))
+        f = GridFunction(5.0, 2.0 * np.ones(32))
         assert np.max(np.abs(delaunay_residual(p, f))) > 0.1
 
     def test_residual_requires_positive_profile(self):
         p = FracParams(3, 0.5)
-        f = PeriodicGridFunction(5.0, np.linspace(-1.0, 1.0, 32))
+        f = GridFunction(5.0, np.linspace(-1.0, 1.0, 32))
         with pytest.raises(ParameterError, match="v > 0"):
             delaunay_residual(p, f)
 
@@ -102,7 +71,7 @@ class TestApplyOperator:
             tower = sum(
                 asymptotic_profile(p, t - j * period) for j in range(-2, 3)
             )
-            f = PeriodicGridFunction(period, tower)
+            f = GridFunction(period, tower)
             sups.append(np.max(np.abs(delaunay_residual(p, f))))
         assert sups[0] > sups[1]
         assert sups[1] < 1e-8
@@ -118,10 +87,10 @@ class TestApplyOperator:
         a = rng.standard_normal(32)
         b = rng.standard_normal(32)
         period = 6.0
-        left = apply_Ls_periodic(p, PeriodicGridFunction(period, a + scale * b))
+        left = apply_Ls_periodic(p, GridFunction(period, a + scale * b))
         right = (
-            apply_Ls_periodic(p, PeriodicGridFunction(period, a)).values
-            + scale * apply_Ls_periodic(p, PeriodicGridFunction(period, b)).values
+            apply_Ls_periodic(p, GridFunction(period, a)).values
+            + scale * apply_Ls_periodic(p, GridFunction(period, b)).values
         )
         assert np.max(np.abs(left.values - right)) < 1e-10 * (1.0 + scale)
 
@@ -193,7 +162,7 @@ class TestSolveDelaunay:
     def test_cyclic_shifts_still_solve(self):
         p = FracParams(3, 0.5)
         sol = solve_delaunay(p, 1.3 * PERIOD_THRESHOLD_3_HALF, tol=1e-12)
-        shifted = PeriodicGridFunction(sol.period, np.roll(sol.values, 37))
+        shifted = GridFunction(sol.period, np.roll(sol.values, 37))
         assert np.max(np.abs(delaunay_residual(p, shifted))) < 1e-12
 
     def test_rejects_bad_inputs(self):
@@ -233,19 +202,19 @@ class TestEnergy:
         # quotient of v = 1 is c_(n,s) L^(1 - 2/2*)
         p = FracParams(3, 0.5)
         period = 7.25
-        const = PeriodicGridFunction(period, np.ones(64))
+        const = GridFunction(period, np.ones(64))
         expected = cyl_curvature(p) * period ** (1.0 - 2.0 / p.two_star)
         assert functional_FL(p, const) == pytest.approx(expected, rel=1e-13)
 
     def test_scale_invariance(self):
         p = FracParams(3, 0.5)
         sol = solve_delaunay(p, 1.2 * PERIOD_THRESHOLD_3_HALF)
-        scaled = PeriodicGridFunction(sol.period, 3.7 * sol.values)
+        scaled = GridFunction(sol.period, 3.7 * sol.values)
         assert functional_FL(p, scaled) == pytest.approx(sol.energy, rel=1e-12)
 
     def test_requires_positive_profile(self):
         p = FracParams(3, 0.5)
-        f = PeriodicGridFunction(5.0, np.linspace(-1.0, 1.0, 32))
+        f = GridFunction(5.0, np.linspace(-1.0, 1.0, 32))
         with pytest.raises(ParameterError, match="v > 0"):
             functional_FL(p, f)
 
@@ -253,7 +222,7 @@ class TestEnergy:
         p = FracParams(3, 0.5)
         period = 1.2 * PERIOD_THRESHOLD_3_HALF
         sol = solve_delaunay(p, period)
-        const = PeriodicGridFunction(period, np.ones(sol.values.size))
+        const = GridFunction(period, np.ones(sol.values.size))
         assert sol.energy < functional_FL(p, const)
 
     def test_energy_matches_stored_value(self):
@@ -280,12 +249,12 @@ class TestEnergy:
         f = solve_delaunay(p, 1.2 * PERIOD_THRESHOLD_3_HALF, size=512).grid()
         v = f.values
         offsets = np.arange(1, v.size)
-        kernel = periodized_kernel(spec, f.period, f.dt * offsets)
+        kernel = periodized_kernel(spec, f.length, f.dx * offsets)
         acc = 0.0
         for j, k in zip(offsets, kernel):
             diff = v - np.roll(v, -int(j))
             acc += k * float(diff @ diff)
-        numerator = cyl_curvature(p) * f.dt * float(v @ v) + 0.5 * f.dt**2 * acc
+        numerator = cyl_curvature(p) * f.dx * float(v @ v) + 0.5 * f.dx**2 * acc
         expected = numerator / _critical_mass(p, f)
         assert kernel_functional_FL(spec, f) == pytest.approx(expected, rel=1e-12)
 
@@ -315,7 +284,7 @@ class TestTowerLimit:
     def test_large_period_profile_matches_limit_shape(self):
         p = FracParams(3, 0.5)
         sol = solve_delaunay(p, 24.0, size=1024)
-        t = sol.grid().t - 12.0
+        t = sol.grid().x
         window = np.abs(t) <= 3.0
         ratio = sol.values[window] / asymptotic_profile(p, t[window])
         assert ratio.max() - ratio.min() < 1e-6
@@ -332,7 +301,7 @@ class TestBranchContinuation:
         assert all(s.nonconstant for s in sols)
         assert peaks == sorted(peaks)
         for sol in sols:
-            const = PeriodicGridFunction(sol.period, np.ones(sol.values.size))
+            const = GridFunction(sol.period, np.ones(sol.values.size))
             assert sol.energy < functional_FL(p, const)
 
 

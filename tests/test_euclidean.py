@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conflap.errors import ParameterError, SupportError, TaperError
 from conflap.euclidean import (
     Bubble,
-    LineGridFunction,
     bubble_eval,
     calibrate_integral_constant,
     commutator_check,
@@ -26,7 +25,7 @@ from conflap.euclidean import (
     _panel_nudft,
     _panel_phase_sum,
 )
-from conflap.params import FracParams
+from conflap.params import FracParams, GridFunction
 from conflap.specfun import panel_rule
 from conflap.sphere import ModeSpectrum, sphere_curvature
 
@@ -62,32 +61,6 @@ FRAC_GAUSSIAN_TABLE = {
 }
 
 
-class TestLineGridFunction:
-    def test_grid_layout(self):
-        f = LineGridFunction(4.0, np.zeros(16))
-        assert f.dx == 0.5
-        assert f.x[0] == -4.0
-        assert f.x[-1] == 3.5
-        assert f.size == 16
-
-    def test_rejects_bad_lengths(self):
-        with pytest.raises(ParameterError):
-            LineGridFunction(1.0, np.zeros(12))
-        with pytest.raises(ParameterError):
-            LineGridFunction(1.0, np.zeros(4))
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ParameterError):
-            LineGridFunction(0.0, np.zeros(8))
-        with pytest.raises(ParameterError):
-            LineGridFunction(1.0, np.full(8, np.nan))
-
-    def test_values_are_frozen(self):
-        f = LineGridFunction(1.0, np.zeros(8))
-        with pytest.raises(ValueError):
-            f.values[0] = 1.0
-
-
 def test_cosine_taper_shape():
     w = cosine_taper(256, 0.1)
     assert w[0] == 0.0
@@ -103,7 +76,7 @@ class TestSpectralRoute:
         p = FracParams(1, 0.45)
         x = grid(8.0, 256)
         mode = np.cos(3.0 * math.pi * x / 8.0)
-        out = frac_lap_spectral(p, LineGridFunction(8.0, mode), edge_tol=1.1)
+        out = frac_lap_spectral(p, GridFunction(16.0, mode), edge_tol=1.1)
         expected = (3.0 * math.pi / 8.0) ** 0.9 * mode
         assert np.max(np.abs(out.values - expected)) < 1e-12
 
@@ -111,7 +84,7 @@ class TestSpectralRoute:
         # periodic images limit the match; the kernel decays like t^(-2.2)
         p = FracParams(1, 0.6)
         x = grid(256.0, 1 << 15)
-        out = frac_lap_spectral(p, LineGridFunction(256.0, np.exp(-0.5 * x**2)))
+        out = frac_lap_spectral(p, GridFunction(512.0, np.exp(-0.5 * x**2)))
         for (s, xv), target in FRAC_GAUSSIAN_TABLE.items():
             if s != 0.6:
                 continue
@@ -121,18 +94,18 @@ class TestSpectralRoute:
     def test_rejects_untapered_input(self):
         p = FracParams(1, 0.5)
         with pytest.raises(TaperError):
-            frac_lap_spectral(p, LineGridFunction(4.0, np.ones(64)))
+            frac_lap_spectral(p, GridFunction(8.0, np.ones(64)))
 
     def test_rejects_higher_dimensions(self):
         with pytest.raises(ParameterError):
-            frac_lap_spectral(FracParams(2, 0.5), LineGridFunction(4.0, np.zeros(64)))
+            frac_lap_spectral(FracParams(2, 0.5), GridFunction(8.0, np.zeros(64)))
 
 
 class TestIntegralRoute:
     def test_gaussian_against_closed_form(self):
         # free-space by construction, so the match is tight at every order
         x = grid(32.0, 4096)
-        f = LineGridFunction(32.0, np.exp(-0.5 * x**2))
+        f = GridFunction(64.0, np.exp(-0.5 * x**2))
         for s, tol in ((0.6, 1e-6), (0.25, 1e-7)):
             p = FracParams(1, s)
             out = frac_lap_integral(p, f, closed_form_constant(s))
@@ -164,12 +137,12 @@ class TestIntegralRoute:
         assert first[0] == second[0]
 
     def test_rejects_bad_constant(self):
-        f = LineGridFunction(4.0, np.zeros(64))
+        f = GridFunction(8.0, np.zeros(64))
         with pytest.raises(ParameterError):
             frac_lap_integral(FracParams(1, 0.5), f, -1.0)
 
     def test_rejects_local_orders(self):
-        f = LineGridFunction(4.0, np.zeros(64))
+        f = GridFunction(8.0, np.zeros(64))
         with pytest.raises(ParameterError):
             frac_lap_integral(FracParams(1, 1.5), f, 1.0)
 
@@ -200,13 +173,13 @@ class TestLineQuotient:
         size = 1024
         x1 = grid(20.0, size)
         base = np.exp(-0.5 * x1**2) * (1.0 + 0.2 * np.cos(x1))
-        q1 = line_quotient(p, LineGridFunction(20.0, base))
+        q1 = line_quotient(p, GridFunction(40.0, base))
         mu = 2.0
         x2 = grid(mu * 20.0, size)
         scaled = mu ** (-0.5 * (1.0 - 2.0 * p.s)) * np.exp(
             -0.5 * (x2 / mu) ** 2
         ) * (1.0 + 0.2 * np.cos(x2 / mu))
-        q2 = line_quotient(p, LineGridFunction(mu * 20.0, scaled))
+        q2 = line_quotient(p, GridFunction(mu * 40.0, scaled))
         assert q2 == pytest.approx(q1, rel=5e-13)
         assert q1 > 0.0
 
@@ -214,7 +187,7 @@ class TestLineQuotient:
 class TestCommutator:
     def setup_method(self):
         x = grid(40.0, 4096)
-        self.gaussian = LineGridFunction(40.0, np.exp(-0.5 * (x / 3.0) ** 2))
+        self.gaussian = GridFunction(80.0, np.exp(-0.5 * (x / 3.0) ** 2))
 
     def test_identity_below_half(self):
         # the order s-1 term needs the finite-part regularization here
@@ -244,13 +217,13 @@ class TestCommutator:
 
     def test_rejects_wide_support(self):
         x = grid(40.0, 1024)
-        wide = LineGridFunction(40.0, np.exp(-0.5 * (x / 20.0) ** 2))
+        wide = GridFunction(80.0, np.exp(-0.5 * (x / 20.0) ** 2))
         with pytest.raises(SupportError):
             commutator_check(FracParams(1, 0.3), wide)
 
     def test_zero_input(self):
         report = commutator_check(
-            FracParams(1, 0.3), LineGridFunction(40.0, np.zeros(1024))
+            FracParams(1, 0.3), GridFunction(80.0, np.zeros(1024))
         )
         assert report["residual"] == 0.0
 
@@ -366,7 +339,7 @@ def test_routes_agree_on_smooth_data(s, sigma):
     constant = closed_form_constant(s)
     x = grid(40.0, 2048)
     z = x / sigma
-    f = LineGridFunction(40.0, (z**4 - 6.0 * z**2 + 3.0) * np.exp(-0.5 * z**2))
+    f = GridFunction(80.0, (z**4 - 6.0 * z**2 + 3.0) * np.exp(-0.5 * z**2))
     spectral = frac_lap_spectral(p, f).values
     integral = frac_lap_integral(p, f, constant).values
     core = np.abs(x) <= 20.0

@@ -50,10 +50,13 @@ class TestExtensionMode:
     def test_trace_recovers_multiplier(self):
         for s in (0.2, 0.5, 0.8):
             p = FracParams(3, s)
-            # the large frequencies need the mesh and the fit to scale with 1/xi
-            for xi in (0.5, 1.0, 2.0, 4.0, 1e3, 1e6, 1e12):
+            # the extreme frequencies need the mesh and the fit to scale with 1/xi
+            for xi in (1e-40, 0.5, 1.0, 2.0, 4.0, 1e3, 1e6, 1e12):
                 sol = solve_extension_mode(p, xi)
                 assert sol.dtn == pytest.approx(xi ** (2.0 * s), rel=1e-3)
+            # below the normal floats xi^2 drops out of the equation: refused
+            with pytest.raises(ParameterError, match="xi\\^2 underflows"):
+                solve_extension_mode(p, 1e-300)
 
     def test_refinement_reduces_error(self):
         for s, xi in ((0.3, 1.0), (0.8, 2.0)):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conflap.errors import ParameterError, SingularityError
-from conflap.params import FracParams
+from conflap.params import FracParams, KernelSpec
 from conflap.sphere import (
     ModeSpectrum,
     apply_sphere,
@@ -72,6 +72,38 @@ def test_symbol_rejects_bad_modes():
         sphere_symbol(p, -1)
     with pytest.raises(ParameterError):
         sphere_symbol(p, 1.5)
+
+
+def _lgamma_ratio(n, s, m):
+    """Gamma(m + n/2 + s) / Gamma(m + n/2 - s) from signed log-Gammas,
+    0 at the poles of the denominator."""
+    den = m + 0.5 * n - s
+    if den <= 0.0 and den == math.floor(den):
+        return 0.0
+    num = den + 2.0 * s
+    sign = math.copysign(1.0, math.gamma(den)) if den < 0.0 else 1.0
+    return sign * math.exp(math.lgamma(num) - math.lgamma(den))
+
+
+def test_symbol_on_degree_arrays():
+    # one array call per (n, s) against the log-Gamma ratio, poles included
+    degrees = np.arange(201)
+    for n in range(1, 8):
+        for s in (0.05, 0.2, 0.3, 0.5, 0.7, 0.95, 1.0, 1.5, 2.0, 2.5, 3.0):
+            p = FracParams(n, s)
+            table = sphere_symbol(p, degrees)
+            assert table.shape == degrees.shape
+            ref = np.array([_lgamma_ratio(n, s, int(m)) for m in degrees])
+            assert np.all(table[ref == 0.0] == 0.0), (n, s)
+            assert np.allclose(table, ref, rtol=1e-12, atol=0.0), (n, s)
+    p = FracParams(3, 0.6)
+    assert type(sphere_symbol(p, 4)) is float
+    assert type(sphere_symbol(p, np.int64(4))) is float
+    assert sphere_symbol(p, np.array([4]))[0] == sphere_symbol(p, 4)
+    for bad in (np.array([0, -1]), np.array([0.0, 1.0]), True):
+        with pytest.raises(ParameterError):
+            sphere_symbol(p, bad)
+    assert np.array_equal(mode_eigenvalue(3, np.arange(4)), [0.0, 3.0, 8.0, 15.0])
 
 
 def test_curvature_is_zero_mode():
@@ -234,6 +266,24 @@ def test_s2_duality():
             expected = sphere_symbol(p, m) * u
             err = np.max(np.abs(out - expected)) / sphere_symbol(p, m)
             assert err < 1e-10, (s, m, err)
+
+
+def test_kernel_routes_use_the_spec_normalization():
+    # the kernel term scales with the spec's constant on S^1 and on S^2 alike
+    from numpy.polynomial.legendre import leggauss
+
+    grids = {
+        1: np.cos(2.0 * math.pi * np.arange(64) / 64) + 0.5,
+        2: 1.0 + leggauss(16)[0] ** 3,
+    }
+    for n, u in grids.items():
+        p = FracParams(n, 0.4)
+        spec = calibrate_sphere_kernel(p)
+        doubled = KernelSpec(p, 2.0 * spec.normalization)
+        local = sphere_curvature(p) * u
+        once = singular_integral_apply(spec, u) - local
+        twice = singular_integral_apply(doubled, u) - local
+        assert np.allclose(twice, 2.0 * once, rtol=1e-12, atol=1e-12), n
 
 
 def test_yamabe_constant_value():

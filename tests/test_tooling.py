@@ -1,0 +1,23 @@
+"""Checks on the repository's tooling against the library's public names."""
+
+import ast
+from pathlib import Path
+
+import conflap
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+
+def test_benchmark_calls_only_exported_names():
+    # the benchmark resolves ``api.<name>`` from conflap.__all__, plus the
+    # ``tracer`` it adds itself, so a renamed export must show up here
+    tree = ast.parse(WORKLOADS.read_text())
+    called = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "api"
+    }
+    assert {"solve_delaunay", "log_gamma_abs2", "tracer"} <= called
+    assert sorted(called - set(conflap.__all__) - {"tracer"}) == []
