@@ -35,6 +35,36 @@ from conflap.params import FracParams, GridFunction
 PERIOD_THRESHOLD_3_HALF = 5.1538187584122886
 
 
+class TestPeriodicGridFunction:
+    """The grid the periodic solver uses: GridFunction(period, values)."""
+
+    def test_grid_layout(self):
+        f = GridFunction(8.0, np.zeros(16))
+        assert f.size == 16
+        assert f.dx == pytest.approx(0.5)
+        assert f.x[0] == -4.0
+        assert f.x[-1] == pytest.approx(3.5)
+        # one period of nodes, and the modes are the multiples of 2 pi / period
+        assert f.x[-1] - f.x[0] + f.dx == pytest.approx(8.0)
+        k = f.frequencies * 8.0 / (2.0 * math.pi)
+        assert np.max(np.abs(k - np.arange(9))) < 1e-12
+
+    def test_rejects_bad_values(self):
+        with pytest.raises(ParameterError):
+            GridFunction(8.0, np.zeros(24))
+        with pytest.raises(ParameterError):
+            GridFunction(8.0, np.zeros(4))
+        bad = np.zeros(16)
+        bad[3] = math.nan
+        with pytest.raises(ParameterError):
+            GridFunction(8.0, bad)
+
+    def test_values_are_frozen(self):
+        f = GridFunction(8.0, np.zeros(16))
+        with pytest.raises(ValueError):
+            f.values[0] = 1.0
+
+
 class TestApplyOperator:
     def test_single_mode_matches_symbol(self):
         p = FracParams(3, 0.5)

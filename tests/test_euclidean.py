@@ -61,6 +61,29 @@ FRAC_GAUSSIAN_TABLE = {
 }
 
 
+class TestLineGridFunction:
+    """The line grid on [-T, T): GridFunction(2 T, values)."""
+
+    def test_grid_layout(self):
+        f = GridFunction(8.0, np.zeros(16))
+        assert f.dx == 0.5
+        assert f.x[0] == -4.0
+        assert f.x[-1] == 3.5
+        assert f.size == 16
+        assert np.array_equal(f.x, grid(4.0, 16))
+
+    def test_rejects_bad_values(self):
+        with pytest.raises(ParameterError):
+            GridFunction(0.0, np.zeros(8))
+        with pytest.raises(ParameterError):
+            GridFunction(2.0, np.full(8, np.nan))
+
+    def test_values_are_frozen(self):
+        f = GridFunction(2.0, np.zeros(8))
+        with pytest.raises(ValueError):
+            f.values[0] = 1.0
+
+
 def test_cosine_taper_shape():
     w = cosine_taper(256, 0.1)
     assert w[0] == 0.0
