@@ -92,8 +92,8 @@ def kernel_base(p, h):
     """
     _check_cylinder_dim(p)
     hs = np.asarray(h, dtype=float)
-    if not (hs > 0.0).all():
-        raise ParameterError(f"kernel profile needs h > 0, got {h!r}")
+    if not ((hs > 0.0) & np.isfinite(hs)).all():
+        raise ParameterError(f"kernel profile needs finite h > 0, got {h!r}")
     s, n = p.s, p.n
     # sinh, cosh and sech^2 through e^(-2h); near h = 1e308 the products
     # below overflow to -inf, which the exponential takes to a profile of 0

@@ -13,7 +13,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import circulant
-from scipy.optimize import bisect
 
 from .cylinder import cyl_curvature, cyl_symbol, periodized_kernel
 from .errors import NewtonDivergenceError, NonConvergenceError, ParameterError
@@ -56,8 +55,11 @@ def bifurcation_period(p):
         hi *= 2.0
         if hi > 1e8:
             raise NonConvergenceError("no bifurcation frequency below 1e8")
-    root = bisect(gap, 1e-12, hi, xtol=BIFURCATION_XTOL)
-    return 2.0 * math.pi / root
+    lo = 1e-12
+    for _ in range(math.ceil(math.log2(hi / BIFURCATION_XTOL))):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if gap(mid) < 0.0 else (lo, mid)
+    return 4.0 * math.pi / (lo + hi)
 
 
 def _symmetrize(values):
@@ -102,22 +104,24 @@ class DelaunaySolution:
 def solve_delaunay(p, period, init="auto", size=512, tol=1e-11, max_iter=60):
     """Newton solve of L v = c_(n,s) v^q on one period.
 
-    ``init`` is "auto" (the periodized limit profile, which tracks the bump
-    branch all the way down to the bifurcation), "constant", or an array on
-    the solver grid.  Iterates are projected onto even profiles and the peak
-    is pinned to the grid midpoint x = 0, removing the translation
+    ``init`` is "auto" (the constant where theta(2 pi / L) >= c_(n,s) q, at
+    or below the bifurcation period, else the periodized limit profile,
+    which tracks the bump branch down to the bifurcation), "constant", or an
+    array on the solver grid.  Iterates are projected onto even profiles and
+    the peak is pinned to the grid midpoint x = 0, removing the translation
     degeneracy of the Jacobian.  Collapse onto the constant solution is
     reported through the ``nonconstant`` flag rather than treated as failure.
     The Newton loop works on raw arrays, since its trial iterates may be
-    non-finite.
+    non-finite; a trial that is not positive everywhere halves the step
+    before its residual is formed.
     """
     q = p.q
     curvature = cyl_curvature(p)
     grid = GridFunction(period, np.ones(size))
     if isinstance(init, str):
-        if init == "auto":
+        if init == "auto" and cyl_symbol(p, 0, 2.0 * math.pi / period) < curvature * q:
             v = _tower_values(p, period, grid.x)
-        elif init == "constant":
+        elif init in ("auto", "constant"):
             v = np.ones(size)
         else:
             raise ParameterError(f"unknown init {init!r}")
@@ -146,10 +150,11 @@ def solve_delaunay(p, period, init="auto", size=512, tol=1e-11, max_iter=60):
         scale = 1.0
         for _ in range(20):
             trial = _symmetrize(_center_peak(v + scale * step))
-            trial_res = residual_of(trial)
-            trial_norm = float(np.max(np.abs(trial_res)))
-            if trial_norm < norm:
-                break
+            if np.all(trial > 0.0):
+                trial_res = residual_of(trial)
+                trial_norm = float(np.max(np.abs(trial_res)))
+                if trial_norm < norm:
+                    break
             scale *= 0.5
         else:
             raise NewtonDivergenceError(

@@ -52,9 +52,11 @@ def sphere_symbol(p, m):
     (m + n/2 - s)_(2s).  For s >= n/2 this is the analytic continuation of
     the ratio; it vanishes at poles of the denominator Gamma and may be
     negative between them.  m is an int (a float is returned) or an integer
-    array of degrees.
+    array of degrees.  Raises ParameterError where the ratio overflows.
     """
     out = poch(_check_mode(m) + 0.5 * p.n - p.s, 2.0 * p.s)
+    if not np.isfinite(out).all():
+        raise ParameterError(f"sphere symbol overflows at n = {p.n}, s = {p.s}, m = {m}")
     return float(out) if out.ndim == 0 else out
 
 

@@ -76,6 +76,17 @@ class TestSymbol:
         assert code == 1
         assert "cylinder" in err
 
+    def test_overflowing_sphere_symbol_is_input_error(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(
+                capsys, ["symbol", "sphere", "--n", "3", "--s", "80", "--m", "300"]
+            )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "overflows" in err
+        assert caught == []
+
 
 class TestKernel:
     def test_cylinder_samples_and_calibration(self, capsys):
@@ -107,6 +118,17 @@ class TestKernel:
             )
         assert code == 0
         assert json.loads(out)["results"][0]["kernel"] == 0.0
+
+    def test_infinite_separation_is_input_error(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(
+                capsys, ["kernel", "cylinder", "--n", "3", "--s", "0.5", "--h", "inf"]
+            )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "finite h" in err
+        assert caught == []
 
     def test_mixed_flags_rejected(self, capsys):
         code, _, err = run(
@@ -188,13 +210,16 @@ class TestChecks:
         assert payload["diagnostics"]["d_star_identity_max_residual"] < 1e-13
 
     def test_overflowing_frequency_is_input_error(self, capsys):
-        # xi^2 out of the normal floats at either end; at s = 0.8 and
-        # xi = 1e-300 the reference xi^(2s) would also underflow to 0
-        for s, xi in (("0.5", "1e200"), ("0.2", "1e-300"), ("0.8", "1e-300")):
-            code, out, err = run(capsys, ["extension-check", "--s", s, "--xi", xi])
-            assert code == 1
-            assert out == ""
-            assert err.startswith("error:") and "xi^2" in err
+        # one scale-free solve serves every frequency whose xi^(2s) is a
+        # normal float; at s = 0.8 and xi = 1e-300 it is 1e-480
+        for s, xi in (("0.5", "1e200"), ("0.2", "1e-300")):
+            code, out, _ = run(capsys, ["extension-check", "--s", s, "--xi", xi])
+            assert code == 0
+            assert json.loads(out)["results"][0]["rel_error"] < 1e-3
+        code, out, err = run(capsys, ["extension-check", "--s", "0.8", "--xi", "1e-300"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "xi^(2s)" in err
 
     def test_covariance_bridge_small_run(self, capsys):
         code, out, _ = run(

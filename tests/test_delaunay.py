@@ -27,7 +27,7 @@ from conflap.delaunay import (
     solve_delaunay,
     _critical_mass,
 )
-from conflap.errors import NewtonDivergenceError, ParameterError
+from conflap.errors import NewtonDivergenceError, NonConvergenceError, ParameterError
 from conflap.params import FracParams, GridFunction
 
 # Root of xi coth(pi xi / 2) = 4 / pi mapped to the period 2 pi / xi,
@@ -176,6 +176,17 @@ class TestSolveDelaunay:
         sol = solve_delaunay(p, 0.8 * PERIOD_THRESHOLD_3_HALF)
         assert not sol.nonconstant
         assert np.max(np.abs(sol.values - 1.0)) < 1e-9
+
+    def test_hard_point_fails_cleanly(self):
+        # near L0 at (2, 0.9) a full Newton step takes v below zero; such
+        # trials must be halved before v^q is formed, and the suite's
+        # error::RuntimeWarning setting turns a leak here into a failure
+        p = FracParams(2, 0.9)
+        try:
+            sol = solve_delaunay(p, 1.02 * bifurcation_period(p))
+        except NonConvergenceError:
+            return
+        assert sol.residual_norm < 1e-10
 
     def test_constant_init_stays_constant(self):
         p = FracParams(3, 0.5)

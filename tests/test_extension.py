@@ -1,10 +1,12 @@
 """Tests for the degenerate extension solver and its trace constants."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from scipy.special import gamma, kv
 
 from conflap.errors import ParameterError
 from conflap.extension import (
@@ -50,13 +52,49 @@ class TestExtensionMode:
     def test_trace_recovers_multiplier(self):
         for s in (0.2, 0.5, 0.8):
             p = FracParams(3, s)
-            # the extreme frequencies need the mesh and the fit to scale with 1/xi
-            for xi in (1e-40, 0.5, 1.0, 2.0, 4.0, 1e3, 1e6, 1e12):
+            for xi in (1e-300, 1e-40, 0.5, 1.0, 2.0, 4.0, 1e3, 1e6, 1e12):
+                if (s, xi) == (0.8, 1e-300):
+                    continue
                 sol = solve_extension_mode(p, xi)
                 assert sol.dtn == pytest.approx(xi ** (2.0 * s), rel=1e-3)
-            # below the normal floats xi^2 drops out of the equation: refused
-            with pytest.raises(ParameterError, match="xi\\^2 underflows"):
-                solve_extension_mode(p, 1e-300)
+        # xi^(2s) = 1e-480 is below the normal floats: refused
+        with pytest.raises(ParameterError, match="xi\\^\\(2s\\)"):
+            solve_extension_mode(FracParams(3, 0.8), 1e-300)
+
+    def test_one_scale_free_solve_serves_every_frequency(self):
+        # in t = xi y the discrete system does not depend on xi, so the
+        # trace divided by xi^(2s) is the same number at every frequency and
+        # the scheme's own error shows across s at xi = 1
+        limits = {0.005: 5e-4, 0.95: 1e-4, 0.995: 1e-5}
+        frequencies = (1e-300, 1e-154, 1e-40, 0.5, 1.0, 2.0, 4.0, 1e12, 1e100, 1e154, 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in (0.001, 0.002, 0.005, 0.02, 0.05, 0.2, 0.5, 0.8, 0.95, 0.995):
+                p = FracParams(3, s)
+                unit = solve_extension_mode(p, 1.0).dtn
+                assert abs(unit - 1.0) <= limits.get(s, 1e-3), (s, unit)
+                for xi in frequencies:
+                    try:
+                        scale = xi ** (2.0 * s)
+                    except OverflowError:
+                        scale = math.inf
+                    if not sys.float_info.min <= scale <= sys.float_info.max:
+                        with pytest.raises(ParameterError):
+                            solve_extension_mode(p, xi)
+                        continue
+                    dtn = solve_extension_mode(p, xi).dtn
+                    assert dtn / scale == pytest.approx(unit, rel=1e-13), (s, xi)
+
+    def test_profile_matches_bessel_closed_form(self):
+        # U(t) = 2^(1-s) / Gamma(s) t^s K_s(t) solves the problem at xi = 1;
+        # kv overflows below the normal floats, where s = 0.005 has nodes
+        for s, tol in ((0.005, 5e-4), (0.05, 1e-4), (0.2, 1e-4), (0.5, 1e-4),
+                       (0.8, 1e-4), (0.95, 1e-4), (0.995, 1e-4)):
+            sol = solve_extension_mode(FracParams(3, s), 1.0)
+            normal = sol.mesh >= sys.float_info.min
+            t = sol.mesh[normal]
+            exact = 2.0 ** (1.0 - s) / gamma(s) * t**s * kv(s, t)
+            assert np.max(np.abs(sol.values[normal] - exact)) < tol, s
 
     def test_refinement_reduces_error(self):
         for s, xi in ((0.3, 1.0), (0.8, 2.0)):
@@ -85,19 +123,23 @@ class TestExtensionMode:
         p = FracParams(3, 0.3)
         with pytest.raises(ParameterError):
             solve_extension_mode(p, math.nan)
-        with pytest.raises(ParameterError, match="xi\\^2 overflows"):
-            solve_extension_mode(p, 1e200)
+        with pytest.raises(ParameterError, match="xi\\^\\(2s\\)"):
+            solve_extension_mode(FracParams(3, 0.8), 1e200)
+        # xi^(2s) = 1e-123 is fine, but the mesh end 30/xi overflows
+        with pytest.raises(ParameterError, match="30/xi"):
+            solve_extension_mode(FracParams(3, 0.2), 1e-308)
         with pytest.raises(ParameterError):
             solve_extension_mode(p, 1.0, mesh_size=16)
         with pytest.raises(ParameterError):
             solve_extension_mode(FracParams(3, 1.2), 1.0)
 
-    def test_degenerate_mesh_raises_typed_error(self):
-        # at s = 0.005 the grading 1/s = 200 underflows the first mesh nodes
+    def test_small_order_solves_on_log_mesh(self):
+        # at s = 0.005 the grading 1/s = 200 takes the first nodes below the
+        # floats; carried as log t, their t^(2s) stays distinct
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ParameterError, match="s = 0.005, mesh_size = 600"):
-                solve_extension_mode(FracParams(3, 0.005), 1.0)
+            sol = solve_extension_mode(FracParams(3, 0.005), 1.0)
+        assert abs(sol.dtn - 1.0) < 1e-3
 
     def test_solution_arrays_frozen(self):
         sol = solve_extension_mode(FracParams(3, 0.4), 1.0)

@@ -1,6 +1,8 @@
 """Checks on the repository's tooling against the library's public names."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import conflap
@@ -21,3 +23,12 @@ def test_benchmark_calls_only_exported_names():
     }
     assert {"solve_delaunay", "log_gamma_abs2", "tracer"} <= called
     assert sorted(called - set(conflap.__all__) - {"tracer"}) == []
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # scipy.optimize is a large import that the package no longer needs
+    code = "import sys, conflap.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
