@@ -12,22 +12,29 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import circulant
 
 from .cylinder import cyl_curvature, cyl_symbol, periodized_kernel
 from .errors import NewtonDivergenceError, NonConvergenceError, ParameterError
 from .params import FracParams, GridFunction
 
 _RESIDUAL_CAP = 1e-10
-_CONSTANT_GAP = 1e-6
+#: a profile is nonconstant when max - min exceeds this fraction of its max
+_FLAT_SPREAD = 1e-3
 #: absolute tolerance of the bisection in ``bifurcation_period``, on xi
 BIFURCATION_XTOL = 1e-12
+
+
+def _apply_symbol(values, theta):
+    """irfft(rfft(v) theta) with the mean applied exactly, so the FFT round-off
+    that theta amplifies scales with the oscillation of v, not its size."""
+    mean = float(np.mean(values))
+    return np.fft.irfft(np.fft.rfft(values - mean) * theta, values.size) + theta[0] * mean
 
 
 def apply_Ls_periodic(p, f):
     """Apply the nonlocal operator to a periodic profile through its modes."""
     theta = cyl_symbol(p, 0, f.frequencies)
-    return GridFunction(f.length, np.fft.irfft(np.fft.rfft(f.values) * theta, f.size))
+    return GridFunction(f.length, _apply_symbol(f.values, theta))
 
 
 def delaunay_residual(p, f):
@@ -62,18 +69,6 @@ def bifurcation_period(p):
     return 4.0 * math.pi / (lo + hi)
 
 
-def _symmetrize(values):
-    """Project onto profiles even about x = 0, the grid midpoint (and hence
-    about x = -L/2, the first node)."""
-    return 0.5 * (values + np.roll(values[::-1], 1))
-
-
-def _center_peak(values):
-    """Roll the maximum to index N/2, the node x = 0 of the centred grid."""
-    shift = values.size // 2 - int(np.argmax(values))
-    return np.roll(values, shift)
-
-
 @dataclass(frozen=True)
 class DelaunaySolution:
     """Converged periodic profile with its certification data."""
@@ -105,51 +100,59 @@ def solve_delaunay(p, period, init="auto", size=512, tol=1e-11, max_iter=60):
     """Newton solve of L v = c_(n,s) v^q on one period.
 
     ``init`` is "auto" (the constant where theta(2 pi / L) >= c_(n,s) q, at
-    or below the bifurcation period, else the periodized limit profile,
-    which tracks the bump branch down to the bifurcation), "constant", or an
-    array on the solver grid.  Iterates are projected onto even profiles and
-    the peak is pinned to the grid midpoint x = 0, removing the translation
-    degeneracy of the Jacobian.  Collapse onto the constant solution is
-    reported through the ``nonconstant`` flag rather than treated as failure.
-    The Newton loop works on raw arrays, since its trial iterates may be
-    non-finite; a trial that is not positive everywhere halves the step
-    before its residual is formed.
+    or below the bifurcation period, else the periodized limit profile) or
+    an array on the solver grid, of which the even part about its peak is
+    kept.  The unknowns are w_k = v(k dx), k = 0 .. N/2, so every iterate is
+    even and the odd translation mode v' stays out of the Jacobian: the
+    convolution column irfft(theta) folded onto these nodes, minus the
+    linearized nonlinearity.  The residual goes through the FFT of the full
+    profile.  The peak of the result sits at x = 0, and ``nonconstant``
+    (max - min > 1e-3 max) reports a collapse onto the constant.  A trial
+    step that is not positive everywhere is halved before its residual is
+    formed.
     """
     q = p.q
     curvature = cyl_curvature(p)
     grid = GridFunction(period, np.ones(size))
+    half = size // 2
+    nodes = np.arange(half + 1)
     if isinstance(init, str):
-        if init == "auto" and cyl_symbol(p, 0, 2.0 * math.pi / period) < curvature * q:
-            v = _tower_values(p, period, grid.x)
-        elif init in ("auto", "constant"):
-            v = np.ones(size)
-        else:
+        if init != "auto":
             raise ParameterError(f"unknown init {init!r}")
+        if cyl_symbol(p, 0, 2.0 * math.pi / period) < curvature * q:
+            w = _tower_values(p, period, grid.dx * nodes)
+        else:
+            w = np.ones(half + 1)
     else:
         v = np.asarray(init, dtype=float)
         if v.shape != (size,):
             raise ParameterError(
                 f"init array must have shape ({size},), got {v.shape}"
             )
-        v = _symmetrize(_center_peak(v))
+        peak = int(np.argmax(v))
+        w = 0.5 * (v[(peak + nodes) % size] + v[(peak - nodes) % size])
 
     theta = cyl_symbol(p, 0, grid.frequencies)
-    full_theta = np.concatenate([theta, theta[-2:0:-1]])
-    operator = circulant(np.fft.ifft(full_theta).real)
+    column = np.fft.irfft(theta, size)
+    operator = column[(nodes[:, None] - nodes) % size] + column[(nodes[:, None] + nodes) % size]
+    operator[:, [0, half]] *= 0.5
+
+    def full(w):  # the even profile on the nodes k dx, k = 0 .. N-1
+        return np.concatenate([w, w[-2:0:-1]])
 
     def residual_of(w):
-        return np.fft.irfft(np.fft.rfft(w) * theta, size) - curvature * w**q
+        return _apply_symbol(full(w), theta)[: half + 1] - curvature * w**q
 
-    res = residual_of(v)
+    res = residual_of(w)
     norm = float(np.max(np.abs(res)))
     for _ in range(max_iter):
         if norm < tol:
             break
-        jacobian = operator - np.diag(curvature * q * v ** (q - 1.0))
+        jacobian = operator - np.diag(curvature * q * w ** (q - 1.0))
         step = np.linalg.solve(jacobian, -res)
         scale = 1.0
         for _ in range(20):
-            trial = _symmetrize(_center_peak(v + scale * step))
+            trial = w + scale * step
             if np.all(trial > 0.0):
                 trial_res = residual_of(trial)
                 trial_norm = float(np.max(np.abs(trial_res)))
@@ -160,23 +163,23 @@ def solve_delaunay(p, period, init="auto", size=512, tol=1e-11, max_iter=60):
             raise NewtonDivergenceError(
                 "line search stalled", last_residual=norm
             )
-        v, res, norm = trial, trial_res, trial_norm
+        w, res, norm = trial, trial_res, trial_norm
     else:
         raise NewtonDivergenceError(
             "Newton did not reach tolerance", last_residual=norm
         )
 
-    mean = float(np.mean(v))
-    gap = math.sqrt(grid.dx * float(np.sum((v - mean) ** 2)))
-    profile = GridFunction(period, v)
+    if np.argmax(w) == half:
+        w = w[::-1]
+    v = np.roll(full(w), half)
     return DelaunaySolution(
         n=p.n,
         s=p.s,
         period=period,
         values=v,
         residual_norm=norm,
-        energy=functional_FL(p, profile),
-        nonconstant=gap > _CONSTANT_GAP,
+        energy=functional_FL(p, GridFunction(period, v)),
+        nonconstant=float(v.max() - v.min()) > _FLAT_SPREAD * float(v.max()),
     )
 
 
@@ -249,6 +252,13 @@ _CAL_WINDOW = 3.0
 _CAL_SPREAD_CAP = 1e-3
 
 
+def _sech_power(t, d):
+    """cosh(t)^(-d), through log cosh t = |t| + log1p(e^(-2|t|)) - log 2 so
+    that no cosh overflows at large |t|."""
+    a = np.abs(np.asarray(t, dtype=float))
+    return np.exp(-d * (a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)))
+
+
 @lru_cache(maxsize=32)
 def limit_amplitude(p):
     """Calibrated peak value of the infinite-period profile: the amplitude
@@ -264,7 +274,7 @@ def limit_amplitude(p):
     period = max(60.0, 24.0 / decay)
     size = 4096
     t = (period / size) * np.arange(size) - period / 2.0
-    shape = np.cosh(t) ** (-decay)
+    shape = _sech_power(t, decay)
     applied = apply_Ls_periodic(p, GridFunction(period, shape)).values
     window = np.abs(t) <= _CAL_WINDOW
     ratio = applied[window] / (cyl_curvature(p) * shape[window] ** p.q)
@@ -280,8 +290,7 @@ def limit_amplitude(p):
 
 def asymptotic_profile(p, t):
     """Single-bump limit profile amp * cosh(t)^(-(n-2s)/2)."""
-    amp = limit_amplitude(p)
-    return amp * np.cosh(np.asarray(t, dtype=float)) ** (-0.5 * (p.n - 2.0 * p.s))
+    return limit_amplitude(p) * _sech_power(t, 0.5 * (p.n - 2.0 * p.s))
 
 
 def _tower_values(p, period, t):

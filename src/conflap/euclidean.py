@@ -341,35 +341,29 @@ def _panel_phase_sum(coeffs, layout, t0, dt, count):
     return np.conj(out)
 
 
-def _halfline_apply(lam, mode, unit_rule, fhat_unit, layout, fhat_panel,
-                    targets, target_step, fhat_zero=0.0):
+def _halfline_apply(lam, unit_rule, fhat_unit, layout, fhat_panel, targets,
+                    target_step, fhat_zero=None):
     """sqrt(2/pi) * int_0^inf xi^lam Re(fhat(xi) e^(i xi x)) d xi at each target.
 
-    ``unit_rule`` must carry the Jacobi weight matching ``mode``: xi^lam for
-    "plain", xi^(lam+1) for "fp" and "derivative".  The "fp" mode returns the
-    Hadamard finite part for lam in (-2, -1), peeling off the constant
-    Re(fhat(0)); "derivative" inserts the extra factor i xi of d/dx.
+    ``unit_rule`` carries the Jacobi weight xi^lam on (0, 1).  Given
+    ``fhat_zero`` = fhat(0), it carries xi^(lam+1) instead, and the unit
+    piece peels off the constant Re(fhat(0)): the Hadamard finite part for
+    lam in (-2, -1), and the plain integral for lam > -1.
 
     Beyond xi = 1 the integral runs on the panels ``layout`` = (lo, width,
     count) of _panel_nudft.  The targets must be uniform with spacing
     ``target_step``, so _panel_phase_sum does the panel sum as chirp-z sums.
     """
-    if mode not in ("plain", "fp", "derivative"):
-        raise ValueError(f"unknown mode {mode!r}")
     unit_nodes, unit_weights = unit_rule
     lo, width, count = layout
     panel_nodes, panel_weights = panel_rule(lo, lo + count * width, count)
     coeffs = fhat_panel * panel_nodes**lam * panel_weights
-    if mode == "derivative":
-        fhat_unit = 1j * fhat_unit
-        coeffs = 1j * panel_nodes * coeffs
-    phase_u = np.exp(1j * np.outer(targets, unit_nodes))
-    if mode == "fp":
-        r0 = fhat_zero.real
-        diff = (fhat_unit[None, :] * phase_u).real - r0
-        out = (diff / unit_nodes[None, :]) @ unit_weights + r0 / (lam + 1.0)
+    unit = (fhat_unit[None, :] * np.exp(1j * np.outer(targets, unit_nodes))).real
+    if fhat_zero is None:
+        out = unit @ unit_weights
     else:
-        out = (fhat_unit[None, :] * phase_u).real @ unit_weights
+        r0 = fhat_zero.real
+        out = ((unit - r0) / unit_nodes[None, :]) @ unit_weights + r0 / (lam + 1.0)
     out += _panel_phase_sum(coeffs, layout, targets[0], target_step, targets.size).real
     return _SQRT_2_OVER_PI * out
 
@@ -449,29 +443,21 @@ def commutator_check(p, f, max_targets=257):
     fh_zero = _nudft(u, x, np.array([0.0]), f.dx)[0]
 
     lap_s_bu = _halfline_apply(
-        2.0 * s, "plain", rule_s, fh_bu_s, layout, fh_bu_panel, targets,
-        target_step,
+        2.0 * s, rule_s, fh_bu_s, layout, fh_bu_panel, targets, target_step,
     )
     lap_s_u = _halfline_apply(
-        2.0 * s, "plain", rule_s, fh_u_s, layout, fh_u_panel, targets,
-        target_step,
+        2.0 * s, rule_s, fh_u_s, layout, fh_u_panel, targets, target_step,
     )
     weight_t = 0.5 * (1.0 + targets**2)
     lhs = lap_s_bu - weight_t * lap_s_u
 
-    if lam <= -1.0:
-        g = _halfline_apply(
-            lam, "fp", rule_shift, fh_u_shift, layout, fh_u_panel, targets,
-            target_step, fhat_zero=fh_zero,
-        )
-    else:
-        rule_g = jacobi_unit_rule(lam, _JACOBI_SIZE)
-        g = _halfline_apply(
-            lam, "plain", rule_g, _nudft(u, x, rule_g[0], f.dx), layout,
-            fh_u_panel, targets, target_step,
-        )
+    g = _halfline_apply(
+        lam, rule_shift, fh_u_shift, layout, fh_u_panel, targets, target_step,
+        fhat_zero=fh_zero,
+    )
+    # d/dx brings i xi: the order lam + 1 integral of i fhat
     g_prime = _halfline_apply(
-        lam, "derivative", rule_shift, fh_u_shift, layout, fh_u_panel,
+        lam + 1.0, rule_shift, 1j * fh_u_shift, layout, 1j * fh_u_panel,
         targets, target_step,
     )
     rhs = -s * (2.0 * targets * g_prime + (2.0 * s - 1.0) * g)

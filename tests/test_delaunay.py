@@ -188,9 +188,41 @@ class TestSolveDelaunay:
             return
         assert sol.residual_norm < 1e-10
 
+    def test_large_order_tower_start_has_no_overflow(self):
+        # n = 2, s near 1: the limit bump decays so slowly that cosh(t)
+        # overflows on the calibration period; the suite's
+        # error::RuntimeWarning setting turns such a leak into a failure
+        p = FracParams(2, 0.9655)
+        sol = solve_delaunay(p, 4.5727 * bifurcation_period(p))
+        assert sol.nonconstant
+        assert sol.residual_norm < 1e-10
+
+    def test_robustness_grid(self):
+        # every case solves or fails with a typed error; only the known hard
+        # points near L0 may end off the bump branch
+        known_hard = {
+            (2, 0.5, 1.02), (2, 0.7, 1.02), (2, 0.9, 1.02), (2, 0.9, 1.5),
+            (3, 0.7, 1.02),
+        }
+        off_branch = set()
+        for n in (2, 3, 4, 5):
+            for s in (0.1, 0.3, 0.5, 0.7, 0.9):
+                p = FracParams(n, s)
+                period0 = bifurcation_period(p)
+                for ratio in (1.02, 1.5, 3.0, 6.0):
+                    try:
+                        sol = solve_delaunay(p, ratio * period0, size=512)
+                    except NonConvergenceError:
+                        off_branch.add((n, s, ratio))
+                        continue
+                    assert sol.residual_norm < 1e-10
+                    if not sol.nonconstant:
+                        off_branch.add((n, s, ratio))
+        assert off_branch <= known_hard
+
     def test_constant_init_stays_constant(self):
         p = FracParams(3, 0.5)
-        sol = solve_delaunay(p, 2.0 * PERIOD_THRESHOLD_3_HALF, init="constant")
+        sol = solve_delaunay(p, 2.0 * PERIOD_THRESHOLD_3_HALF, init=np.ones(512))
         assert not sol.nonconstant
 
     def test_deterministic(self):
@@ -308,6 +340,12 @@ class TestTowerLimit:
             math.pi / 2.0, rel=1e-12
         )
 
+    def test_limit_amplitude_without_overflow(self):
+        # the calibration period reaches |t| = 800, past where cosh overflows
+        assert limit_amplitude(FracParams(2, 0.985)) == pytest.approx(
+            1.03253885, abs=1e-8
+        )
+
     def test_defect_decreases_along_branch(self):
         p = FracParams(3, 0.5)
         defects = []
@@ -333,6 +371,16 @@ class TestTowerLimit:
 
 
 class TestBranchContinuation:
+    def test_stays_on_bump_branch(self):
+        # at 2 L0 mode 2 sits at the bifurcation frequency, and a warm start
+        # can fall onto a near-constant profile; the retry from the tower
+        # must catch it, so every profile keeps a bump of height above 1
+        p = FracParams(3, 0.5)
+        base = PERIOD_THRESHOLD_3_HALF
+        sols = continue_branch(p, [m * base for m in (1.2, 2.0, 3.0, 4.0)], size=512)
+        for sol in sols:
+            assert sol.values.max() - sol.values.min() > 1.0
+
     def test_peaks_grow_and_energy_beats_constant(self):
         p = FracParams(3, 0.5)
         base = PERIOD_THRESHOLD_3_HALF
