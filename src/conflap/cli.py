@@ -247,7 +247,7 @@ def kernel(geometry, n, s, cosines, separations, period):
             raise ParameterError("--cos-theta applies to the sphere kernel")
         spec = calibrate_kernel(p)
         chosen = list(separations) if separations else [0.25, 0.5, 1.0, 2.0, 4.0]
-        values = [float(cyl_kernel(spec, h)) for h in chosen]
+        values = cyl_kernel(spec, np.array(chosen)).tolist()
         periodized = (
             [None] * len(chosen)
             if period is None

@@ -19,6 +19,11 @@ from .specfun import hyp2f1, jacobi_unit_rule, log_gamma, log_gamma_abs2, panel_
 
 _PERIODIZE_REL_TOL = 1e-15
 _PERIODIZE_MAX_SHELLS = 400
+#: frequency at which ``calibrate_kernel`` matches the symbol
+_CALIBRATION_XI = 1.0
+#: largest |xi| ``kernel_multiplier`` accepts: the 64-node Jacobi rule on
+#: (0, 1) resolves 1 - cos(xi h) to about 1e-9 up to here, and not past it
+KERNEL_MULTIPLIER_XI_MAX = 200.0
 
 
 def _check_cylinder_dim(p):
@@ -93,7 +98,7 @@ def kernel_base(p, h):
     _check_cylinder_dim(p)
     hs = np.asarray(h, dtype=float)
     if not ((hs > 0.0) & np.isfinite(hs)).all():
-        raise ParameterError(f"kernel profile needs finite h > 0, got {h!r}")
+        raise ParameterError(f"kernel profile needs finite h > 0, got {h}")
     s, n = p.s, p.n
     # sinh, cosh and sech^2 through e^(-2h); near h = 1e308 the products
     # below overflow to -inf, which the exponential takes to a profile of 0
@@ -106,7 +111,7 @@ def kernel_base(p, h):
         log_out = (-1.0 - 2.0 * s) * log_sinh + 0.5 * (2.0 - n + 2.0 * s) * log_cosh
         out = np.exp(log_out) * hyp
     if not np.isfinite(out).all():
-        raise SingularityError(f"kernel profile overflows float64 at h = {h!r}")
+        raise SingularityError(f"kernel profile overflows float64 at h = {h}")
     return float(out) if hs.ndim == 0 else out
 
 
@@ -147,18 +152,16 @@ def _difference_integral(p, xi):
     return 2.0 * (inner + outer + tail)
 
 
-def calibrate_kernel(p, xi_star=1.0):
+def calibrate_kernel(p):
     """Fix the kernel normalization against the zero-mode symbol.
 
-    Matches c + norm * int (1 - cos(xi* h)) K0(h) dh = Theta0(xi*) at a single
-    frequency xi* in [0.5, 2].  The recorded residual rechecks the calibrated
+    Matches c + norm * int (1 - cos(xi* h)) K0(h) dh = Theta0(xi*) at the
+    single frequency xi* = 1.  The recorded residual rechecks the calibrated
     kernel at 2 xi*, so it probes the kernel shape rather than the matched
     constant.
     """
     _require_kernel_params(p)
-    xi_star = float(xi_star)
-    if not 0.5 <= xi_star <= 2.0:
-        raise ParameterError(f"calibration frequency must lie in [0.5, 2], got {xi_star}")
+    xi_star = _CALIBRATION_XI
     c = cyl_curvature(p)
     raw = _difference_integral(p, xi_star)
     target = theta0(p, xi_star) - c
@@ -180,9 +183,12 @@ def calibrate_kernel(p, xi_star=1.0):
 
 
 def cyl_kernel(spec, xi):
-    """Calibrated axial kernel at separation xi != 0 (even in xi)."""
-    h = abs(float(xi))
-    if h == 0.0:
+    """Calibrated axial kernel at separations xi != 0 (even in xi).
+
+    Accepts scalar or array xi; a scalar gives a float.
+    """
+    h = np.abs(np.asarray(xi, dtype=float))
+    if np.any(h == 0.0):
         raise SingularityError("cylinder kernel diverges at zero separation")
     return spec.normalization * kernel_base(spec.params, h)
 
@@ -192,9 +198,15 @@ def kernel_multiplier(spec, xi):
 
     Returns c + norm * int (1 - cos(xi h)) K0(h) dh, which the calibration
     promises equals Theta0(xi); comparing the two is the duality check.
+    Needs finite |xi| <= KERNEL_MULTIPLIER_XI_MAX.
     """
     p = spec.params
-    return cyl_curvature(p) + spec.normalization * _difference_integral(p, abs(float(xi)))
+    xi = abs(float(xi))
+    if not xi <= KERNEL_MULTIPLIER_XI_MAX:
+        raise ParameterError(
+            f"kernel multiplier needs finite |xi| <= {KERNEL_MULTIPLIER_XI_MAX}, got {xi!r}"
+        )
+    return cyl_curvature(p) + spec.normalization * _difference_integral(p, xi)
 
 
 def periodized_kernel(spec, period, xi):

@@ -9,13 +9,13 @@ sech-type limit profiles as the period grows.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .cylinder import cyl_curvature, cyl_symbol, periodized_kernel
 from .errors import NewtonDivergenceError, NonConvergenceError, ParameterError
 from .params import FracParams, GridFunction
+from .sphere import sphere_curvature
 
 _RESIDUAL_CAP = 1e-10
 #: a profile is nonconstant when max - min exceeds this fraction of its max
@@ -248,10 +248,6 @@ def continue_branch(p, periods, size=512, tol=1e-11):
     return sols
 
 
-_CAL_WINDOW = 3.0
-_CAL_SPREAD_CAP = 1e-3
-
-
 def _sech_power(t, d):
     """cosh(t)^(-d), through log cosh t = |t| + log1p(e^(-2|t|)) - log 2 so
     that no cosh overflows at large |t|."""
@@ -259,33 +255,15 @@ def _sech_power(t, d):
     return np.exp(-d * (a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)))
 
 
-@lru_cache(maxsize=32)
 def limit_amplitude(p):
-    """Calibrated peak value of the infinite-period profile: the amplitude
-    that makes amp * cosh(t)^(-(n-2s)/2) solve the limit equation.
+    """Peak value of the infinite-period profile amp * cosh(t)^(-(n-2s)/2).
 
-    The operator is linear and the nonlinearity homogeneous, so for the unit
-    shape w the ratio [L w] / (c_(n,s) w^q) must equal the constant
-    amp^(q-1).  The ratio is measured on a period long enough that the shape
-    decays to round-off before wrapping, and its flatness across |t| <= 3
-    certifies that the shape is genuinely a solution rather than a fit.
+    The profile is the round-sphere bubble in the Emden-Fowler variable
+    t = -log r: cosh(t)^(-(n-2s)/2) solves L w = Q_s w^q with Q_s the
+    sphere's curvature, and the nonlinearity is homogeneous, so
+    amp = (Q_s / c_(n,s))^(1/(q-1)) = (Q_s / c_(n,s))^((n-2s)/(4s)).
     """
-    decay = 0.5 * (p.n - 2.0 * p.s)
-    period = max(60.0, 24.0 / decay)
-    size = 4096
-    t = (period / size) * np.arange(size) - period / 2.0
-    shape = _sech_power(t, decay)
-    applied = apply_Ls_periodic(p, GridFunction(period, shape)).values
-    window = np.abs(t) <= _CAL_WINDOW
-    ratio = applied[window] / (cyl_curvature(p) * shape[window] ** p.q)
-    mean = float(np.mean(ratio))
-    spread = float(np.std(ratio)) / mean
-    if not spread < _CAL_SPREAD_CAP:
-        raise NonConvergenceError(
-            "limit-profile calibration: the operator-to-nonlinearity ratio "
-            f"is not constant (spread {spread:.1e})"
-        )
-    return mean ** (1.0 / (p.q - 1.0))
+    return (sphere_curvature(p) / cyl_curvature(p)) ** ((p.n - 2.0 * p.s) / (4.0 * p.s))
 
 
 def asymptotic_profile(p, t):

@@ -24,6 +24,9 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _JACOBI_SIZE = 112
 #: grid size of the calibration behind ``cached_integral_constant``
 INTEGRAL_CALIBRATION_SIZE = 8192
+#: half-width of the calibration grid and width of its reference profile
+_CALIBRATION_HALF_WIDTH = 40.0
+_CALIBRATION_SIGMA = 1.0
 #: relative size below which the commutator check counts input as zero
 _SUPPORT_TOL = 1e-10
 #: half-width of the window |x| <= cap where the bridge compares both sides
@@ -166,16 +169,18 @@ def frac_lap_integral(p, f, constant):
     return GridFunction(f.length, c * _integral_apply_base(p, f))
 
 
-def calibrate_integral_constant(p, half_width=40.0, size=4096, sigma=1.0):
+def calibrate_integral_constant(p, size=4096):
     """Match the integral route to the spectral route on a reference profile.
 
-    The reference is a fourth Gaussian derivative: its first four moments
-    vanish, so the periodic images implicit in the FFT route are invisible
-    down to (2 half_width)^(-5-2s) and the fit sees two realizations of the
-    same free-space operator.  Returns (constant, record); the record carries
-    the relative l2 residual of an independent recheck at twice the width.
+    The reference is a fourth Gaussian derivative of width 1 on [-40, 40):
+    its first four moments vanish, so the periodic images implicit in the
+    FFT route are invisible down to 80^(-5-2s) and the fit sees two
+    realizations of the same free-space operator.  Returns (constant,
+    record); the record carries the relative l2 residual of an independent
+    recheck at twice the width.
     """
     _require_integral_order(p)
+    half_width, sigma = _CALIBRATION_HALF_WIDTH, _CALIBRATION_SIGMA
     x = -half_width + (2.0 * half_width / size) * np.arange(size)
 
     def routes(sig):
@@ -258,16 +263,17 @@ def line_quotient(p, f):
 
 
 def _nudft(values, x, xi, dx):
-    """Trapezoid Fourier transform hat(u)(xi) = (2 pi)^(-1/2) int u e^(-i xi x).
+    """Trapezoid Fourier transform hat(u)(xi) = (2 pi)^(-1/2) int u e^(-i xi x)
+    over the last axis of ``values``.
 
     Spectrally accurate for smooth data vanishing at the grid edges; evaluated
-    in blocks so the phase matrix never gets large.
+    in blocks of 64 frequencies so the phase matrix never gets large.
     """
     xi = np.asarray(xi, dtype=float)
-    out = np.empty(xi.size, dtype=complex)
-    for start in range(0, xi.size, 256):
-        block = xi[start : start + 256]
-        out[start : start + 256] = np.exp(-1j * np.outer(block, x)) @ values
+    out = np.empty(values.shape[:-1] + (xi.size,), dtype=complex)
+    for start in range(0, xi.size, 64):
+        block = xi[start : start + 64]
+        out[..., start : start + 64] = values @ np.exp(-1j * np.outer(block, x)).T
     return dx / math.sqrt(2.0 * math.pi) * out
 
 
@@ -374,15 +380,16 @@ def commutator_check(p, f, max_targets=257):
 
     Both sides are assembled from continuum Fourier quadrature of the
     compactly supported input (a grid FFT misrepresents the slowly decaying
-    order s-1 term), sharing nothing but the transform of f.  Returns a
-    report dict with the relative l2 residual over the target points; the
-    Fourier branch also reports its band limit xi_max = pi/dx and the number
-    of width-1/8 Gauss-Legendre panels covering (1, xi_max).
+    order s-1 term), sharing nothing but the transform of f: Gauss-Jacobi
+    rules on (0, 1) and width-1/8 Gauss-Legendre panels on (1, xi_max), with
+    xi_max = pi/dx the band limit of the grid.  Returns a report dict with
+    the relative l2 residual over the target points, xi_max and the panel
+    count.
 
     s = 1/2 is rejected: the second xi-derivative of |xi|^(2s) produces a
     genuine Dirac term at the origin exactly there, so the displayed identity
-    fails by a point mass.  s = 1 is handled by its local limit, where the
-    right side collapses to -(2 x f' + f).
+    fails by a point mass.  s = 1, the local limit where the right side is
+    -(2 x f' + f), takes the same quadrature.
     """
     _require_line(p)
     s = p.s
@@ -404,25 +411,6 @@ def commutator_check(p, f, max_targets=257):
         )
     weight = 0.5 * (1.0 + x**2)
 
-    if s == 1.0:
-        xi = f.frequencies
-
-        def lap(v):
-            return np.fft.irfft(np.fft.rfft(v) * xi**2, u.size)
-
-        def ddx(v):
-            return np.fft.irfft(np.fft.rfft(v) * 1j * xi, u.size)
-
-        lhs = lap(weight * u) - weight * lap(u)
-        rhs = -(2.0 * x * ddx(u) + u)
-        resid = np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
-        return {
-            "s": 1.0,
-            "residual": float(resid),
-            "targets": int(u.size),
-            "branch": "local",
-        }
-
     stride = max(1, int(math.ceil(u.size / max_targets)))
     mask = np.abs(x) <= 0.25 * f.length
     targets = x[mask][::stride]
@@ -435,12 +423,13 @@ def commutator_check(p, f, max_targets=257):
     count = max(1, math.ceil(8.0 * (xi_max - 1.0)))
     layout = (1.0, (xi_max - 1.0) / count, count)
 
-    bu = weight * u
-    fh_u_s = _nudft(u, x, rule_s[0], f.dx)
-    fh_u_shift = _nudft(u, x, rule_shift[0], f.dx)
-    fh_bu_s = _nudft(bu, x, rule_s[0], f.dx)
-    fh_u_panel, fh_bu_panel = _panel_nudft(np.stack([u, bu]), x, f.dx, layout)
-    fh_zero = _nudft(u, x, np.array([0.0]), f.dx)[0]
+    stacked = np.stack([u, weight * u])
+    # one dense transform at both Jacobi rules' nodes and at xi = 0
+    unit_nodes = np.concatenate([rule_s[0], rule_shift[0], [0.0]])
+    fh_unit = _nudft(stacked, x, unit_nodes, f.dx)
+    fh_u_s, fh_bu_s = fh_unit[:, :_JACOBI_SIZE]
+    fh_u_shift, fh_zero = fh_unit[0, _JACOBI_SIZE:-1], fh_unit[0, -1]
+    fh_u_panel, fh_bu_panel = _panel_nudft(stacked, x, f.dx, layout)
 
     lap_s_bu = _halfline_apply(
         2.0 * s, rule_s, fh_bu_s, layout, fh_bu_panel, targets, target_step,
@@ -470,7 +459,6 @@ def commutator_check(p, f, max_targets=257):
         "targets": int(targets.size),
         "xi_max": float(xi_max),
         "panels": count,
-        "branch": "fourier",
     }
 
 

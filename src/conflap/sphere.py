@@ -20,10 +20,11 @@ from .errors import ParameterError, SingularityError
 from .params import FracParams, KernelSpec
 from .specfun import log_gamma
 
-#: Modes above this fraction of the grid size are discarded before spectral
-#: differentiation; inputs are band-limited by precondition, so this only
-#: suppresses round-off amplification.
+#: The S^1 moment corrections act on modes up to the grid size over this;
+#: above it they would only amplify round-off.
 _BAND_FRACTION = 3
+#: least Gauss-Jacobi size of the S^2 multipliers
+_S2_QUAD_SIZE = 40
 
 _MIN_GRID = 16
 
@@ -213,61 +214,30 @@ def sphere_kernel(spec, cos_theta):
     return float(out) if np.isscalar(cos_theta) else out
 
 
-def _band_limited_resample(values, size):
-    """Trigonometric interpolation of periodic samples onto another grid size."""
-    n = values.size
-    spec = np.fft.rfft(values)
-    out_spec = np.zeros(size // 2 + 1, dtype=complex)
-    keep = min(spec.size, out_spec.size)
-    out_spec[:keep] = spec[:keep]
-    if n % 2 == 0 and size > n:
-        # split the shared Nyquist bin symmetrically when upsampling
-        out_spec[n // 2] *= 0.5
-    return np.fft.irfft(out_spec, size) * (size / n)
+def _circle_multipliers(spec, size):
+    """Kernel-route multipliers on the uniform S^1 grid of ``size`` points.
 
-
-def _spectral_derivatives_circle(values):
-    """Second and fourth periodic derivatives, band-limited."""
-    n = values.size
-    freqs = np.fft.rfftfreq(n, d=1.0 / n)
-    spec = np.fft.rfft(values)
-    spec[freqs > n // _BAND_FRACTION] = 0.0
-    d2 = np.fft.irfft(spec * (-(freqs**2)), n)
-    d4 = np.fft.irfft(spec * freqs**4, n)
-    return d2, d4
-
-
-def _apply_circle_kernel(spec, values):
-    """PV kernel route on S^1 with moment-corrected trapezoid quadrature.
-
-    The even part of u(theta) - u(theta + t) is matched by
-    a2 (1-cos t) + a4 (1-cos t)^2 through order t^4; those comparison terms
-    are summed in closed form and the smooth remainder by the periodic
-    trapezoid rule, which leaves an O(h^(6-2s)) quadrature error.
+    The PV trapezoid sum is a circulant, so mode m is an eigenvector with
+    eigenvalue h (sum K - rfft(K)_m).  Up to m = size/3 the even part of
+    u(theta) - u(theta + t) is matched by a2 (1-cos t) + a4 (1-cos t)^2
+    through order t^4, with a2 = m^2 and a4 = (m^2 - m^4)/6; those comparison
+    terms get their closed-form integrals in place of the trapezoid sums,
+    which leaves an O(h^(6-2s)) quadrature error.  Inputs are band-limited
+    by precondition, so the higher modes carry only round-off.
     """
     p = spec.params
-    n = values.size
     kappa = spec.normalization
-    t = 2.0 * math.pi * np.arange(n) / n
-    kernel = np.zeros(n)
-    kernel[1:] = kappa * (1.0 - np.cos(t[1:])) ** (-p.sigma)
-    h = 2.0 * math.pi / n
-
-    d2, d4 = _spectral_derivatives_circle(values)
-    a2 = -d2
-    a4 = -(d4 + d2) / 6.0
-
-    one_minus_cos = 1.0 - np.cos(t)
-    s0 = kernel.sum()
-    s1 = (kernel * one_minus_cos).sum()
-    s2 = (kernel * one_minus_cos**2).sum()
-    m1 = kappa * _circle_moment(0.5 - p.s)
-    m2 = kappa * _circle_moment(1.5 - p.s)
-
-    fk = np.fft.fft(kernel)
-    conv = np.real(np.fft.ifft(np.fft.fft(values) * np.conj(fk)))
-    pv = h * (values * s0 - conv - a2 * s1 - a4 * s2) + a2 * m1 + a4 * m2
-    return sphere_curvature(p) * values + pv
+    h = 2.0 * math.pi / size
+    one_minus_cos = 1.0 - np.cos(h * np.arange(size))
+    kernel = np.zeros(size)
+    kernel[1:] = kappa * one_minus_cos[1:] ** (-p.sigma)
+    m2 = np.arange(size // 2 + 1) ** 2.0
+    m2[m2 > (size // _BAND_FRACTION) ** 2] = 0.0
+    # closed-form moments minus their trapezoid sums
+    err1 = kappa * _circle_moment(0.5 - p.s) - h * (kernel @ one_minus_cos)
+    err2 = kappa * _circle_moment(1.5 - p.s) - h * (kernel @ one_minus_cos**2)
+    lam = h * (kernel.sum() - np.fft.rfft(kernel).real)
+    return sphere_curvature(p) + lam + m2 * err1 + (m2 - m2**2) / 6.0 * err2
 
 
 def _legendre_coefficients(values, nodes_weights):
@@ -278,7 +248,7 @@ def _legendre_coefficients(values, nodes_weights):
     return scale * (vand.T @ (w * values)), vand
 
 
-def _s2_multipliers(spec, max_degree, quad_size):
+def _s2_multipliers(spec, max_degree):
     """Kernel-route multipliers on S^2 by Gauss-Jacobi quadrature.
 
     J_m = int (1 - P_m(t)) (1-t)^(-1-s) dt is computed with the weight
@@ -286,7 +256,7 @@ def _s2_multipliers(spec, max_degree, quad_size):
     which the rule integrates exactly; the kernel constant is the spec's.
     """
     p = spec.params
-    nq = max(quad_size, max_degree // 2 + 4)
+    nq = max(_S2_QUAD_SIZE, max_degree // 2 + 4)
     tq, wq = roots_jacobi(nq, -p.s, 0.0)
     vand = legvander(tq, max_degree)
     ratios = (1.0 - vand) / (1.0 - tq)[:, None]
@@ -294,16 +264,15 @@ def _s2_multipliers(spec, max_degree, quad_size):
     return sphere_curvature(p) + 2.0 * math.pi * spec.normalization * j
 
 
-def singular_integral_apply(spec, values, resolution=None):
+def singular_integral_apply(spec, values):
     """Apply the operator through its singular-kernel representation.
 
     For n = 1 ``values`` are samples on the uniform grid theta_i = 2 pi i / N
-    (N >= 16) and the kernel is summed as a corrected PV trapezoid rule; a
-    larger ``resolution`` resamples band-limited input by trigonometric
-    interpolation first and restricts back at the end.  For n = 2 ``values``
-    are zonal samples at the Gauss-Legendre nodes t_i = cos(gamma_i), and the
-    kernel is integrated by Gauss-Jacobi quadrature mode by mode;
-    ``resolution`` overrides the quadrature size.
+    (N >= 16) and the kernel is summed as a corrected PV trapezoid rule; for
+    n = 2 they are zonal samples at the Gauss-Legendre nodes
+    t_i = cos(gamma_i), and the kernel is integrated by Gauss-Jacobi
+    quadrature.  Both sums act diagonally on the grid's modes, so either
+    route is a multiplier table applied to the modes of ``values``.
     """
     p = spec.params
     values = np.asarray(values, dtype=float)
@@ -313,21 +282,13 @@ def singular_integral_apply(spec, values, resolution=None):
         n = values.size
         if n < _MIN_GRID:
             raise ParameterError(f"need at least {_MIN_GRID} circle samples, got {n}")
-        if resolution is None or resolution == n:
-            return _apply_circle_kernel(spec, values)
-        if resolution < n:
-            raise ParameterError("resolution cannot be below the sample count")
-        fine = _band_limited_resample(values, int(resolution))
-        out = _apply_circle_kernel(spec, fine)
-        return _band_limited_resample(out, n)
+        return np.fft.irfft(np.fft.rfft(values) * _circle_multipliers(spec, n), n)
     if p.n == 2:
         r = values.size
         if r < 4:
             raise ParameterError("need at least 4 Gauss-Legendre samples")
-        nodes = leggauss(r)
-        coeffs, vand = _legendre_coefficients(values, nodes)
-        lam = _s2_multipliers(spec, r - 1, int(resolution) if resolution else 40)
-        return vand @ (coeffs * lam)
+        coeffs, vand = _legendre_coefficients(values, leggauss(r))
+        return vand @ (coeffs * _s2_multipliers(spec, r - 1))
     raise ParameterError(f"singular-integral route implemented for n in {{1, 2}}, got {p.n}")
 
 

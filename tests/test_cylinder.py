@@ -9,6 +9,7 @@ import pytest
 from conflap.errors import ParameterError, SingularityError
 from conflap.params import FracParams
 from conflap.cylinder import (
+    KERNEL_MULTIPLIER_XI_MAX,
     calibrate_kernel,
     cyl_curvature,
     cyl_kernel,
@@ -185,16 +186,33 @@ def test_calibration_rejects_integer_s():
     with pytest.raises(ParameterError):
         calibrate_kernel(FracParams(3, 1.0))
     with pytest.raises(ParameterError):
-        calibrate_kernel(FracParams(3, 0.5), xi_star=3.0)
-    with pytest.raises(ParameterError):
         calibrate_kernel(FracParams(1, 0.5))
+
+
+def test_kernel_multiplier_frequency_bound():
+    # the inner Jacobi rule resolves the oscillation up to the bound, so the
+    # quadrature still meets the duality target there, and refuses past it
+    spec = calibrate_kernel(FracParams(3, 0.3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for xi in (float("nan"), float("inf"), -float("inf"), 200.5, -1e6):
+            with pytest.raises(ParameterError, match="xi"):
+                kernel_multiplier(spec, xi)
+        for xi in (KERNEL_MULTIPLIER_XI_MAX, -KERNEL_MULTIPLIER_XI_MAX):
+            rhs = theta0(spec.params, xi)
+            assert abs(kernel_multiplier(spec, xi) - rhs) < 1e-6 * rhs
 
 
 def test_cyl_kernel_even_and_singular():
     spec = calibrate_kernel(FracParams(3, 0.5))
     assert cyl_kernel(spec, 1.3) == cyl_kernel(spec, -1.3)
+    assert isinstance(cyl_kernel(spec, 1.3), float)
+    table = cyl_kernel(spec, np.array([1.0, -2.0]))
+    assert np.array_equal(table, [cyl_kernel(spec, 1.0), cyl_kernel(spec, 2.0)])
     with pytest.raises(SingularityError):
         cyl_kernel(spec, 0.0)
+    with pytest.raises(SingularityError):
+        cyl_kernel(spec, np.array([1.0, 0.0]))
     # the profile ~ h^(-2) overflows float64 below h ~ 1e-154
     with warnings.catch_warnings():
         warnings.simplefilter("error")

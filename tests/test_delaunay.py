@@ -29,6 +29,7 @@ from conflap.delaunay import (
 )
 from conflap.errors import NewtonDivergenceError, NonConvergenceError, ParameterError
 from conflap.params import FracParams, GridFunction
+from conflap.sphere import sphere_curvature
 
 # Root of xi coth(pi xi / 2) = 4 / pi mapped to the period 2 pi / xi,
 # computed with mpmath.findroot at 40 digits for n = 3, s = 1/2.
@@ -341,10 +342,38 @@ class TestTowerLimit:
         )
 
     def test_limit_amplitude_without_overflow(self):
-        # the calibration period reaches |t| = 800, past where cosh overflows
+        # n = 2, s near 1: the limit bump decays slowly, like cosh(t)^(-0.015);
+        # references from mpmath at 40 digits
         assert limit_amplitude(FracParams(2, 0.985)) == pytest.approx(
-            1.03253885, abs=1e-8
+            1.0325388992180802, rel=1e-12
         )
+        assert limit_amplitude(FracParams(2, 0.99)) == pytest.approx(
+            1.0235507338945225, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_cylinder_operator_maps_limit_profile_to_sphere_bubble(self, n):
+        # the limit profile is the round-sphere bubble in t = -log r, so L
+        # takes cosh(t)^(-d) to Q_s cosh(t)^(-d q), Q_s the sphere curvature
+        for s in (0.1, 0.3, 0.5, 0.7, 0.9):
+            p = FracParams(n, s)
+            d = 0.5 * (n - 2.0 * s)
+            period = max(60.0, 24.0 / d)
+            grid = GridFunction(period, np.ones(4096))
+            t = grid.x
+            shape = np.cosh(t) ** -d
+            applied = apply_Ls_periodic(p, GridFunction(period, shape)).values
+            window = np.abs(t) <= 3.0
+            expected = sphere_curvature(p) * shape[window] ** p.q
+            gap = np.max(np.abs(applied[window] - expected))
+            assert gap < 1e-8 * sphere_curvature(p), (n, s, gap)
+
+    def test_tower_start_at_n2_with_s_near_one(self):
+        # the tower start at n = 2, s near 1 needs the limit amplitude
+        p = FracParams(2, 0.9896)
+        sol = solve_delaunay(p, 4.5385 * bifurcation_period(p))
+        assert sol.residual_norm < 1e-10
+        assert sol.nonconstant
 
     def test_defect_decreases_along_branch(self):
         p = FracParams(3, 0.5)
