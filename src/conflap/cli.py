@@ -433,7 +433,7 @@ def bifurcation(dims, orders):
         for n in dims
         for s in orders
     ]
-    diagnostics = {"root_solver": "bisection", "xtol": BIFURCATION_XTOL}
+    diagnostics = {"root_solver": "64-cell grid bracketing", "xtol": BIFURCATION_XTOL}
     return {"n": list(dims), "s": list(orders)}, results, diagnostics
 
 
@@ -475,6 +475,8 @@ def delaunay(n, s, periods, size, stride, tol):
             "tower_defect": bubble_tower_defect(sol),
             "nonconstant": sol.nonconstant,
             "peak": float(sol.values.max()),
+            "newton_steps": sol.newton_steps,
+            "krylov_steps": sol.krylov_steps,
         }
         for sol in solutions
     ]

@@ -20,8 +20,17 @@ from .sphere import sphere_curvature
 _RESIDUAL_CAP = 1e-10
 #: a profile is nonconstant when max - min exceeds this fraction of its max
 _FLAT_SPREAD = 1e-3
-#: absolute tolerance of the bisection in ``bifurcation_period``, on xi
+#: absolute tolerance of the bracket in ``bifurcation_period``, on xi
 BIFURCATION_XTOL = 1e-12
+#: ``bifurcation_period`` splits its bracket into this many cells per pass
+_BRACKET_SPLIT = 64
+#: cap on the relative tolerance of each Newton step's GMRES solve: 1e-3 or
+#: 1e-4 lose the tower start at n = 2, s near 1 (q about 191), and 1e-5 sends
+#: (2, 0.937, 1.073 L0) onto the constant where the exact step finds the bump
+_FORCING_CAP = 1e-7
+#: GMRES restart length and the number of restart cycles per Newton step
+_KRYLOV_RESTART = 60
+_KRYLOV_CYCLES = 4
 
 
 def _apply_symbol(values, theta):
@@ -50,22 +59,18 @@ def bifurcation_period(p):
 
     The first nonconstant mode appears when theta(2 pi / L) = c_(n,s) q;
     the symbol is strictly increasing, so the root is bracketed by doubling
-    and pinned by bisection.
+    and narrowed 64-fold per pass by one array call on a 65-point grid.
     """
     target = cyl_curvature(p) * p.q
-
-    def gap(xi):
-        return cyl_symbol(p, 0, xi) - target
-
-    hi = 1.0
-    while gap(hi) < 0.0:
-        hi *= 2.0
+    lo, hi = 0.0, 1.0
+    while cyl_symbol(p, 0, hi) < target:
+        lo, hi = hi, 2.0 * hi
         if hi > 1e8:
             raise NonConvergenceError("no bifurcation frequency below 1e8")
-    lo = 1e-12
-    for _ in range(math.ceil(math.log2(hi / BIFURCATION_XTOL))):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if gap(mid) < 0.0 else (lo, mid)
+    for _ in range(math.ceil(math.log((hi - lo) / BIFURCATION_XTOL, _BRACKET_SPLIT))):
+        xs = np.linspace(lo, hi, _BRACKET_SPLIT + 1)
+        below = int(np.count_nonzero(cyl_symbol(p, 0, xs[1:-1]) < target))
+        lo, hi = xs[below], xs[below + 1]
     return 4.0 * math.pi / (lo + hi)
 
 
@@ -80,6 +85,8 @@ class DelaunaySolution:
     residual_norm: float
     energy: float
     nonconstant: bool
+    newton_steps: int = 0
+    krylov_steps: int = 0
 
     def __post_init__(self):
         if not self.residual_norm < _RESIDUAL_CAP:
@@ -96,90 +103,95 @@ class DelaunaySolution:
         return GridFunction(self.period, self.values)
 
 
+def _even(w):  # the even profile on the nodes k dx, k = 0 .. N-1, from k = 0 .. N/2
+    return np.concatenate([w, w[-2:0:-1]])
+
+
+def _krylov_step(theta, slope, res, tol):
+    """Solution of (L - slope) step = -res on the even unknowns, and its Krylov
+    count: GMRES on I - slope L^(-1), right-preconditioned by 1/theta."""
+    from scipy.sparse.linalg import LinearOperator, gmres
+
+    def inverse(y):  # 1/theta damps, so no exact mean is needed as in _apply_symbol
+        return np.fft.irfft(np.fft.rfft(_even(y)) / theta, 2 * y.size - 2)[: y.size]
+
+    operator = LinearOperator((res.size,) * 2, lambda y: y - slope * inverse(y), dtype=float)
+    counts = []
+    y, _ = gmres(
+        operator, -res, rtol=min(_FORCING_CAP, float(np.max(np.abs(res)))),
+        atol=1e-2 * tol, restart=_KRYLOV_RESTART, maxiter=_KRYLOV_CYCLES,
+        callback=counts.append, callback_type="pr_norm",
+    )
+    return inverse(y), len(counts)
+
+
 def solve_delaunay(p, period, init="auto", size=512, tol=1e-11, max_iter=60):
-    """Newton solve of L v = c_(n,s) v^q on one period.
+    """Newton-Krylov solve of L v = c_(n,s) v^q on one period.
 
     ``init`` is "auto" (the constant where theta(2 pi / L) >= c_(n,s) q, at
     or below the bifurcation period, else the periodized limit profile) or
     an array on the solver grid, of which the even part about its peak is
-    kept.  The unknowns are w_k = v(k dx), k = 0 .. N/2, so every iterate is
-    even and the odd translation mode v' stays out of the Jacobian: the
-    convolution column irfft(theta) folded onto these nodes, minus the
-    linearized nonlinearity.  The residual goes through the FFT of the full
-    profile.  The peak of the result sits at x = 0, and ``nonconstant``
-    (max - min > 1e-3 max) reports a collapse onto the constant.  A trial
-    step that is not positive everywhere is halved before its residual is
-    formed.
+    kept.  The unknowns are w_k = v(k dx), k = 0 .. N/2, so the translation
+    mode v' stays out of the Jacobian, which GMRES applies matrix-free.
+    Newton stops below ``tol`` or the residual's round-off floor
+    eps max(theta) (max w - min w), unless ``tol`` is under eps c max(w)^q;
+    trial steps that are not positive are halved.  The result peaks at
+    x = 0; ``nonconstant`` (max - min > 1e-3 max) flags a constant.
     """
     q = p.q
     curvature = cyl_curvature(p)
     grid = GridFunction(period, np.ones(size))
+    theta = cyl_symbol(p, 0, grid.frequencies)
     half = size // 2
     nodes = np.arange(half + 1)
     if isinstance(init, str):
         if init != "auto":
             raise ParameterError(f"unknown init {init!r}")
-        if cyl_symbol(p, 0, 2.0 * math.pi / period) < curvature * q:
-            w = _tower_values(p, period, grid.dx * nodes)
-        else:
-            w = np.ones(half + 1)
+        tower = theta[1] < curvature * q
+        w = _tower_values(p, period, grid.dx * nodes) if tower else np.ones(half + 1)
     else:
         v = np.asarray(init, dtype=float)
         if v.shape != (size,):
-            raise ParameterError(
-                f"init array must have shape ({size},), got {v.shape}"
-            )
+            raise ParameterError(f"init array must have shape ({size},), got {v.shape}")
         peak = int(np.argmax(v))
         w = 0.5 * (v[(peak + nodes) % size] + v[(peak - nodes) % size])
 
-    theta = cyl_symbol(p, 0, grid.frequencies)
-    column = np.fft.irfft(theta, size)
-    operator = column[(nodes[:, None] - nodes) % size] + column[(nodes[:, None] + nodes) % size]
-    operator[:, [0, half]] *= 0.5
-
-    def full(w):  # the even profile on the nodes k dx, k = 0 .. N-1
-        return np.concatenate([w, w[-2:0:-1]])
-
     def residual_of(w):
-        return _apply_symbol(full(w), theta)[: half + 1] - curvature * w**q
+        return _apply_symbol(_even(w), theta)[: half + 1] - curvature * w**q
 
+    eps = np.finfo(float).eps
     res = residual_of(w)
     norm = float(np.max(np.abs(res)))
-    for _ in range(max_iter):
-        if norm < tol:
+    krylov_steps = 0
+    for newton_steps in range(max_iter):
+        # a tol under eps c max(w)^q, the unit round-off of the terms, cannot
+        # be met at any N and stays as given
+        floor = eps * theta.max() * np.ptp(w) if tol > eps * curvature * w.max() ** q else 0
+        if norm < max(tol, min(floor, _RESIDUAL_CAP)):
             break
-        jacobian = operator - np.diag(curvature * q * w ** (q - 1.0))
-        step = np.linalg.solve(jacobian, -res)
-        scale = 1.0
-        for _ in range(20):
+        step, count = _krylov_step(theta, curvature * q * w ** (q - 1.0), res, tol)
+        krylov_steps += count
+        for scale in 0.5 ** np.arange(20):
             trial = w + scale * step
             if np.all(trial > 0.0):
                 trial_res = residual_of(trial)
                 trial_norm = float(np.max(np.abs(trial_res)))
                 if trial_norm < norm:
                     break
-            scale *= 0.5
         else:
-            raise NewtonDivergenceError(
-                "line search stalled", last_residual=norm
-            )
+            raise NewtonDivergenceError("line search stalled", last_residual=norm)
         w, res, norm = trial, trial_res, trial_norm
     else:
-        raise NewtonDivergenceError(
-            "Newton did not reach tolerance", last_residual=norm
-        )
+        raise NewtonDivergenceError("Newton did not reach tolerance", last_residual=norm)
 
-    if np.argmax(w) == half:
-        w = w[::-1]
-    v = np.roll(full(w), half)
+    # put the peak at x = 0, the middle node; _even(w) already has it there
+    # when w peaks at k = N/2
+    v = np.roll(_even(w), 0 if np.argmax(w) == half else half)
     return DelaunaySolution(
-        n=p.n,
-        s=p.s,
-        period=period,
-        values=v,
-        residual_norm=norm,
+        n=p.n, s=p.s, period=period, values=v, residual_norm=norm,
         energy=functional_FL(p, GridFunction(period, v)),
         nonconstant=float(v.max() - v.min()) > _FLAT_SPREAD * float(v.max()),
+        newton_steps=newton_steps, krylov_steps=krylov_steps,
     )
 
 
@@ -279,10 +291,8 @@ def _tower_values(p, period, t):
     copies = 1
     while amp * 2.0**decay * math.exp(-decay * (copies * period - period / 2.0)) > 1e-12:
         copies += 1
-    tower = np.zeros(np.asarray(t).size)
-    for j in range(-copies, copies + 1):
-        tower += asymptotic_profile(p, t - j * period)
-    return tower
+    shifts = period * np.arange(-copies, copies + 1)
+    return asymptotic_profile(p, np.subtract.outer(t, shifts)).sum(axis=1)
 
 
 def bubble_tower_defect(sol):

@@ -1,6 +1,7 @@
 """Tests for periodic cylinder profiles and the bump branch."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,9 @@ from conflap.delaunay import (
     limit_amplitude,
     solve_delaunay,
     _critical_mass,
+    _even,
+    _krylov_step,
+    _tower_values,
 )
 from conflap.errors import NewtonDivergenceError, NonConvergenceError, ParameterError
 from conflap.params import FracParams, GridFunction
@@ -149,6 +153,16 @@ class TestBifurcationPeriod:
         assert cyl_symbol(p, 0, 2.0 * math.pi / (1.1 * period)) < target
         assert cyl_symbol(p, 0, 2.0 * math.pi / (0.9 * period)) > target
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_root_within_bracket_tolerance(self, n):
+        # the grid-refined bracket pins xi0 = 2 pi / L0 to 1e-12; the symbol
+        # must cross c q within 1e-11 of it on both sides
+        for s in (0.05, 0.3, 0.5, 0.7, 0.9, 0.995):
+            p = FracParams(n, s)
+            xi = 2.0 * math.pi / bifurcation_period(p)
+            target = cyl_curvature(p) * p.q
+            assert cyl_symbol(p, 0, xi - 1e-11) < target < cyl_symbol(p, 0, xi + 1e-11)
+
     def test_mode_k_crossings_are_multiples(self):
         # the symbol sees mode k of period k L0 at the same frequency
         p = FracParams(3, 0.5)
@@ -258,6 +272,40 @@ class TestSolveDelaunay:
         assert info.value.last_residual is not None
         assert info.value.last_residual > 0.0
 
+    def test_iteration_counts(self):
+        # the exact constant start takes no step; a bump takes Newton steps,
+        # each with at least one Krylov step, and the counts repeat exactly
+        flat = solve_delaunay(FracParams(3, 0.5), 0.8 * PERIOD_THRESHOLD_3_HALF)
+        assert (flat.newton_steps, flat.krylov_steps) == (0, 0)
+        a, b = (
+            solve_delaunay(FracParams(3, 0.5), 1.3 * PERIOD_THRESHOLD_3_HALF)
+            for _ in range(2)
+        )
+        assert 1 <= a.newton_steps <= a.krylov_steps
+        assert (a.newton_steps, a.krylov_steps) == (b.newton_steps, b.krylov_steps)
+
+    def test_stops_at_round_off_floor(self):
+        # near s = 1 the FFT residual's floor eps max(theta) (max - min)
+        # grows like N^(2s) and passes tol = 1e-11; Newton stops there
+        # instead of stalling in the line search
+        p = FracParams(5, 0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_delaunay(p, 1.2 * bifurcation_period(p), size=2048)
+        assert sol.residual_norm < 1e-10
+        assert sol.nonconstant
+
+    def test_large_grid_energy_matches(self):
+        # the matrix-free step makes N = 8192 cheap; the energy at 3 L0 is
+        # already converged in N at 2048
+        p = FracParams(3, 0.5)
+        period = 3.0 * PERIOD_THRESHOLD_3_HALF
+        fine = solve_delaunay(p, period, size=8192)
+        coarse = solve_delaunay(p, period, size=2048)
+        assert fine.residual_norm < 1e-10
+        assert fine.energy == pytest.approx(coarse.energy, abs=1e-10)
+        assert fine.energy == pytest.approx(1.1624455582352733, abs=1e-10)
+
     def test_solution_certificate_is_enforced(self):
         with pytest.raises(ParameterError, match="residual"):
             DelaunaySolution(
@@ -269,6 +317,58 @@ class TestSolveDelaunay:
                 energy=0.0,
                 nonconstant=False,
             )
+
+
+class TestKrylovAgainstDense:
+    """The dense folded Jacobian and LU solve as the oracle of the Krylov step."""
+
+    SIZE = 64
+
+    def setup_method(self):
+        self.p = FracParams(3, 0.5)
+        self.period = 1.5 * PERIOD_THRESHOLD_3_HALF
+        self.grid = GridFunction(self.period, np.ones(self.SIZE))
+        self.theta = cyl_symbol(self.p, 0, self.grid.frequencies)
+        half = self.SIZE // 2
+        self.start = _tower_values(self.p, self.period, self.grid.dx * np.arange(half + 1))
+
+    def residual(self, w):
+        full = GridFunction(self.period, _even(w))
+        return delaunay_residual(self.p, full)[: w.size]
+
+    def dense_jacobian(self, w):
+        # column c = irfft(theta) folded onto the even nodes k = 0 .. N/2:
+        # c[i - k] + c[i + k], with the self-paired columns 0 and N/2 halved
+        size, half = self.SIZE, self.SIZE // 2
+        nodes = np.arange(half + 1)
+        column = np.fft.irfft(self.theta, size)
+        operator = (
+            column[(nodes[:, None] - nodes) % size] + column[(nodes[:, None] + nodes) % size]
+        )
+        operator[:, [0, half]] *= 0.5
+        p = self.p
+        return operator - np.diag(cyl_curvature(p) * p.q * w ** (p.q - 1.0))
+
+    def test_one_step_matches_dense_solve(self):
+        w = self.start
+        res = self.residual(w)
+        slope = cyl_curvature(self.p) * self.p.q * w ** (self.p.q - 1.0)
+        step, count = _krylov_step(self.theta, slope, res, 1e-11)
+        dense = np.linalg.solve(self.dense_jacobian(w), -res)
+        assert count >= 1
+        assert np.max(np.abs(step - dense)) < 1e-9
+
+    def test_converged_profile_matches_dense_newton(self):
+        w = self.start
+        for _ in range(30):
+            res = self.residual(w)
+            if np.max(np.abs(res)) < 1e-13:
+                break
+            w = w + np.linalg.solve(self.dense_jacobian(w), -res)
+        dense = np.roll(_even(w), self.SIZE // 2)
+        sol = solve_delaunay(self.p, self.period, size=self.SIZE)
+        assert sol.nonconstant
+        assert np.max(np.abs(sol.values - dense)) < 1e-10
 
 
 class TestEnergy:

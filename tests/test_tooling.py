@@ -25,10 +25,21 @@ def test_benchmark_calls_only_exported_names():
     assert sorted(called - set(conflap.__all__) - {"tracer"}) == []
 
 
-def test_cli_import_leaves_out_scipy_optimize():
-    # scipy.optimize is a large import that the package no longer needs
-    code = "import sys, conflap.cli; print('scipy.optimize' in sys.modules)"
+def _loaded_by_cli_import(module):
+    """'True' or 'False': whether a fresh ``import conflap.cli`` loads ``module``."""
+    code = f"import sys, conflap.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # scipy.optimize is a large import that the package no longer needs
+    assert _loaded_by_cli_import("scipy.optimize") == "False"
+
+
+def test_cli_import_leaves_out_scipy_sparse_linalg():
+    # the Delaunay solver imports its GMRES on first use, so commands that
+    # never solve do not pay for scipy.sparse.linalg
+    assert _loaded_by_cli_import("scipy.sparse.linalg") == "False"
