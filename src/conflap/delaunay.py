@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .cylinder import cyl_curvature, cyl_symbol, periodized_kernel
 from .errors import NewtonDivergenceError, NonConvergenceError, ParameterError
@@ -28,9 +29,9 @@ _BRACKET_SPLIT = 64
 #: 1e-4 lose the tower start at n = 2, s near 1 (q about 191), and 1e-5 sends
 #: (2, 0.937, 1.073 L0) onto the constant where the exact step finds the bump
 _FORCING_CAP = 1e-7
-#: GMRES restart length and the number of restart cycles per Newton step
-_KRYLOV_RESTART = 60
-_KRYLOV_CYCLES = 4
+#: cap on the Krylov steps of one Newton step; over the 6638 Newton steps of
+#: the seed 0-7 benchmark sweep draws at N = 512 the most any took was 28
+_KRYLOV_STEPS = 240
 
 
 def _apply_symbol(values, theta):
@@ -107,22 +108,58 @@ def _even(w):  # the even profile on the nodes k dx, k = 0 .. N-1, from k = 0 ..
     return np.concatenate([w, w[-2:0:-1]])
 
 
+def _gmres(matvec, b, rtol, atol, steps):
+    """Unrestarted GMRES from x = 0 (Saad & Schultz 1986): x with the Givens
+    estimate of |b - A x| at most max(atol, rtol |b|), else the least-squares
+    best after ``steps`` Arnoldi steps, and the number of steps taken."""
+    beta = float(np.linalg.norm(b))
+    target = max(atol, rtol * beta)
+    if beta <= target:  # x = 0 already meets the target, as for b = 0
+        return np.zeros_like(b), 0
+    basis = np.empty((steps + 1, b.size))
+    basis[0] = b / beta
+    upper = np.empty((steps, steps))  # solve_triangular reads only the upper triangle
+    rotations, rhs = [], [beta]
+    for k in range(steps):
+        w = matvec(basis[k])
+        scale = math.sqrt(w @ w)  # np.linalg.norm's own formula, without its overhead
+        h = basis[: k + 1] @ w  # classical Gram-Schmidt, done twice
+        w = w - h @ basis[: k + 1]
+        again = basis[: k + 1] @ w
+        w = w - again @ basis[: k + 1]
+        norm = math.sqrt(w @ w)
+        column = (h + again).tolist()
+        for i, (c, s) in enumerate(rotations):
+            hi, lo = column[i], column[i + 1]
+            column[i], column[i + 1] = c * hi + s * lo, c * lo - s * hi
+        r = math.hypot(column[k], norm)
+        if r == 0.0:  # A is singular on the Krylov space; stop with the iterate so far
+            break
+        c, s = column[k] / r, norm / r
+        rotations.append((c, s))
+        column[k] = r
+        upper[: k + 1, k] = column[: k + 1]
+        rhs[k:] = c * rhs[k], -s * rhs[k]
+        if abs(rhs[k + 1]) <= target or norm <= np.finfo(float).eps * scale:
+            break
+        basis[k + 1] = w / norm
+    m = len(rotations)
+    return solve_triangular(upper[:m, :m], rhs[:m], check_finite=False) @ basis[:m], m
+
+
 def _krylov_step(theta, slope, res, tol):
     """Solution of (L - slope) step = -res on the even unknowns, and its Krylov
-    count: GMRES on I - slope L^(-1), right-preconditioned by 1/theta."""
-    from scipy.sparse.linalg import LinearOperator, gmres
+    count: ``_gmres`` on I - slope L^(-1), right-preconditioned by 1/theta,
+    with forcing term min(_FORCING_CAP, |res|_inf) and absolute floor 1e-2 tol."""
 
     def inverse(y):  # 1/theta damps, so no exact mean is needed as in _apply_symbol
         return np.fft.irfft(np.fft.rfft(_even(y)) / theta, 2 * y.size - 2)[: y.size]
 
-    operator = LinearOperator((res.size,) * 2, lambda y: y - slope * inverse(y), dtype=float)
-    counts = []
-    y, _ = gmres(
-        operator, -res, rtol=min(_FORCING_CAP, float(np.max(np.abs(res)))),
-        atol=1e-2 * tol, restart=_KRYLOV_RESTART, maxiter=_KRYLOV_CYCLES,
-        callback=counts.append, callback_type="pr_norm",
+    y, count = _gmres(
+        lambda y: y - slope * inverse(y), -res,
+        min(_FORCING_CAP, float(np.max(np.abs(res)))), 1e-2 * tol, _KRYLOV_STEPS,
     )
-    return inverse(y), len(counts)
+    return inverse(y), count
 
 
 def solve_delaunay(p, period, init="auto", size=512, tol=1e-11, max_iter=60):
@@ -132,11 +169,14 @@ def solve_delaunay(p, period, init="auto", size=512, tol=1e-11, max_iter=60):
     or below the bifurcation period, else the periodized limit profile) or
     an array on the solver grid, of which the even part about its peak is
     kept.  The unknowns are w_k = v(k dx), k = 0 .. N/2, so the translation
-    mode v' stays out of the Jacobian, which GMRES applies matrix-free.
+    mode v' stays out of the Jacobian, which ``_krylov_step`` applies
+    matrix-free in an unrestarted GMRES preconditioned by 1/theta.
     Newton stops below ``tol`` or the residual's round-off floor
     eps max(theta) (max w - min w), unless ``tol`` is under eps c max(w)^q;
     trial steps that are not positive are halved.  The result peaks at
-    x = 0; ``nonconstant`` (max - min > 1e-3 max) flags a constant.
+    x = 0; ``nonconstant`` (max - min > 1e-3 max) flags a constant.  A
+    ``NewtonDivergenceError`` carries the last residual and the Newton and
+    Krylov steps taken.
     """
     q = p.q
     curvature = cyl_curvature(p)
@@ -179,10 +219,16 @@ def solve_delaunay(p, period, init="auto", size=512, tol=1e-11, max_iter=60):
                 if trial_norm < norm:
                     break
         else:
-            raise NewtonDivergenceError("line search stalled", last_residual=norm)
+            raise NewtonDivergenceError(
+                "line search stalled", last_residual=norm,
+                newton_steps=newton_steps, krylov_steps=krylov_steps,
+            )
         w, res, norm = trial, trial_res, trial_norm
     else:
-        raise NewtonDivergenceError("Newton did not reach tolerance", last_residual=norm)
+        raise NewtonDivergenceError(
+            "Newton did not reach tolerance", last_residual=norm,
+            newton_steps=max_iter, krylov_steps=krylov_steps,
+        )
 
     # put the peak at x = 0, the middle node; _even(w) already has it there
     # when w peaks at k = N/2

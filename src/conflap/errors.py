@@ -26,8 +26,11 @@ class NonConvergenceError(ConflapError, RuntimeError):
 
 
 class NewtonDivergenceError(NonConvergenceError):
-    """Newton iteration failed; carries the last residual norm seen."""
+    """Newton iteration failed; carries the last residual norm seen and the
+    Newton and Krylov step counts reached before the failure."""
 
-    def __init__(self, message, last_residual=None):
+    def __init__(self, message, last_residual=None, newton_steps=None, krylov_steps=None):
         super().__init__(message)
         self.last_residual = last_residual
+        self.newton_steps = newton_steps
+        self.krylov_steps = krylov_steps

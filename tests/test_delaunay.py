@@ -28,6 +28,7 @@ from conflap.delaunay import (
     solve_delaunay,
     _critical_mass,
     _even,
+    _gmres,
     _krylov_step,
     _tower_values,
 )
@@ -195,11 +196,13 @@ class TestSolveDelaunay:
     def test_hard_point_fails_cleanly(self):
         # near L0 at (2, 0.9) a full Newton step takes v below zero; such
         # trials must be halved before v^q is formed, and the suite's
-        # error::RuntimeWarning setting turns a leak here into a failure
+        # error::RuntimeWarning setting turns a leak here into a failure; the
+        # error carries the Newton and Krylov counts it reached
         p = FracParams(2, 0.9)
         try:
             sol = solve_delaunay(p, 1.02 * bifurcation_period(p))
-        except NonConvergenceError:
+        except NewtonDivergenceError as error:
+            assert 0 < error.newton_steps <= error.krylov_steps
             return
         assert sol.residual_norm < 1e-10
 
@@ -271,6 +274,8 @@ class TestSolveDelaunay:
             solve_delaunay(p, period, init=far, max_iter=1)
         assert info.value.last_residual is not None
         assert info.value.last_residual > 0.0
+        assert info.value.newton_steps == 1
+        assert info.value.krylov_steps >= 1
 
     def test_iteration_counts(self):
         # the exact constant start takes no step; a bump takes Newton steps,
@@ -317,6 +322,52 @@ class TestSolveDelaunay:
                 energy=0.0,
                 nonconstant=False,
             )
+
+
+@pytest.mark.filterwarnings("error")
+class TestGmres:
+    """The in-module GMRES on small dense systems, against np.linalg.solve."""
+
+    def test_zero_rhs_returns_zeros_without_a_step(self):
+        def matvec(y):
+            raise AssertionError("no matvec is needed for b = 0")
+
+        x, count = _gmres(matvec, np.zeros(7), 1e-10, 0.0, 10)
+        assert count == 0
+        assert np.array_equal(x, np.zeros(7))
+
+    def test_zero_operator_stops_before_a_singular_step(self):
+        x, count = _gmres(np.zeros_like, np.ones(7), 1e-10, 0.0, 10)
+        assert count == 0
+        assert np.array_equal(x, np.zeros(7))
+
+    def test_identity_breaks_down_after_one_step(self):
+        # A v = v leaves nothing to orthogonalize: |w| = 0 ends the basis;
+        # the matvec returns its argument, which must not be overwritten
+        b = np.random.default_rng(1).standard_normal(40)
+        x, count = _gmres(lambda y: y, b, 1e-14, 0.0, 10)
+        assert count == 1
+        assert np.max(np.abs(x - b)) < 1e-14
+
+    def test_random_nonsymmetric_system_matches_dense_solve(self):
+        size = 300
+        rng = np.random.default_rng(0)
+        matrix = np.eye(size) + 0.5 * rng.standard_normal((size, size)) / math.sqrt(size)
+        b = rng.standard_normal(size)
+        x, count = _gmres(lambda y: matrix @ y, b, 1e-14, 0.0, size)
+        assert count < size
+        assert np.max(np.abs(x - np.linalg.solve(matrix, b))) < 1e-10
+
+    def test_stagnation_stops_at_step_cap(self):
+        # the cyclic shift maps the Krylov space of e_0 orthogonal to e_0, so
+        # no iterate beats x = 0 before step n; the cap ends the solve
+        size, cap = 50, 20
+        b = np.zeros(size)
+        b[0] = 1.0
+        x, count = _gmres(lambda y: np.roll(y, 1), b, 1e-10, 0.0, cap)
+        assert count == cap
+        assert np.all(np.isfinite(x))
+        assert np.linalg.norm(b - np.roll(x, 1)) <= np.linalg.norm(b) + 1e-14
 
 
 class TestKrylovAgainstDense:

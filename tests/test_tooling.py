@@ -25,9 +25,9 @@ def test_benchmark_calls_only_exported_names():
     assert sorted(called - set(conflap.__all__) - {"tracer"}) == []
 
 
-def _loaded_by_cli_import(module):
-    """'True' or 'False': whether a fresh ``import conflap.cli`` loads ``module``."""
-    code = f"import sys, conflap.cli; print({module!r} in sys.modules)"
+def _loaded_by(module, statements="import conflap.cli"):
+    """'True' or 'False': whether ``statements`` in a fresh process load ``module``."""
+    code = f"import sys\n{statements}\nprint({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
@@ -36,10 +36,20 @@ def _loaded_by_cli_import(module):
 
 def test_cli_import_leaves_out_scipy_optimize():
     # scipy.optimize is a large import that the package no longer needs
-    assert _loaded_by_cli_import("scipy.optimize") == "False"
+    assert _loaded_by("scipy.optimize") == "False"
 
 
 def test_cli_import_leaves_out_scipy_sparse_linalg():
-    # the Delaunay solver imports its GMRES on first use, so commands that
-    # never solve do not pay for scipy.sparse.linalg
-    assert _loaded_by_cli_import("scipy.sparse.linalg") == "False"
+    # no command, solving or not, pays for scipy.sparse.linalg: the package
+    # never imports it
+    assert _loaded_by("scipy.sparse.linalg") == "False"
+
+
+def test_delaunay_solve_leaves_out_scipy_sparse():
+    # the Newton step's GMRES is in-module, so a solve loads no scipy.sparse
+    solve = (
+        "from conflap import FracParams, bifurcation_period, solve_delaunay\n"
+        "p = FracParams(3, 0.5)\n"
+        "assert solve_delaunay(p, 1.5 * bifurcation_period(p)).krylov_steps > 0"
+    )
+    assert _loaded_by("scipy.sparse", solve) == "False"
