@@ -3,8 +3,9 @@
 On the cylinder the zero angular mode acts either as a multiplier Theta(xi)
 or as a principal-value integral against a kernel K(h) with a power
 singularity at h = 0 and an exponential tail (a tempered stable kernel).
-The kernel normalization is calibrated at a single frequency; every other
-frequency is then a genuine cross-check between the two representations.
+The kernel normalization is the closed form C_(n,s) |S^(n-1)| 2^(-(n+2s)/2)
+of the pulled-back Euclidean kernel, fitted nowhere, so every frequency is a
+genuine cross-check between the two representations.
 """
 
 import math
@@ -16,8 +17,8 @@ def main():
     p = FracParams(3, 0.5)
     spec = calibrate_kernel(p)
     cal = spec.calibration
-    print(f"calibration at xi = {cal['xi_star']}: normalization = "
-          f"{spec.normalization:.16f}, residual = {cal['residual']:.2e}")
+    print(f"normalization = {spec.normalization:.16f} (1/pi = {1.0 / math.pi:.16f})")
+    print(f"checked at xi = {cal['check_xi']}: residual = {cal['residual']:.2e}")
     print()
 
     print("multiplier from the kernel vs the closed-form symbol:")

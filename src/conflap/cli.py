@@ -32,8 +32,6 @@ from .delaunay import (
 )
 from .errors import ConflapError, ParameterError
 from .euclidean import (
-    INTEGRAL_CALIBRATION_SIZE,
-    cached_integral_constant,
     commutator_check,
     covariance_bridge,
     frac_lap_integral,
@@ -49,6 +47,7 @@ from .params import FracParams, GridFunction
 from .sphere import (
     ModeSpectrum,
     calibrate_sphere_kernel,
+    frac_lap_constant,
     gjms_symbol,
     sphere_curvature,
     sphere_kernel,
@@ -230,7 +229,7 @@ def curvature(n, orders):
     help="Also tabulate the periodized kernel K_L at this period (cylinder).",
 )
 def kernel(geometry, n, s, cosines, separations, period):
-    """Sample a calibrated singular kernel, with its calibration record."""
+    """Sample a singular kernel, with its normalization's check record."""
     p = FracParams(n, s)
     if geometry == "sphere":
         if separations or period is not None:
@@ -307,7 +306,7 @@ def _line_grid(x, values):
     type=click.Choice(["spectral", "integral"]),
     default="spectral",
     show_default=True,
-    help="Fourier multiplier route or calibrated difference quadrature.",
+    help="Fourier multiplier route or difference quadrature.",
 )
 @click.option(
     "--edge-tol",
@@ -324,13 +323,8 @@ def apply_command(input_path, s, route, edge_tol):
         out = frac_lap_spectral(p, f, edge_tol=edge_tol)
         diagnostics = {"route": route, "edge_tol": edge_tol}
     else:
-        constant = cached_integral_constant(s)
-        out = frac_lap_integral(p, f, constant)
-        diagnostics = {
-            "route": route,
-            "integral_constant": constant,
-            "calibration_size": INTEGRAL_CALIBRATION_SIZE,
-        }
+        out = frac_lap_integral(p, f)
+        diagnostics = {"route": route, "integral_constant": frac_lap_constant(p)}
     diagnostics["half_width"] = 0.5 * f.length
     diagnostics["size"] = f.size
     results = [
@@ -433,7 +427,7 @@ def bifurcation(dims, orders):
         for n in dims
         for s in orders
     ]
-    diagnostics = {"root_solver": "64-cell grid bracketing", "xtol": BIFURCATION_XTOL}
+    diagnostics = {"root_solver": "safeguarded Newton on log theta0", "xtol": BIFURCATION_XTOL}
     return {"n": list(dims), "s": list(orders)}, results, diagnostics
 
 
@@ -552,7 +546,7 @@ def _selftest_records():
     gauss = GridFunction(2.0 * half_width, np.exp(-0.5 * x * x))
     p16 = FracParams(1, 0.7)
     spectral = frac_lap_spectral(p16, gauss).values
-    integral = frac_lap_integral(p16, gauss, cached_integral_constant(0.7)).values
+    integral = frac_lap_integral(p16, gauss).values
     core = np.abs(x) <= 8.0
     add(
         "line_route_agreement",

@@ -5,8 +5,8 @@ frequencies xi along the axis; the operator multiplies each (m, xi) component
 by a ratio of squared Gamma moduli.  The translation-invariant part also has
 a convolution kernel in the axial variable, a hypergeometric profile with an
 algebraic singularity at 0 and exponential decay, which this module evaluates
-directly, calibrates against the symbol, and periodizes for the study of
-periodic solutions.
+directly, normalizes in closed form, checks against the symbol, and
+periodizes for the study of periodic solutions.
 """
 
 import math
@@ -14,13 +14,12 @@ import math
 import numpy as np
 
 from .errors import NonConvergenceError, ParameterError, SingularityError
-from .params import FracParams, KernelSpec
+from .params import KernelSpec
+from .sphere import frac_lap_constant, vol_sphere
 from .specfun import hyp2f1, jacobi_unit_rule, log_gamma, log_gamma_abs2, panel_rule
 
 _PERIODIZE_REL_TOL = 1e-15
 _PERIODIZE_MAX_SHELLS = 400
-#: frequency at which ``calibrate_kernel`` matches the symbol
-_CALIBRATION_XI = 1.0
 #: largest |xi| ``kernel_multiplier`` accepts: the 64-node Jacobi rule on
 #: (0, 1) resolves 1 - cos(xi h) to about 1e-9 up to here, and not past it
 KERNEL_MULTIPLIER_XI_MAX = 200.0
@@ -153,32 +152,19 @@ def _difference_integral(p, xi):
 
 
 def calibrate_kernel(p):
-    """Fix the kernel normalization against the zero-mode symbol.
+    """Kernel normalization C_(n,s) |S^(n-1)| 2^(-(n+2s)/2), checked on theta0.
 
-    Matches c + norm * int (1 - cos(xi* h)) K0(h) dh = Theta0(xi*) at the
-    single frequency xi* = 1.  The recorded residual rechecks the calibrated
-    kernel at 2 xi*, so it probes the kernel shape rather than the matched
-    constant.
+    The axial kernel is |x - y|^(-n-2s) pulled back to the cylinder and
+    integrated over the cross-section.  The record holds the relative
+    residuals of c + norm * int (1 - cos(xi h)) K0(h) dh against Theta0(xi)
+    at xi = 1 and 2; neither is fitted, and ``residual`` is the larger.
     """
     _require_kernel_params(p)
-    xi_star = _CALIBRATION_XI
-    c = cyl_curvature(p)
-    raw = _difference_integral(p, xi_star)
-    target = theta0(p, xi_star) - c
-    norm = target / raw
-    if norm <= 0.0:
-        raise ParameterError("kernel calibration produced a non-positive constant")
-    xi_check = 2.0 * xi_star
-    predicted = c + norm * _difference_integral(p, xi_check)
-    reference = theta0(p, xi_check)
-    record = {
-        "xi_star": xi_star,
-        "target": target,
-        "raw_integral": raw,
-        "check_xi": xi_check,
-        "check_value": predicted,
-        "residual": abs(predicted - reference) / abs(reference),
-    }
+    norm = frac_lap_constant(p) * vol_sphere(p.n - 1) * 2.0 ** (-p.sigma)
+    spec = KernelSpec(p, norm)
+    check_xi = [1.0, 2.0]
+    residuals = [abs(kernel_multiplier(spec, xi) / theta0(p, xi) - 1.0) for xi in check_xi]
+    record = {"check_xi": check_xi, "residuals": residuals, "residual": max(residuals)}
     return KernelSpec(p, norm, record)
 
 
@@ -194,10 +180,11 @@ def cyl_kernel(spec, xi):
 
 
 def kernel_multiplier(spec, xi):
-    """Zero-mode multiplier recovered from the calibrated kernel by quadrature.
+    """Zero-mode multiplier recovered from the kernel by quadrature.
 
-    Returns c + norm * int (1 - cos(xi h)) K0(h) dh, which the calibration
-    promises equals Theta0(xi); comparing the two is the duality check.
+    Returns c + norm * int (1 - cos(xi h)) K0(h) dh, which equals Theta0(xi)
+    when the closed-form normalization and the profile are both right;
+    comparing the two is the duality check.
     Needs finite |xi| <= KERNEL_MULTIPLIER_XI_MAX.
     """
     p = spec.params

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.special import loggamma, psi
 
-from .cylinder import cyl_curvature, cyl_symbol, periodized_kernel
+from .cylinder import cyl_curvature, cyl_mode_parameter, cyl_symbol, periodized_kernel
 from .errors import NewtonDivergenceError, NonConvergenceError, ParameterError
 from .params import FracParams, GridFunction
 from .sphere import sphere_curvature
@@ -21,10 +22,8 @@ from .sphere import sphere_curvature
 _RESIDUAL_CAP = 1e-10
 #: a profile is nonconstant when max - min exceeds this fraction of its max
 _FLAT_SPREAD = 1e-3
-#: absolute tolerance of the bracket in ``bifurcation_period``, on xi
+#: absolute tolerance of ``bifurcation_period`` on xi
 BIFURCATION_XTOL = 1e-12
-#: ``bifurcation_period`` splits its bracket into this many cells per pass
-_BRACKET_SPLIT = 64
 #: cap on the relative tolerance of each Newton step's GMRES solve: 1e-3 or
 #: 1e-4 lose the tower start at n = 2, s near 1 (q about 191), and 1e-5 sends
 #: (2, 0.937, 1.073 L0) onto the constant where the exact step finds the bump
@@ -58,21 +57,37 @@ def delaunay_residual(p, f):
 def bifurcation_period(p):
     """Period at which the constant branch loses rigidity.
 
-    The first nonconstant mode appears when theta(2 pi / L) = c_(n,s) q;
-    the symbol is strictly increasing, so the root is bracketed by doubling
-    and narrowed 64-fold per pass by one array call on a 65-point grid.
+    The first nonconstant mode appears when theta(2 pi / L) = c_(n,s) q.
+    With theta = 2^(2s) |Gamma(A + i xi/2)|^2 / |Gamma(B + i xi/2)|^2, the
+    slope of log theta is Im psi(B + i xi/2) - Im psi(A + i xi/2) > 0, so
+    the root is bracketed by doubling, then found by Newton on log theta
+    that bisects whenever a step leaves the bracket.
     """
-    target = cyl_curvature(p) * p.q
+    beta = cyl_mode_parameter(p.n, 0)
+    shifts = np.array([0.5 * (1.0 + p.s + beta), 0.5 * (1.0 - p.s + beta)])
+    offset = 2.0 * p.s * math.log(2.0) - math.log(cyl_curvature(p) * p.q)
+
+    def excess(xi):  # log theta(xi) - log(c q) and its xi-derivative
+        z = shifts + 0.5j * xi
+        logs, slope = loggamma(z).real, psi(z).imag
+        return offset + 2.0 * (logs[0] - logs[1]), slope[1] - slope[0]
+
     lo, hi = 0.0, 1.0
-    while cyl_symbol(p, 0, hi) < target:
+    while excess(hi)[0] < 0.0:
         lo, hi = hi, 2.0 * hi
         if hi > 1e8:
             raise NonConvergenceError("no bifurcation frequency below 1e8")
-    for _ in range(math.ceil(math.log((hi - lo) / BIFURCATION_XTOL, _BRACKET_SPLIT))):
-        xs = np.linspace(lo, hi, _BRACKET_SPLIT + 1)
-        below = int(np.count_nonzero(cyl_symbol(p, 0, xs[1:-1]) < target))
-        lo, hi = xs[below], xs[below + 1]
-    return 4.0 * math.pi / (lo + hi)
+    xi = 0.5 * (lo + hi)
+    for _ in range(100):
+        value, slope = excess(xi)
+        lo, hi = (xi, hi) if value < 0.0 else (lo, xi)
+        step = xi - value / slope
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - xi) <= BIFURCATION_XTOL:
+            return 2.0 * math.pi / step
+        xi = step
+    raise NonConvergenceError("bifurcation frequency did not converge in 100 steps")
 
 
 @dataclass(frozen=True)
@@ -195,6 +210,8 @@ def solve_delaunay(p, period, init="auto", size=512, tol=1e-11, max_iter=60):
             raise ParameterError(f"init array must have shape ({size},), got {v.shape}")
         peak = int(np.argmax(v))
         w = 0.5 * (v[(peak + nodes) % size] + v[(peak - nodes) % size])
+        if not np.all(w > 0.0):
+            raise ParameterError("init array must have a positive even part")
 
     def residual_of(w):
         return _apply_symbol(_even(w), theta)[: half + 1] - curvature * w**q

@@ -2,31 +2,26 @@
 
 Two independent realizations of (-Delta)^s on uniform symmetric grids: a
 Fourier multiplier |xi|^(2s) for tapered data, and a product-integration
-quadrature of the singular difference integral whose constant is calibrated
-against the spectral route.  On top of those sit the commutator identity
-check for the weight (1+|x|^2)/2 and the stereographic bridge that pushes
-the operator forward to the round circle.
+quadrature of the singular difference integral with its closed-form
+constant C_(1,s), so the two routes agree as a check, not by a fit.  On top
+of those sit the commutator identity check for the weight (1+|x|^2)/2 and
+the stereographic bridge that pushes the operator forward to the round
+circle.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ParameterError, SupportError, TaperError
-from .params import FracParams, GridFunction
+from .params import GridFunction
 from .specfun import jacobi_unit_rule, panel_rule
-from .sphere import ModeSpectrum, sphere_symbol
+from .sphere import ModeSpectrum, frac_lap_constant, sphere_symbol
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 #: Gauss-Jacobi size for the unit-interval parts of the line quadratures
 _JACOBI_SIZE = 112
-#: grid size of the calibration behind ``cached_integral_constant``
-INTEGRAL_CALIBRATION_SIZE = 8192
-#: half-width of the calibration grid and width of its reference profile
-_CALIBRATION_HALF_WIDTH = 40.0
-_CALIBRATION_SIGMA = 1.0
 #: relative size below which the commutator check counts input as zero
 _SUPPORT_TOL = 1e-10
 #: half-width of the window |x| <= cap where the bridge compares both sides
@@ -133,12 +128,14 @@ def _difference_weights(size, h, s):
     return weights
 
 
-def _integral_apply_base(p, f):
-    """Quadrature of int_0^inf (2u(x) - u(x+t) - u(x-t)) t^(-1-2s) dt.
+def frac_lap_integral(p, f):
+    """(-Delta)^s through the singular difference integral.
 
-    u is treated as identically zero beyond the grid, so the tail reduces to
-    2 u(x) integrated in closed form past the weighted range.
+    C_(1,s) times a quadrature of int_0^inf (2u(x) - u(x+t) - u(x-t))
+    t^(-1-2s) dt.  u is treated as identically zero beyond the grid, so the
+    tail reduces to 2 u(x) integrated in closed form past the weighted range.
     """
+    _require_integral_order(p)
     s = p.s
     values = f.values
     n = values.size
@@ -153,67 +150,8 @@ def _integral_apply_base(p, f):
     tail = (n * h) ** (-2.0 * s) / (2.0 * s)
     # sum_d w_d (2u_i - u_(i+d) - u_(i-d)) over d >= 1, with the symmetric
     # convolution counting the d = 0 weight once
-    return values * (2.0 * weights.sum() - weights[0] + 2.0 * tail) - correlated
-
-
-def frac_lap_integral(p, f, constant):
-    """(-Delta)^s through the singular difference integral.
-
-    ``constant`` multiplies the raw quadrature; obtain it from
-    calibrate_integral_constant so both routes agree on normalization.
-    """
-    _require_integral_order(p)
-    c = float(constant)
-    if not math.isfinite(c) or c <= 0.0:
-        raise ParameterError(f"calibration constant must be positive, got {constant!r}")
-    return GridFunction(f.length, c * _integral_apply_base(p, f))
-
-
-def calibrate_integral_constant(p, size=4096):
-    """Match the integral route to the spectral route on a reference profile.
-
-    The reference is a fourth Gaussian derivative of width 1 on [-40, 40):
-    its first four moments vanish, so the periodic images implicit in the
-    FFT route are invisible down to 80^(-5-2s) and the fit sees two
-    realizations of the same free-space operator.  Returns (constant,
-    record); the record carries the relative l2 residual of an independent
-    recheck at twice the width.
-    """
-    _require_integral_order(p)
-    half_width, sigma = _CALIBRATION_HALF_WIDTH, _CALIBRATION_SIGMA
-    x = -half_width + (2.0 * half_width / size) * np.arange(size)
-
-    def routes(sig):
-        z = x / sig
-        f = GridFunction(2.0 * half_width, (z**4 - 6.0 * z**2 + 3.0) * np.exp(-0.5 * z**2))
-        spectral = frac_lap_spectral(p, f).values
-        base = _integral_apply_base(p, f)
-        return spectral, base
-
-    core = np.abs(x) <= 0.5 * half_width
-    spectral, base = routes(sigma)
-    constant = float(spectral[core] @ base[core]) / float(base[core] @ base[core])
-    spec2, base2 = routes(2.0 * sigma)
-    resid = np.linalg.norm(spec2[core] - constant * base2[core]) / np.linalg.norm(
-        spec2[core]
-    )
-    record = {
-        "half_width": half_width,
-        "size": size,
-        "sigma": sigma,
-        "check_sigma": 2.0 * sigma,
-        "residual": float(resid),
-    }
-    return constant, record
-
-
-@lru_cache(maxsize=16)
-def cached_integral_constant(s):
-    """Calibrated difference-quadrature constant for order s, memoized."""
-    constant, _ = calibrate_integral_constant(
-        FracParams(1, s), size=INTEGRAL_CALIBRATION_SIZE
-    )
-    return constant
+    out = values * (2.0 * weights.sum() - weights[0] + 2.0 * tail) - correlated
+    return GridFunction(f.length, frac_lap_constant(p) * out)
 
 
 @dataclass(frozen=True)
@@ -476,15 +414,15 @@ def _mode_values(spectrum, alpha):
     return out
 
 
-def _factor_power_flat_lap(p, points, constant):
+def _factor_power_flat_lap(p, points):
     """(-Delta)^s of ((1 + x^2)/2)^(s - 1/2) at the given points.
 
     The profile does not decay (it grows like |x|^(2s-1), still below order
     2s), so no grid transform applies.  The difference integral is split at
     unit distance: inside, a Gauss-Jacobi rule absorbs the t^(-1-2s) weight;
     outside, the substitution y = x +- 1/tau turns both half-lines into
-    smooth unit-interval integrals.  Scaled by the same calibration constant
-    as the gridded integral route.
+    smooth unit-interval integrals.  Scaled by C_(1,s), like the gridded
+    integral route.
     """
     s = p.s
     expo = s - 0.5
@@ -507,7 +445,7 @@ def _factor_power_flat_lap(p, points, constant):
     quad_minus = (1.0 - 2.0 * pts * tau + (1.0 + pts**2) * tau**2) ** expo
     far = 2.0**-expo * ((quad_plus + quad_minus) @ tau_weights)
 
-    return constant * (near + center / s - far)
+    return frac_lap_constant(p) * (near + center / s - far)
 
 
 def covariance_bridge(p, spectrum, half_width=2000.0, size=1 << 17):
@@ -546,9 +484,8 @@ def covariance_bridge(p, spectrum, half_width=2000.0, size=1 << 17):
 
     mask = np.abs(x) <= _COMPARE_CAP
     points = x[mask]
-    constant = cached_integral_constant(s)
     if pole_value != 0.0:
-        pole_term = pole_value * _factor_power_flat_lap(p, points, constant)
+        pole_term = pole_value * _factor_power_flat_lap(p, points)
     else:
         pole_term = np.zeros(points.size)
     pushed = factor[mask] ** (s + 0.5) * (transformed[mask] + pole_term)

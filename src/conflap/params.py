@@ -7,8 +7,8 @@ import numpy as np
 
 from .errors import ParameterError
 
-# Calibrated kernels must reproduce an independent check value to this
-# relative accuracy, otherwise the calibration is rejected outright.
+# Kernels must reproduce the spectral side at their check points to this
+# relative accuracy, otherwise the kernel is rejected outright.
 CALIBRATION_RESIDUAL_CAP = 1e-8
 
 
@@ -67,12 +67,13 @@ class FracParams:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A calibrated singular kernel on one of the model geometries.
+    """A normalized singular kernel on one of the model geometries.
 
-    ``normalization`` multiplies the geometry's fixed kernel profile, and
-    ``calibration`` records how the constant was matched against the spectral
-    side (which mode or frequency, the target value, and the residual of an
-    independent recheck).
+    ``normalization`` multiplies the geometry's fixed kernel profile; it is
+    the closed form C_(n,s) of the pulled-back Euclidean kernel.
+    ``calibration`` records the check of that constant against the spectral
+    side: the modes or frequencies probed, the relative residual at each,
+    and their maximum ``residual``.
     """
 
     params: FracParams

@@ -17,7 +17,7 @@ from numpy.polynomial.legendre import leggauss, legvander
 from scipy.special import poch, roots_jacobi
 
 from .errors import ParameterError, SingularityError
-from .params import FracParams, KernelSpec
+from .params import KernelSpec
 from .specfun import log_gamma
 
 #: The S^1 moment corrections act on modes up to the grid size over this;
@@ -165,41 +165,43 @@ def _require_kernel_range(p):
         )
 
 
-def calibrate_sphere_kernel(p):
-    """Calibrate the kernel constant kappa against the degree-1 multiplier.
+def frac_lap_constant(p):
+    """C_(n,s) = s 4^s Gamma(n/2 + s) / (pi^(n/2) Gamma(1 - s)), for 0 < s < 1.
 
-    Matching uses only m = 1, where the kernel moment has the closed form
-    int (1 - cos t)^((1-2s)/2) dt.  The recorded residual rechecks the
-    calibrated kernel against the independent degree-2 multiplier through a
-    second closed-form moment, so it measures whether the kernel power law
-    itself is the right one.
+    The normalization of (-Delta)^s u(x) = C_(n,s) PV int (u(x) - u(y))
+    |x - y|^(-n-2s) dy on R^n (Di Nezza, Palatucci & Valdinoci 2012).  The
+    sphere and cylinder kernels pull back |x - y|^(-n-2s), so their
+    normalizations are this constant too.
+    """
+    _require_kernel_range(p)
+    log_ratio = log_gamma(0.5 * p.n + p.s) - log_gamma(1.0 - p.s)
+    return p.s * 4.0**p.s * math.exp(log_ratio) / math.pi ** (0.5 * p.n)
+
+
+def calibrate_sphere_kernel(p):
+    """Kernel constant kappa = C_(n,s) 2^(-(n+2s)/2), checked on two degrees.
+
+    |z - zeta|^2 = 2 (1 - z . zeta) turns the Euclidean kernel into the
+    power of 1 - z . zeta.  The record holds the relative residuals of the
+    kernel route against the multipliers of degrees 1 and 2, both through
+    closed-form moments; neither is fitted, and ``residual`` is the larger.
     """
     if p.n not in (1, 2):
         raise ParameterError(f"kernel calibration implemented for n in {{1, 2}}, got {p.n}")
-    _require_kernel_range(p)
+    kappa = frac_lap_constant(p) * 2.0 ** (-p.sigma)
     curv = sphere_curvature(p)
-    target = sphere_symbol(p, 1) - curv
     if p.n == 1:
         moment1 = _circle_moment(0.5 - p.s)
-        moment2 = _circle_moment(1.5 - p.s)
-        kappa = target / moment1
         # 1 - cos 2t = 4 (1 - cos t) - 2 (1 - cos t)^2
-        check = curv + kappa * (4.0 * moment1 - 2.0 * moment2)
+        moments = (moment1, 4.0 * moment1 - 2.0 * _circle_moment(1.5 - p.s))
     else:
         # zonal kernel on S^2 in t = cos(geodesic distance), measure 2 pi dt
         j1 = 2.0 ** (1.0 - p.s) / (1.0 - p.s)
         j2 = 3.0 * j1 - 1.5 * 2.0 ** (2.0 - p.s) / (2.0 - p.s)
-        kappa = target / (2.0 * math.pi * j1)
-        check = curv + kappa * 2.0 * math.pi * j2
-    reference = sphere_symbol(p, 2)
-    residual = abs(check - reference) / abs(reference)
-    record = {
-        "mode": 1,
-        "target": target,
-        "check_mode": 2,
-        "check_value": check,
-        "residual": residual,
-    }
+        moments = (2.0 * math.pi * j1, 2.0 * math.pi * j2)
+    symbols = sphere_symbol(p, np.arange(1, 3))
+    residuals = (np.abs(curv + kappa * np.array(moments) - symbols) / symbols).tolist()
+    record = {"check_modes": [1, 2], "residuals": residuals, "residual": max(residuals)}
     return KernelSpec(p, kappa, record)
 
 

@@ -194,6 +194,18 @@ class TestApply:
             "route": "spectral", "edge_tol": 1e-7, "half_width": 32.0, "size": 512,
         }
 
+    def test_integral_diagnostics_carry_closed_form_constant(self, capsys, tmp_path):
+        path = tmp_path / "gauss.csv"
+        write_gaussian_csv(path)
+        code, out, _ = run(capsys, ["apply", str(path), "--s", "0.6", "--route", "integral"])
+        assert code == 0
+        assert json.loads(out)["diagnostics"] == {
+            "route": "integral",
+            "integral_constant": conflap.frac_lap_constant(conflap.FracParams(1, 0.6)),
+            "half_width": 32.0,
+            "size": 512,
+        }
+
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["apply", "no-such.csv", "--s", "0.6"])
         assert code == 1

@@ -1,4 +1,5 @@
-"""Cylinder tests: symbol values, kernel profile, calibration duality."""
+"""Cylinder tests: symbol values, kernel profile, closed-form normalization
+and its duality with the symbol."""
 
 import math
 import warnings
@@ -20,6 +21,7 @@ from conflap.cylinder import (
     periodized_kernel,
     theta0,
 )
+from conflap.sphere import frac_lap_constant, vol_sphere
 
 # ((n, s, m, xi), Theta^m_s(xi)), mpmath mp.dps=40
 SYMBOL_TABLE = [
@@ -180,6 +182,38 @@ def test_calibration_and_duality():
             lhs = kernel_multiplier(spec, xi)
             rhs = theta0(p, xi)
             assert abs(lhs - rhs) / rhs < 1e-8, (n, s, xi)
+
+
+def test_normalization_is_closed_form():
+    # C_(n,s) |S^(n-1)| 2^(-(n+2s)/2) is 1/pi at (3, 1/2)
+    assert abs(calibrate_kernel(FracParams(3, 0.5)).normalization - 1.0 / math.pi) < 1e-10
+    for n in (2, 3, 4, 5):
+        for s in (0.005, 0.5, 0.995):
+            p = FracParams(n, s)
+            spec = calibrate_kernel(p)
+            assert spec.normalization == (
+                frac_lap_constant(p) * vol_sphere(n - 1) * 2.0 ** (-p.sigma)
+            )
+            # xi = 1 is checked, not fitted: the closed form must land there
+            assert abs(kernel_multiplier(spec, 1.0) / theta0(p, 1.0) - 1.0) < 1e-9
+            record = spec.calibration
+            assert record["check_xi"] == [1.0, 2.0]
+            assert record["residual"] == max(record["residuals"])
+
+
+@pytest.mark.parametrize("n, s", [(3, 0.5), (2, 0.3), (5, 0.9), (4, 0.1), (3, 1.0)])
+def test_first_mode_symbol_continued_to_translation_root(n, s):
+    # Theta^1_s(-i lam) = 2^(2s) G(A + lam/2) G(A - lam/2) / (G(B + lam/2) G(B - lam/2))
+    # with A, B = (1 +- s + beta_1)/2, and lam = 1 (the translation of the
+    # singular solution) gives c_(n,s) q exactly
+    p = FracParams(n, s)
+    beta = cyl_mode_parameter(n, 1)
+    a, b = 0.5 * (1.0 + s + beta), 0.5 * (1.0 - s + beta)
+    continued = 2.0 ** (2.0 * s) * (
+        math.gamma(a + 0.5) * math.gamma(a - 0.5)
+        / (math.gamma(b + 0.5) * math.gamma(b - 0.5))
+    )
+    assert continued == pytest.approx(cyl_curvature(p) * p.q, rel=1e-13)
 
 
 def test_calibration_rejects_integer_s():

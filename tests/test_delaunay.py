@@ -156,8 +156,8 @@ class TestBifurcationPeriod:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_root_within_bracket_tolerance(self, n):
-        # the grid-refined bracket pins xi0 = 2 pi / L0 to 1e-12; the symbol
-        # must cross c q within 1e-11 of it on both sides
+        # the safeguarded Newton iteration pins xi0 = 2 pi / L0 to 1e-12; the
+        # symbol must cross c q within 1e-11 of it on both sides
         for s in (0.05, 0.3, 0.5, 0.7, 0.9, 0.995):
             p = FracParams(n, s)
             xi = 2.0 * math.pi / bifurcation_period(p)
@@ -208,7 +208,7 @@ class TestSolveDelaunay:
 
     def test_large_order_tower_start_has_no_overflow(self):
         # n = 2, s near 1: the limit bump decays so slowly that cosh(t)
-        # overflows on the calibration period; the suite's
+        # overflows over a long period; the suite's
         # error::RuntimeWarning setting turns such a leak into a failure
         p = FracParams(2, 0.9655)
         sol = solve_delaunay(p, 4.5727 * bifurcation_period(p))
@@ -264,6 +264,19 @@ class TestSolveDelaunay:
             solve_delaunay(p, 6.0, init=np.ones(100))
         with pytest.raises(ParameterError, match="power of two"):
             solve_delaunay(p, 6.0, size=100)
+
+    def test_rejects_init_without_positive_even_part(self):
+        # the even part about the peak must be positive before any power of
+        # it is taken, so a bad start raises instead of warning
+        p = FracParams(3, 0.3)
+        period = 1.5 * bifurcation_period(p)
+        t = GridFunction(period, np.ones(512)).x
+        starts = (1.0 + 1.5 * np.cos(2.0 * math.pi * t / period), -np.ones(512))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for init in starts:
+                with pytest.raises(ParameterError, match="positive even part"):
+                    solve_delaunay(p, period, init=init)
 
     def test_divergence_reports_last_residual(self):
         p = FracParams(3, 0.5)
@@ -486,7 +499,7 @@ class TestEnergy:
 
 class TestTowerLimit:
     def test_limit_amplitude_matches_closed_form(self):
-        # calibration must reproduce the oracle (Q_s / c_(n,s))^(1/(q-1)),
+        # the peak is the closed form (Q_s / c_(n,s))^(1/(q-1)),
         # which is pi/2 exactly for n = 3, s = 1/2
         assert limit_amplitude(FracParams(3, 0.5)) == pytest.approx(
             math.pi / 2.0, rel=1e-12

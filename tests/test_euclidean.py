@@ -11,7 +11,6 @@ from conflap.errors import ParameterError, SupportError, TaperError
 from conflap.euclidean import (
     Bubble,
     bubble_eval,
-    calibrate_integral_constant,
     commutator_check,
     cosine_taper,
     covariance_bridge,
@@ -27,7 +26,7 @@ from conflap.euclidean import (
 )
 from conflap.params import FracParams, GridFunction
 from conflap.specfun import panel_rule
-from conflap.sphere import ModeSpectrum, sphere_curvature
+from conflap.sphere import ModeSpectrum, frac_lap_constant, sphere_curvature
 
 
 def closed_form_constant(s):
@@ -131,7 +130,7 @@ class TestIntegralRoute:
         f = GridFunction(64.0, np.exp(-0.5 * x**2))
         for s, tol in ((0.6, 1e-6), (0.25, 1e-7)):
             p = FracParams(1, s)
-            out = frac_lap_integral(p, f, closed_form_constant(s))
+            out = frac_lap_integral(p, f)
             for (sv, xv), target in FRAC_GAUSSIAN_TABLE.items():
                 if sv != s:
                     continue
@@ -149,25 +148,29 @@ class TestIntegralRoute:
         assert float(w @ nodes**2) == pytest.approx(exact, rel=1e-12)
 
     def test_calibration_matches_closed_form(self):
+        # the library uses C_(1,s) as given, so a least-squares fit of the
+        # integral route to the spectral route on a moment-free profile must
+        # find the factor 1, and the routes must agree at twice the width
+        x = grid(40.0, 4096)
+        core = np.abs(x) <= 20.0
+
+        def routes(p, sigma):
+            z = x / sigma
+            f = GridFunction(80.0, (z**4 - 6.0 * z**2 + 3.0) * np.exp(-0.5 * z**2))
+            return frac_lap_spectral(p, f).values[core], frac_lap_integral(p, f).values[core]
+
         for s in (0.2, 0.5, 0.8):
-            constant, record = calibrate_integral_constant(FracParams(1, s))
-            assert constant == pytest.approx(closed_form_constant(s), rel=2e-5)
-            assert record["residual"] < 2e-5
-
-    def test_calibration_is_deterministic(self):
-        first = calibrate_integral_constant(FracParams(1, 0.4))
-        second = calibrate_integral_constant(FracParams(1, 0.4))
-        assert first[0] == second[0]
-
-    def test_rejects_bad_constant(self):
-        f = GridFunction(8.0, np.zeros(64))
-        with pytest.raises(ParameterError):
-            frac_lap_integral(FracParams(1, 0.5), f, -1.0)
+            p = FracParams(1, s)
+            assert frac_lap_constant(p) == pytest.approx(closed_form_constant(s), rel=1e-14)
+            spectral, integral = routes(p, 1.0)
+            assert (spectral @ integral) / (integral @ integral) == pytest.approx(1.0, rel=2e-5)
+            spectral, integral = routes(p, 2.0)
+            assert np.linalg.norm(spectral - integral) < 2e-5 * np.linalg.norm(spectral)
 
     def test_rejects_local_orders(self):
         f = GridFunction(8.0, np.zeros(64))
         with pytest.raises(ParameterError):
-            frac_lap_integral(FracParams(1, 1.5), f, 1.0)
+            frac_lap_integral(FracParams(1, 1.5), f)
 
 
 class TestBubble:
@@ -335,7 +338,7 @@ def test_factor_power_flat_lap_closed_form():
     points = np.linspace(-4.0, 4.0, 9)
     for s in (0.3, 0.45, 0.7):
         p = FracParams(1, s)
-        out = _factor_power_flat_lap(p, points, closed_form_constant(s))
+        out = _factor_power_flat_lap(p, points)
         expected = sphere_curvature(p) * (0.5 * (1.0 + points**2)) ** (-s - 0.5)
         assert np.max(np.abs(out - expected) / np.abs(expected)) < 1e-10
 
@@ -343,9 +346,7 @@ def test_factor_power_flat_lap_closed_form():
 def test_factor_power_flat_lap_annihilates_constants():
     # at s = 1/2 the profile is identically one and the circle curvature
     # vanishes, so the quadrature must return zero
-    out = _factor_power_flat_lap(
-        FracParams(1, 0.5), np.linspace(-4.0, 4.0, 9), closed_form_constant(0.5)
-    )
+    out = _factor_power_flat_lap(FracParams(1, 0.5), np.linspace(-4.0, 4.0, 9))
     assert np.max(np.abs(out)) < 1e-14
 
 
@@ -355,15 +356,14 @@ def test_factor_power_flat_lap_annihilates_constants():
     sigma=st.floats(0.5, 3.0),
 )
 def test_routes_agree_on_smooth_data(s, sigma):
-    """The calibrated integral route reproduces the spectral route on
-    moment-free profiles for any order and width."""
+    """The integral route, with its closed-form constant, reproduces the
+    spectral route on moment-free profiles for any order and width."""
     p = FracParams(1, s)
-    constant = closed_form_constant(s)
     x = grid(40.0, 2048)
     z = x / sigma
     f = GridFunction(80.0, (z**4 - 6.0 * z**2 + 3.0) * np.exp(-0.5 * z**2))
     spectral = frac_lap_spectral(p, f).values
-    integral = frac_lap_integral(p, f, constant).values
+    integral = frac_lap_integral(p, f).values
     core = np.abs(x) <= 20.0
     scale = np.max(np.abs(spectral[core]))
     assert np.max(np.abs(spectral[core] - integral[core])) < 1e-4 * scale

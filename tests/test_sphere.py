@@ -16,6 +16,7 @@ from conflap.sphere import (
     calibrate_sphere_kernel,
     conformal_laplacian_eigenvalue,
     factored_symbol,
+    frac_lap_constant,
     gjms_symbol,
     mode_eigenvalue,
     singular_integral_apply,
@@ -185,12 +186,15 @@ def test_mode_spectrum_validation():
 def test_kernel_calibration_record():
     for n in (1, 2):
         for s in (0.2, 0.5, 0.8):
-            spec = calibrate_sphere_kernel(FracParams(n, s))
-            assert spec.normalization > 0.0
-            assert spec.calibration["mode"] == 1
-            # the degree-2 recheck is closed-form, so only round-off remains;
-            # it being tiny confirms the kernel power law, not just kappa
-            assert spec.calibration["residual"] < 1e-13
+            p = FracParams(n, s)
+            spec = calibrate_sphere_kernel(p)
+            assert spec.normalization == frac_lap_constant(p) * 2.0 ** (-p.sigma)
+            record = spec.calibration
+            assert record["check_modes"] == [1, 2]
+            assert record["residual"] == max(record["residuals"])
+            # both checks are closed-form moments, so only round-off remains:
+            # the degree-1 one confirms kappa, the degree-2 one the power law
+            assert record["residual"] < 1e-13
 
 
 def test_kernel_calibration_range():
@@ -212,7 +216,7 @@ def test_sphere_kernel_values_and_singularity():
 
 
 def test_circle_duality_single_modes():
-    # kernel route vs Gamma-ratio route on pure harmonics, calibrated at m=1
+    # kernel route vs Gamma-ratio route on pure harmonics, kappa in closed form
     n = 4096
     theta = 2.0 * math.pi * np.arange(n) / n
     for s in (0.2, 0.5, 0.8):

@@ -46,10 +46,14 @@ def test_cli_import_leaves_out_scipy_sparse_linalg():
 
 
 def test_delaunay_solve_leaves_out_scipy_sparse():
-    # the Newton step's GMRES is in-module, so a solve loads no scipy.sparse
+    # the Newton step's GMRES and the bifurcation root finder are in-module,
+    # so neither a solve nor the threshold sweep loads scipy.sparse, which
+    # scipy.optimize would pull in
     solve = (
         "from conflap import FracParams, bifurcation_period, solve_delaunay\n"
+        "periods = [bifurcation_period(FracParams(n, 0.7)) for n in (2, 3, 4, 5)]\n"
         "p = FracParams(3, 0.5)\n"
         "assert solve_delaunay(p, 1.5 * bifurcation_period(p)).krylov_steps > 0"
     )
-    assert _loaded_by("scipy.sparse", solve) == "False"
+    for module in ("scipy.sparse", "scipy.optimize"):
+        assert _loaded_by(module, solve) == "False", module
