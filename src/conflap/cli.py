@@ -555,7 +555,7 @@ def _selftest_records():
         1e-4,
     )
     p13 = FracParams(1, 0.3)
-    report = commutator_check(p13, gauss, max_targets=65)
+    report = commutator_check(p13, gauss)
     add("commutator_residual", report["residual"], 1e-4)
 
     bridge = covariance_bridge(

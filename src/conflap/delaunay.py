@@ -190,9 +190,14 @@ def solve_delaunay(p, period, init="auto", size=512, tol=1e-11, max_iter=60):
     eps max(theta) (max w - min w), unless ``tol`` is under eps c max(w)^q;
     trial steps that are not positive are halved.  The result peaks at
     x = 0; ``nonconstant`` (max - min > 1e-3 max) flags a constant.  A
-    ``NewtonDivergenceError`` carries the last residual and the Newton and
-    Krylov steps taken.
+    ``tol`` above the certificate cap 1e-10 of ``DelaunaySolution`` is
+    rejected before any work.  A ``NewtonDivergenceError`` carries the last
+    residual and the Newton and Krylov steps taken.
     """
+    if not tol <= _RESIDUAL_CAP:
+        raise ParameterError(
+            f"tol {tol!r} exceeds the solution residual cap {_RESIDUAL_CAP:.1e}"
+        )
     q = p.q
     curvature = cyl_curvature(p)
     grid = GridFunction(period, np.ones(size))

@@ -4,24 +4,30 @@ Two independent realizations of (-Delta)^s on uniform symmetric grids: a
 Fourier multiplier |xi|^(2s) for tapered data, and a product-integration
 quadrature of the singular difference integral with its closed-form
 constant C_(1,s), so the two routes agree as a check, not by a fit.  On top
-of those sit the commutator identity check for the weight (1+|x|^2)/2 and
-the stereographic bridge that pushes the operator forward to the round
-circle.
+of those sit the commutator identity check for the weight (1+|x|^2)/2,
+whose continuum Fourier quadrature runs on panels one grid frequency wide
+so that its transforms are plain FFTs, and the stereographic bridge that
+pushes the operator forward to the round circle.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 
 from .errors import ParameterError, SupportError, TaperError
 from .params import GridFunction
 from .specfun import jacobi_unit_rule, panel_rule
-from .sphere import ModeSpectrum, frac_lap_constant, sphere_symbol
+from .sphere import frac_lap_constant, sphere_symbol
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-#: Gauss-Jacobi size for the unit-interval parts of the line quadratures
+#: Gauss-Jacobi size for the near part of _factor_power_flat_lap
 _JACOBI_SIZE = 112
+#: Gauss-Jacobi size for the commutator check's first panel (0, 2 pi / L)
+_FIRST_PANEL_SIZE = 16
+#: 12-point Gauss-Legendre offsets c_g and weights in a unit panel
+_OFFSETS, _OFFSET_WEIGHTS = panel_rule(0.0, 1.0, 1)
 #: relative size below which the commutator check counts input as zero
 _SUPPORT_TOL = 1e-10
 #: half-width of the window |x| <= cap where the bridge compares both sides
@@ -202,127 +208,87 @@ def line_quotient(p, f):
 
 def _nudft(values, x, xi, dx):
     """Trapezoid Fourier transform hat(u)(xi) = (2 pi)^(-1/2) int u e^(-i xi x)
-    over the last axis of ``values``.
+    over the last axis of ``values``, as a dense sum.
 
-    Spectrally accurate for smooth data vanishing at the grid edges; evaluated
-    in blocks of 64 frequencies so the phase matrix never gets large.
+    Spectrally accurate for smooth data vanishing at the grid edges.  It
+    serves the few frequencies off the grid's frequency lattice and, in the
+    tests, as the reference for _panel_transform.
     """
-    xi = np.asarray(xi, dtype=float)
-    out = np.empty(values.shape[:-1] + (xi.size,), dtype=complex)
-    for start in range(0, xi.size, 64):
-        block = xi[start : start + 64]
-        out[..., start : start + 64] = values @ np.exp(-1j * np.outer(block, x)).T
-    return dx / math.sqrt(2.0 * math.pi) * out
+    phases = np.exp(-1j * np.outer(xi, x))
+    return dx / math.sqrt(2.0 * math.pi) * (values @ phases.T)
 
 
-def _chirp(alpha, j):
-    """exp(i alpha j^2 / 2) for integer arrays j.
-
-    alpha is split into a head short enough that head * j^2 is exact and a
-    small remainder, so the phase stays accurate to roundoff in the result
-    even where alpha j^2 runs into the thousands.
-    """
-    j2 = (j * j).astype(float)
-    mant, expo = math.frexp(alpha)
-    bits = 52 - int(j2.max()).bit_length()
-    head = math.ldexp(round(math.ldexp(mant, bits)), expo - bits)
-    return np.exp(0.5j * head * j2) * np.exp(0.5j * (alpha - head) * j2)
+def _grid_phase(size):
+    """w x_k = -pi + 2 pi k / N on the centred grid, with w = 2 pi / L."""
+    return math.pi * (2.0 * np.arange(size) / size - 1.0)
 
 
-def _chirp_sum(values, x0, dx, start, step, count):
-    """sum_k v_k exp(-i (start + m step)(x0 + k dx)) for m = 0 .. count-1.
+def _panel_transform(values, dx):
+    """_nudft at xi = (p + c_g) w for p = 1 .. N/2 - 1 and the Gauss offsets
+    c_g of a unit panel, over the last axis of ``values``; shape
+    (..., N/2 - 1, 12).
 
-    The chirp-z transform (Rabiner, Schafer and Rader, 1969) by Bluestein's
-    convolution on a power-of-two FFT, over the last axis of ``values``.
-    Both indices are centred (k - size//2, m - count//2), which keeps the
-    chirp phases and the linear phase of a centred grid small; _chirp keeps
-    the quadratic phases exact where they are still large, so the roundoff
-    floor matches the dense sum's.
+    With w = 2 pi / L, e^(-i (p + c) w x_k) = (-1)^p e^(-2 pi i p k / N)
+    e^(-i c w x_k), so each offset is one length-N FFT.
     """
     size = values.shape[-1]
-    k = np.arange(size) - size // 2
-    m = np.arange(count) - count // 2
-    xi_c = start + (count // 2) * step
-    x_c = x0 + (size // 2) * dx
-    alpha = step * dx
-    # (xi_c + m step)(x_c + k dx) = xi_c x_c + xi_c dx k + step x_c m + alpha m k
-    # and m k = (m^2 + k^2 - (m - k)^2) / 2
-    pre = np.exp(-1j * xi_c * dx * k) * np.conj(_chirp(alpha, k))
-    lag = np.arange(1 - size, count) + (size // 2 - count // 2)
-    length = 1 << (size + count - 2).bit_length()
-    conv = np.fft.ifft(
-        np.fft.fft(values * pre, length) * np.fft.fft(_chirp(alpha, lag), length)
-    )[..., size - 1 : size - 1 + count]
-    post = np.exp(-1j * (xi_c * x_c + step * x_c * m)) * np.conj(_chirp(alpha, m))
-    return post * conv
+    tilted = values[..., None] * np.exp(-1j * np.outer(_grid_phase(size), _OFFSETS))
+    spectra = np.fft.fft(tilted, axis=-2)[..., 1 : size // 2, :]
+    signs = (-1.0) ** np.arange(1, size // 2)
+    return dx / math.sqrt(2.0 * math.pi) * signs[:, None] * spectra
 
 
-def _panel_nudft(values, x, dx, layout):
-    """_nudft at the nodes of panel_rule(lo, lo + count width, count).
+def _panel_sum(coeffs, size):
+    """sum_(p, g) c_(p, g) e^(i (p + c_g) w x_j) at every point x_j of the
+    centred grid, for coefficients at the nodes of _panel_transform: per
+    offset, one inverse FFT over p."""
+    spread = np.zeros((_OFFSETS.size, size), dtype=complex)
+    spread[:, 1 : size // 2] = coeffs.T * (-1.0) ** np.arange(1, size // 2)
+    sums = size * np.fft.ifft(spread)
+    return np.sum(np.exp(1j * np.outer(_OFFSETS, _grid_phase(size))) * sums, axis=0)
 
-    Node j*12 + g sits at lo + (j + c_g) width, with c_g the Gauss offsets in
-    a unit panel, so each g is a chirp-z sum over the uniform grid x.  Works
-    over the last axis of ``values``.
+
+def _halfline_apply(lam, unit_rule, fhat_unit, fhat_panel, grid, fhat_zero=None):
+    """sqrt(2/pi) * int_0^inf xi^lam Re(fhat(xi) e^(i xi x)) d xi at every
+    point x of ``grid``.
+
+    The integral runs in units of the grid's frequency step w = 2 pi / L.
+    ``unit_rule`` carries the Jacobi weight (xi/w)^lam on the first panel
+    (0, w), with ``fhat_unit`` at w times its nodes.  Given ``fhat_zero`` =
+    fhat(0), it carries (xi/w)^(lam+1) instead, and the first panel peels
+    off the constant Re(fhat(0)): the Hadamard finite part for lam in
+    (-2, -1), and the plain integral for lam > -1.  The panels (p w,
+    (p + 1) w), p = 1 .. N/2 - 1, take ``fhat_panel`` from _panel_transform
+    and end at the band limit pi/dx.
     """
-    lo, width, count = layout
-    offsets = panel_rule(0.0, 1.0, 1)[0]
-    out = np.empty(values.shape[:-1] + (count, offsets.size), dtype=complex)
-    for g, c in enumerate(offsets):
-        out[..., g] = _chirp_sum(values, x[0], dx, lo + c * width, width, count)
-    return dx / math.sqrt(2.0 * math.pi) * out.reshape(values.shape[:-1] + (-1,))
-
-
-def _panel_phase_sum(coeffs, layout, t0, dt, count):
-    """sum_p c_p e^(i xi_p t) at t = t0 + m dt over the panel nodes of
-    _panel_nudft: per Gauss offset, the conjugate of a chirp-z sum over
-    the panel index."""
-    lo, width, panels = layout
-    offsets = panel_rule(0.0, 1.0, 1)[0]
-    by_offset = np.conj(coeffs).reshape(panels, offsets.size)
-    out = np.zeros(count, dtype=complex)
-    for g, c in enumerate(offsets):
-        out += _chirp_sum(by_offset[:, g], lo + c * width, width, t0, dt, count)
-    return np.conj(out)
-
-
-def _halfline_apply(lam, unit_rule, fhat_unit, layout, fhat_panel, targets,
-                    target_step, fhat_zero=None):
-    """sqrt(2/pi) * int_0^inf xi^lam Re(fhat(xi) e^(i xi x)) d xi at each target.
-
-    ``unit_rule`` carries the Jacobi weight xi^lam on (0, 1).  Given
-    ``fhat_zero`` = fhat(0), it carries xi^(lam+1) instead, and the unit
-    piece peels off the constant Re(fhat(0)): the Hadamard finite part for
-    lam in (-2, -1), and the plain integral for lam > -1.
-
-    Beyond xi = 1 the integral runs on the panels ``layout`` = (lo, width,
-    count) of _panel_nudft.  The targets must be uniform with spacing
-    ``target_step``, so _panel_phase_sum does the panel sum as chirp-z sums.
-    """
+    step = 2.0 * math.pi / grid.length
+    theta = _grid_phase(grid.size)
     unit_nodes, unit_weights = unit_rule
-    lo, width, count = layout
-    panel_nodes, panel_weights = panel_rule(lo, lo + count * width, count)
-    coeffs = fhat_panel * panel_nodes**lam * panel_weights
-    unit = (fhat_unit[None, :] * np.exp(1j * np.outer(targets, unit_nodes))).real
+    panel_nodes = np.arange(1, grid.size // 2)[:, None] + _OFFSETS
+    coeffs = fhat_panel * panel_nodes**lam * _OFFSET_WEIGHTS
+    unit = (fhat_unit * np.exp(1j * np.outer(theta, unit_nodes))).real
     if fhat_zero is None:
         out = unit @ unit_weights
     else:
         r0 = fhat_zero.real
-        out = ((unit - r0) / unit_nodes[None, :]) @ unit_weights + r0 / (lam + 1.0)
-    out += _panel_phase_sum(coeffs, layout, targets[0], target_step, targets.size).real
-    return _SQRT_2_OVER_PI * out
+        out = ((unit - r0) / unit_nodes) @ unit_weights + r0 / (lam + 1.0)
+    out += _panel_sum(coeffs, grid.size).real
+    return _SQRT_2_OVER_PI * step ** (lam + 1.0) * out
 
 
-def commutator_check(p, f, max_targets=257):
+def commutator_check(p, f):
     """Numerically test [(-Delta)^s, B] f = -s (2 X + n + 2(s-1)) (-Delta)^(s-1) f
     on the line, with B the multiplication by (1 + |x|^2)/2.
 
     Both sides are assembled from continuum Fourier quadrature of the
     compactly supported input (a grid FFT misrepresents the slowly decaying
-    order s-1 term), sharing nothing but the transform of f: Gauss-Jacobi
-    rules on (0, 1) and width-1/8 Gauss-Legendre panels on (1, xi_max), with
-    xi_max = pi/dx the band limit of the grid.  Returns a report dict with
-    the relative l2 residual over the target points, xi_max and the panel
-    count.
+    order s-1 term), sharing nothing but the transform of f.  The panels
+    are one grid frequency step w = 2 pi / L wide and end at the band limit
+    xi_max = pi/dx: a Gauss-Jacobi rule on (0, w) and 12-point
+    Gauss-Legendre rules on the rest, whose transforms and sums back are
+    plain FFTs (_panel_transform, _panel_sum).  Returns a report dict with
+    the relative l2 residual over the grid points with |x| <= L/4, their
+    count, xi_max and the panel count N/2.
 
     s = 1/2 is rejected: the second xi-derivative of |xi|^(2s) produces a
     genuine Dirac term at the origin exactly there, so the displayed identity
@@ -348,46 +314,32 @@ def commutator_check(p, f, max_targets=257):
             "input must be supported in the inner three quarters of the grid"
         )
     weight = 0.5 * (1.0 + x**2)
-
-    stride = max(1, int(math.ceil(u.size / max_targets)))
     mask = np.abs(x) <= 0.25 * f.length
-    targets = x[mask][::stride]
-    target_step = stride * f.dx
+    targets = x[mask]
 
-    xi_max = math.pi / f.dx
+    step = 2.0 * math.pi / f.length
     lam = 2.0 * s - 2.0
-    rule_s = jacobi_unit_rule(2.0 * s, _JACOBI_SIZE)
-    rule_shift = jacobi_unit_rule(2.0 * s - 1.0, _JACOBI_SIZE)
-    count = max(1, math.ceil(8.0 * (xi_max - 1.0)))
-    layout = (1.0, (xi_max - 1.0) / count, count)
+    rule_s = jacobi_unit_rule(2.0 * s, _FIRST_PANEL_SIZE)
+    rule_shift = jacobi_unit_rule(2.0 * s - 1.0, _FIRST_PANEL_SIZE)
 
     stacked = np.stack([u, weight * u])
-    # one dense transform at both Jacobi rules' nodes and at xi = 0
-    unit_nodes = np.concatenate([rule_s[0], rule_shift[0], [0.0]])
+    # one dense transform at both Jacobi rules' nodes on (0, w) and at xi = 0
+    unit_nodes = step * np.concatenate([rule_s[0], rule_shift[0], [0.0]])
     fh_unit = _nudft(stacked, x, unit_nodes, f.dx)
-    fh_u_s, fh_bu_s = fh_unit[:, :_JACOBI_SIZE]
-    fh_u_shift, fh_zero = fh_unit[0, _JACOBI_SIZE:-1], fh_unit[0, -1]
-    fh_u_panel, fh_bu_panel = _panel_nudft(stacked, x, f.dx, layout)
+    fh_u_s, fh_bu_s = fh_unit[:, :_FIRST_PANEL_SIZE]
+    fh_u_shift, fh_zero = fh_unit[0, _FIRST_PANEL_SIZE:-1], fh_unit[0, -1]
+    fh_u_panel, fh_bu_panel = _panel_transform(stacked, f.dx)
 
-    lap_s_bu = _halfline_apply(
-        2.0 * s, rule_s, fh_bu_s, layout, fh_bu_panel, targets, target_step,
-    )
-    lap_s_u = _halfline_apply(
-        2.0 * s, rule_s, fh_u_s, layout, fh_u_panel, targets, target_step,
-    )
-    weight_t = 0.5 * (1.0 + targets**2)
-    lhs = lap_s_bu - weight_t * lap_s_u
+    lap_s_bu = _halfline_apply(2.0 * s, rule_s, fh_bu_s, fh_bu_panel, f)
+    lap_s_u = _halfline_apply(2.0 * s, rule_s, fh_u_s, fh_u_panel, f)
+    lhs = (lap_s_bu - weight * lap_s_u)[mask]
 
-    g = _halfline_apply(
-        lam, rule_shift, fh_u_shift, layout, fh_u_panel, targets, target_step,
-        fhat_zero=fh_zero,
-    )
+    g = _halfline_apply(lam, rule_shift, fh_u_shift, fh_u_panel, f, fhat_zero=fh_zero)
     # d/dx brings i xi: the order lam + 1 integral of i fhat
     g_prime = _halfline_apply(
-        lam + 1.0, rule_shift, 1j * fh_u_shift, layout, 1j * fh_u_panel,
-        targets, target_step,
+        lam + 1.0, rule_shift, 1j * fh_u_shift, 1j * fh_u_panel, f
     )
-    rhs = -s * (2.0 * targets * g_prime + (2.0 * s - 1.0) * g)
+    rhs = -s * (2.0 * targets * g_prime[mask] + (2.0 * s - 1.0) * g[mask])
 
     denom = max(np.linalg.norm(lhs), np.linalg.norm(rhs))
     resid = np.linalg.norm(lhs - rhs) / denom
@@ -395,23 +347,14 @@ def commutator_check(p, f, max_targets=257):
         "s": s,
         "residual": float(resid),
         "targets": int(targets.size),
-        "xi_max": float(xi_max),
-        "panels": count,
+        "xi_max": float(math.pi / f.dx),
+        "panels": f.size // 2,
     }
 
 
 # ----------------------------------------------------------------------
 # stereographic bridge to the circle
 # ----------------------------------------------------------------------
-
-
-def _mode_values(spectrum, alpha):
-    """Evaluate sum_m c_m cos(m alpha)."""
-    out = np.zeros_like(alpha)
-    for m, c in enumerate(spectrum.coeffs):
-        if c != 0.0:
-            out += c * np.cos(m * alpha)
-    return out
 
 
 def _factor_power_flat_lap(p, points):
@@ -475,7 +418,8 @@ def covariance_bridge(p, spectrum, half_width=2000.0, size=1 << 17):
     x = -half_width + (2.0 * half_width / size) * np.arange(size)
     alpha = 2.0 * np.arctan(x)
     factor = 0.5 * (1.0 + x**2)
-    flat = factor ** (s - 0.5) * _mode_values(ModeSpectrum(1, reduced), alpha)
+    # sum_m c_m cos(m alpha) = sum_m c_m T_m(cos alpha)
+    flat = factor ** (s - 0.5) * chebval(np.cos(alpha), reduced)
     tapered = GridFunction(2.0 * half_width, flat * cosine_taper(size, 0.1))
     # after the pole split the profile decays like |x|^(2s-3); what the taper
     # removes feeds back into the comparison window at the 1e-8 level, well
@@ -491,7 +435,7 @@ def covariance_bridge(p, spectrum, half_width=2000.0, size=1 << 17):
     pushed = factor[mask] ** (s + 0.5) * (transformed[mask] + pole_term)
 
     multipliers = sphere_symbol(p, np.arange(coeffs.size))
-    circle_side = _mode_values(ModeSpectrum(1, coeffs * multipliers), alpha[mask])
+    circle_side = chebval(np.cos(alpha[mask]), coeffs * multipliers)
 
     # When the symbol annihilates the whole spectrum (s = 1/2 kills the
     # constant mode) the circle side vanishes identically; fall back to the

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import ParameterError
-from .specfun import log_gamma, signed_gamma
+from .specfun import log_gamma
 
 
 def _require_order(s):
@@ -28,15 +28,22 @@ def _require_order(s):
 
 
 def d_s_const(s):
-    """2^(2s) Gamma(s) / Gamma(-s); negative on (0, 1), equal to -1 at s = 1/2."""
+    """2^(2s) Gamma(s) / Gamma(-s); negative on (0, 1), equal to -1 at s = 1/2.
+
+    Written as -4^s Gamma(1+s) / Gamma(1-s), which has no pole at s = 0 and
+    no cancellation, so it tends to -1 as s -> 0.
+    """
     _require_order(s)
-    sign, log_abs = signed_gamma(-s)
-    return sign * math.exp(2.0 * s * math.log(2.0) + log_gamma(s) - log_abs)
+    return -math.exp(2.0 * s * math.log(2.0) + log_gamma(1.0 + s) - log_gamma(1.0 - s))
 
 
 def d_star_const(s):
-    """-d_s / (2s), the positive weight in front of the Neumann trace."""
-    return -d_s_const(s) / (2.0 * s)
+    """-d_s / (2s), the positive weight in front of the Neumann trace;
+    ParameterError where it overflows, for s below about 1e-308."""
+    out = -d_s_const(s) / (2.0 * s)
+    if not math.isfinite(out):
+        raise ParameterError(f"d*_s overflows at s = {s!r}")
+    return out
 
 
 def weighted_volume_coefficient(p, curvature, volume):

@@ -1,13 +1,13 @@
 """Special functions and quadrature rules backing the symbol and kernel routines.
 
-Three functions are needed beyond the stdlib: a signed log-Gamma on the real
-line, the squared modulus ``|Gamma(x+iy)|^2`` along vertical lines in the
-complex plane, and the Gauss hypergeometric function on ``[0, 1]``.  They are
-thin validated wrappers over ``scipy.special``: the wrappers raise
-ParameterError on poles and out-of-domain input instead of returning inf or
-NaN.  The two quadrature rules shared by the cylinder and line routines (a
-Gauss-Jacobi rule on the unit interval and composite Gauss-Legendre panels)
-live here too, so each rule exists once.
+Two functions are needed beyond the stdlib: the squared modulus
+``|Gamma(x+iy)|^2`` along vertical lines in the complex plane, and the Gauss
+hypergeometric function on ``[0, 1]``.  They are thin validated wrappers
+over ``scipy.special``: the wrappers raise ParameterError on poles and
+out-of-domain input instead of returning inf or NaN.  The two quadrature
+rules shared by the cylinder and line routines (a Gauss-Jacobi rule on the
+unit interval and composite Gauss-Legendre panels) live here too, so each
+rule exists once.
 """
 
 import math
@@ -37,21 +37,6 @@ def log_gamma(x):
     if x <= 0.0:
         raise ParameterError(f"log_gamma requires x > 0, got {x!r}")
     return math.lgamma(x)
-
-
-def signed_gamma(x):
-    """Sign and log-magnitude of Gamma at a real non-pole point.
-
-    Returns ``(sign, log_abs)`` with ``sign`` in ``{-1.0, 1.0}`` so that
-    ``Gamma(x) = sign * exp(log_abs)``.  Poles (x a non-positive integer)
-    raise.
-    """
-    _require_finite(x=x)
-    if x > 0.0:
-        return 1.0, math.lgamma(x)
-    if x == math.floor(x):
-        raise ParameterError(f"Gamma has a pole at x = {x!r}")
-    return float(special.gammasgn(x)), float(special.gammaln(x))
 
 
 def log_gamma_abs2(x, y):

@@ -48,6 +48,12 @@ class TestCurvature:
         assert record["V_s"] is None
         assert record["Q_s"] > 0.0
 
+    def test_overflowing_trace_weight_is_input_error(self, capsys):
+        code, out, err = run(capsys, ["curvature", "--n", "3", "--s", "1e-320"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestSymbol:
     def test_sphere_defaults_to_eleven_modes(self, capsys):
@@ -315,6 +321,18 @@ class TestDelaunay:
         lines = out.splitlines()
         assert lines[0] == "period,t,v"
         assert len(lines) == 1 + 4
+
+    def test_tolerance_above_certificate_cap_is_input_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            [
+                "delaunay", "--s", "0.5", "--period", "6.2",
+                "--size", "16", "--tol", "1e-3",
+            ],
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: tol 0.001 exceeds") and "cap 1.0e-10" in err
 
     def test_impossible_tolerance_is_numerical_failure(self, capsys):
         code, _, err = run(

@@ -278,6 +278,14 @@ class TestSolveDelaunay:
                 with pytest.raises(ParameterError, match="positive even part"):
                     solve_delaunay(p, period, init=init)
 
+    def test_rejects_tol_above_certificate_cap(self):
+        # DelaunaySolution certifies residuals below 1e-10, so a looser tol
+        # is refused before the solve rather than after it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="tol 0.001 exceeds .* cap 1.0e-10"):
+                solve_delaunay(FracParams(3, 0.5), 6.2, size=16, tol=1e-3)
+
     def test_divergence_reports_last_residual(self):
         p = FracParams(3, 0.5)
         period = 1.2 * PERIOD_THRESHOLD_3_HALF

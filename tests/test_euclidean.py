@@ -17,12 +17,11 @@ from conflap.euclidean import (
     frac_lap_integral,
     frac_lap_spectral,
     line_quotient,
-    _chirp_sum,
     _difference_weights,
     _factor_power_flat_lap,
     _nudft,
-    _panel_nudft,
-    _panel_phase_sum,
+    _panel_sum,
+    _panel_transform,
 )
 from conflap.params import FracParams, GridFunction
 from conflap.specfun import panel_rule
@@ -216,20 +215,24 @@ class TestCommutator:
         self.gaussian = GridFunction(80.0, np.exp(-0.5 * (x / 3.0) ** 2))
 
     def test_identity_below_half(self):
-        # the order s-1 term needs the finite-part regularization here
-        report = commutator_check(FracParams(1, 0.3), self.gaussian)
-        assert report["residual"] < 1e-8
+        # the order s-1 term needs the finite-part regularization here, and
+        # small s puts the Jacobi weight of the first panel near xi^(-1)
+        for s in (0.02, 0.1, 0.3):
+            report = commutator_check(FracParams(1, s), self.gaussian)
+            assert report["residual"] < 1e-8, s
 
     def test_identity_above_half(self):
         report = commutator_check(FracParams(1, 0.75), self.gaussian)
         assert report["residual"] < 1e-8
 
     def test_report_names_quadrature_layout(self):
-        # the band limit of the grid, covered by width-1/8 panels past xi = 1
-        report = commutator_check(FracParams(1, 0.3), self.gaussian)
-        xi_max = math.pi / self.gaussian.dx
-        assert report["xi_max"] == xi_max
-        assert report["panels"] == math.ceil(8.0 * (xi_max - 1.0))
+        # N/2 panels one frequency step wide end at the band limit of the
+        # grid, and every grid point with |x| <= L/4 is a target
+        f = self.gaussian
+        report = commutator_check(FracParams(1, 0.3), f)
+        assert report["xi_max"] == math.pi / f.dx
+        assert report["panels"] == f.size // 2
+        assert report["targets"] == np.count_nonzero(np.abs(f.x) <= 0.25 * f.length)
 
     def test_local_limit(self):
         # s = 1 runs through the same Fourier quadrature
@@ -253,58 +256,46 @@ class TestCommutator:
         assert report["residual"] == 0.0
 
 
-class TestChirpQuadrature:
-    """The chirp-z panel sums of commutator_check against their dense forms,
+class TestPanelQuadrature:
+    """The FFT panel transforms of commutator_check against their dense forms,
     on the c09 input (width 1) and the TestCommutator input (width 3)."""
 
-    dx = 80.0 / 4096
+    size = 4096
+    length = 80.0
 
-    def layout(self):
-        # the panels of commutator_check: width about 1/8 on (1, pi/dx)
-        xi_max = math.pi / self.dx
-        count = math.ceil(8.0 * (xi_max - 1.0))
-        return (1.0, (xi_max - 1.0) / count, count)
+    def nodes(self):
+        # the panels of commutator_check: (p w, (p + 1) w), p = 1 .. N/2 - 1
+        offsets, offset_weights = panel_rule(0.0, 1.0, 1)
+        panels = np.arange(1, self.size // 2)[:, None] + offsets
+        step = 2.0 * math.pi / self.length
+        return step * panels.ravel(), np.tile(offset_weights, panels.shape[0])
 
     @pytest.mark.parametrize("sigma", [1.0, 3.0])
     def test_forward_matches_dense_transform(self, sigma):
-        x = grid(40.0, 4096)
-        u = np.exp(-0.5 * (x / sigma) ** 2)
-        stacked = np.stack([u, 0.5 * (1.0 + x**2) * u])
-        lo, width, count = self.layout()
-        # every 13th node keeps the dense reference cheap and still visits
+        x = grid(40.0, self.size)
+        f = GridFunction(self.length, np.exp(-0.5 * (x / sigma) ** 2))
+        stacked = np.stack([f.values, 0.5 * (1.0 + x**2) * f.values])
+        # every 97th node keeps the dense reference small and still visits
         # each Gauss offset across the whole band
-        pick = np.arange(0, 12 * count, 13)
-        nodes = panel_rule(lo, lo + count * width, count)[0][pick]
-        fast = _panel_nudft(stacked, x, self.dx, self.layout())[:, pick]
+        pick = np.arange(0, 12 * (self.size // 2 - 1), 97)
+        nodes = self.nodes()[0][pick]
+        fast = _panel_transform(stacked, f.dx).reshape(2, -1)[:, pick]
         for row, values in zip(fast, stacked):
-            dense = _nudft(values, x, nodes, self.dx)
+            dense = _nudft(values, x, nodes, f.dx)
             # sup of |hat(v)| over all xi, attained at xi = 0 for v >= 0
-            scale = self.dx * np.sum(np.abs(values)) / math.sqrt(2.0 * math.pi)
+            scale = f.dx * np.sum(np.abs(values)) / math.sqrt(2.0 * math.pi)
             assert np.max(np.abs(row - dense)) <= 1e-13 * scale
 
     @pytest.mark.parametrize("sigma", [1.0, 3.0])
     def test_inverse_matches_dense_phase_sum(self, sigma):
-        # the panel sum of _halfline_apply at the commutator targets
-        x = grid(40.0, 4096)
-        lo, width, count = self.layout()
-        nodes, weights = panel_rule(lo, lo + count * width, count)
+        # the panel sum of _halfline_apply, at every 32nd grid point
+        x = grid(40.0, self.size)
+        nodes, weights = self.nodes()
         coeffs = sigma * np.exp(-0.5 * (sigma * nodes) ** 2) * nodes**-0.6 * weights
-        stride = 16
-        targets = x[np.abs(x) <= 20.0][::stride]
-        dense = np.exp(1j * np.outer(targets, nodes)) @ coeffs
-        fast = _panel_phase_sum(
-            coeffs, self.layout(), targets[0], stride * self.dx, targets.size
-        )
+        pick = np.arange(0, self.size, 32)
+        dense = np.exp(1j * np.outer(x[pick], nodes)) @ coeffs
+        fast = _panel_sum(coeffs.reshape(-1, 12), self.size)[pick]
         assert np.max(np.abs(fast - dense)) <= 1e-13 * np.max(np.abs(dense))
-
-    def test_chirp_sum_matches_direct_sum(self):
-        rng = np.random.default_rng(7)
-        values = rng.standard_normal((2, 37))
-        x0, dx, start, step, count = -3.1, 0.17, 0.4, 0.23, 29
-        phase = np.outer(start + step * np.arange(count), x0 + dx * np.arange(37))
-        direct = values @ np.exp(-1j * phase).T
-        fast = _chirp_sum(values, x0, dx, start, step, count)
-        assert np.max(np.abs(fast - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
 class TestCovarianceBridge:

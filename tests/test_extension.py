@@ -40,6 +40,12 @@ class TestTraceConstants:
             with pytest.raises(ParameterError):
                 d_s_const(bad)
 
+    def test_tiny_order(self):
+        # d_s tends to -1 as s -> 0; d*_s = -d_s / (2s) then overflows
+        assert d_s_const(1e-310) == -1.0
+        with pytest.raises(ParameterError, match="overflows"):
+            d_star_const(1e-320)
+
 
 class TestExtensionMode:
     def test_exact_exponential_at_half(self):

@@ -18,7 +18,6 @@ from conflap.specfun import (
     hyp2f1,
     log_gamma,
     log_gamma_abs2,
-    signed_gamma,
 )
 
 # ((x, y), |Gamma(x+iy)|^2), mpmath mp.dps=40
@@ -42,15 +41,6 @@ LOG_GAMMA_TABLE = [
     (1.5, "-0.12078223763524522235"),
     (20.25, "40.084110597917348984"),
     (1000.0, "5905.2204232091812118"),
-]
-
-# (x, sign, log |Gamma(x)|), mpmath
-SIGNED_GAMMA_TABLE = [
-    (-0.5, -1.0, "1.2655121234846453965"),
-    (-1.5, 1.0, "0.86004701537648101451"),
-    (-2.5, -1.0, "-0.056243716497674050673"),
-    (-6.3, -1.0, "-5.7912272816725062506"),
-    (-15.2, 1.0, "-26.772634915787180563"),
 ]
 
 # ((a, b, c, z), 2F1(a,b;c;z), rel tol), mpmath.  The entries with c-a-b on
@@ -84,26 +74,6 @@ def test_log_gamma_domain():
     for bad in (0.0, -1.0, -0.5, math.inf, math.nan):
         with pytest.raises(ParameterError):
             log_gamma(bad)
-
-
-def test_signed_gamma_table():
-    for x, sign, ref in SIGNED_GAMMA_TABLE:
-        sg, la = signed_gamma(x)
-        assert sg == sign
-        assert math.isclose(la, float(ref), rel_tol=1e-12, abs_tol=1e-12)
-
-
-def test_signed_gamma_positive_axis():
-    for x in (0.2, 1.0, 3.7, 41.0):
-        sg, la = signed_gamma(x)
-        assert sg == 1.0
-        assert la == math.lgamma(x)
-
-
-def test_signed_gamma_poles():
-    for x in (0.0, -1.0, -7.0):
-        with pytest.raises(ParameterError):
-            signed_gamma(x)
 
 
 def test_gamma_abs2_table():

@@ -57,3 +57,17 @@ def test_delaunay_solve_leaves_out_scipy_sparse():
     )
     for module in ("scipy.sparse", "scipy.optimize"):
         assert _loaded_by(module, solve) == "False", module
+
+
+def test_selftest_leaves_out_scipy_signal_sparse_and_optimize():
+    # the commutator check's panel sums are plain FFTs; scipy.signal (whose
+    # czt is the library chirp-z transform) costs seconds and tens of MB to
+    # import, and scipy.sparse and scipy.optimize are not needed either
+    selftest = (
+        "import contextlib, io\n"
+        "from conflap.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['selftest']) == 0"
+    )
+    for module in ("scipy.signal", "scipy.sparse", "scipy.optimize"):
+        assert _loaded_by(module, selftest) == "False", module
