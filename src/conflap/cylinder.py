@@ -200,19 +200,21 @@ def periodized_kernel(spec, period, xi):
     """Lattice sum K_L(xi) = sum_j K(xi - j L) of the calibrated kernel.
 
     Shells are added until an exponential bound on the remainder drops below
-    1e-15 of the running total at every entry.  xi may be any non-lattice
-    real, scalar or array (a scalar gives a float); the result is L-periodic
-    and symmetric about L/2 by construction.
+    1e-15 of the running total at every entry.  xi may be any finite
+    non-lattice real, scalar or array (a scalar gives a float); the result is
+    L-periodic and symmetric about L/2 by construction.
     """
     period = float(period)
     if not period > 0.0 or not math.isfinite(period):
         raise ParameterError(f"period must be positive and finite, got {period!r}")
     xs = np.asarray(xi, dtype=float)
+    if not np.isfinite(xs).all():
+        raise ParameterError(f"periodized kernel needs finite xi, got {xi}")
     x = np.mod(xs, period)
     xc = np.minimum(x, period - x)
     if not np.all(xc > 1e-9 * period):
         raise SingularityError(
-            f"periodized kernel diverges on the period lattice (xi = {xi!r})"
+            f"periodized kernel diverges on the period lattice (xi = {xi})"
         )
     p = spec.params
     norm = spec.normalization

@@ -31,6 +31,8 @@ _FORCING_CAP = 1e-7
 #: cap on the Krylov steps of one Newton step; over the 6638 Newton steps of
 #: the seed 0-7 benchmark sweep draws at N = 512 the most any took was 28
 _KRYLOV_STEPS = 240
+#: cap on the Newton steps of one solve
+_NEWTON_STEPS = 60
 
 
 def _apply_symbol(values, theta):
@@ -177,7 +179,7 @@ def _krylov_step(theta, slope, res, tol):
     return inverse(y), count
 
 
-def solve_delaunay(p, period, init="auto", size=512, tol=1e-11, max_iter=60):
+def solve_delaunay(p, period, init="auto", size=512, tol=1e-11):
     """Newton-Krylov solve of L v = c_(n,s) v^q on one period.
 
     ``init`` is "auto" (the constant where theta(2 pi / L) >= c_(n,s) q, at
@@ -225,7 +227,7 @@ def solve_delaunay(p, period, init="auto", size=512, tol=1e-11, max_iter=60):
     res = residual_of(w)
     norm = float(np.max(np.abs(res)))
     krylov_steps = 0
-    for newton_steps in range(max_iter):
+    for newton_steps in range(_NEWTON_STEPS):
         # a tol under eps c max(w)^q, the unit round-off of the terms, cannot
         # be met at any N and stays as given
         floor = eps * theta.max() * np.ptp(w) if tol > eps * curvature * w.max() ** q else 0
@@ -249,7 +251,7 @@ def solve_delaunay(p, period, init="auto", size=512, tol=1e-11, max_iter=60):
     else:
         raise NewtonDivergenceError(
             "Newton did not reach tolerance", last_residual=norm,
-            newton_steps=max_iter, krylov_steps=krylov_steps,
+            newton_steps=_NEWTON_STEPS, krylov_steps=krylov_steps,
         )
 
     # put the peak at x = 0, the middle node; _even(w) already has it there

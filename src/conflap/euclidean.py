@@ -26,8 +26,8 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _JACOBI_SIZE = 112
 #: Gauss-Jacobi size for the commutator check's first panel (0, 2 pi / L)
 _FIRST_PANEL_SIZE = 16
-#: 12-point Gauss-Legendre offsets c_g and weights in a unit panel
-_OFFSETS, _OFFSET_WEIGHTS = panel_rule(0.0, 1.0, 1)
+#: 12-point Gauss-Legendre rule on the unit panel (0, 1)
+_PANEL_RULE = panel_rule(0.0, 1.0, 1)
 #: relative size below which the commutator check counts input as zero
 _SUPPORT_TOL = 1e-10
 #: half-width of the window |x| <= cap where the bridge compares both sides
@@ -93,38 +93,22 @@ def _require_integral_order(p):
         )
 
 
-def _cell_moments(d, q, h, s):
-    """int over [d h, (d+1) h] of t^q t^(-1-2s) dt, exact, vectorized in d.
-
-    Written through expm1 so the q = 2s case (a logarithm) and its
-    neighborhood are handled without cancellation.
-    """
-    e = q - 2.0 * s
-    ratio = np.log1p(1.0 / d)
-    if e == 0.0:
-        return ratio
-    return (d * h) ** e * np.expm1(e * ratio) / e
-
-
 def _difference_weights(size, h, s):
     """Product-integration weights w_d with
     int_0^(D h) g(t) t^(-1-2s) dt ~ sum_d w_d g(d h) for smooth even g,
-    g(0) = 0.  Interior cells use cubic interpolation against exact moments;
-    the first cell fits an even polynomial through the first three nodes.
+    g(0) = 0.  Interior cells (d h, (d + 1) h) interpolate g by cubics; their
+    moments h^(-2s) int_0^1 tau^k (d + tau)^(-1-2s) d tau have integrands
+    analytic on [0, 1] for d >= 1, so the 12-point Gauss rule gives them to
+    round-off.  The first cell fits an even polynomial through three nodes.
     """
     d = np.arange(1.0, size)
     weights = np.zeros(size + 3)
-    mu = np.zeros((4, d.size))
-    binom = [[1], [1, 1], [1, 2, 1], [1, 3, 3, 1]]
-    moments = [_cell_moments(d, q, h, s) for q in range(4)]
-    for k in range(4):
-        acc = np.zeros(d.size)
-        for j in range(k + 1):
-            acc += binom[k][j] * (-d) ** (k - j) * h ** (-j) * moments[j]
-        mu[k] = acc
+    tau, tau_weights = _PANEL_RULE
+    basis = _CUBIC_BASIS @ tau ** np.arange(4)[:, None]
+    kernel = tau_weights * (d[:, None] + tau) ** (-1.0 - 2.0 * s)
+    moments = h ** (-2.0 * s) * basis @ kernel.T
     for r in range(4):
-        contrib = _CUBIC_BASIS[r] @ mu
-        np.add.at(weights, (d + r - 1).astype(int), contrib)
+        weights[r : r + d.size] += moments[r]
     # first cell: g even with g(0) = 0, fit a tau^2, tau^4, tau^6 polynomial
     vand = np.array([[j ** (2 * k + 2) for k in range(3)] for j in (1, 2, 3)], float)
     first_moments = np.array(
@@ -206,74 +190,31 @@ def line_quotient(p, f):
 # ----------------------------------------------------------------------
 
 
-def _nudft(values, x, xi, dx):
-    """Trapezoid Fourier transform hat(u)(xi) = (2 pi)^(-1/2) int u e^(-i xi x)
-    over the last axis of ``values``, as a dense sum.
+def _lattice_sum(values, dx, rule, powers, first=False):
+    """sum_(c, p) w_c (p + c)^lam hat(u)((p + c) w) e^(i (p + c) w x) at every
+    point x of the centred grid, for each order lam in ``powers``, over the
+    last axis of ``values``; shape (len(powers), ..., N).
 
-    Spectrally accurate for smooth data vanishing at the grid edges.  It
-    serves the few frequencies off the grid's frequency lattice and, in the
-    tests, as the reference for _panel_transform.
-    """
-    phases = np.exp(-1j * np.outer(xi, x))
-    return dx / math.sqrt(2.0 * math.pi) * (values @ phases.T)
-
-
-def _grid_phase(size):
-    """w x_k = -pi + 2 pi k / N on the centred grid, with w = 2 pi / L."""
-    return math.pi * (2.0 * np.arange(size) / size - 1.0)
-
-
-def _panel_transform(values, dx):
-    """_nudft at xi = (p + c_g) w for p = 1 .. N/2 - 1 and the Gauss offsets
-    c_g of a unit panel, over the last axis of ``values``; shape
-    (..., N/2 - 1, 12).
-
-    With w = 2 pi / L, e^(-i (p + c) w x_k) = (-1)^p e^(-2 pi i p k / N)
-    e^(-i c w x_k), so each offset is one length-N FFT.
+    Here w = 2 pi / L, hat(u)(xi) = (2 pi)^(-1/2) int u e^(-i xi x) by the
+    trapezoid rule, and (c, w_c) are the nodes and weights of ``rule``.  The
+    band is p = 1 .. N/2 - 1, or p = 0 with ``first``.  For each node c the
+    sum is a Fourier multiplier on u e^(-i c w x): one FFT, the band times
+    (p + c)^lam, one inverse FFT.
     """
     size = values.shape[-1]
-    tilted = values[..., None] * np.exp(-1j * np.outer(_grid_phase(size), _OFFSETS))
-    spectra = np.fft.fft(tilted, axis=-2)[..., 1 : size // 2, :]
-    signs = (-1.0) ** np.arange(1, size // 2)
-    return dx / math.sqrt(2.0 * math.pi) * signs[:, None] * spectra
-
-
-def _panel_sum(coeffs, size):
-    """sum_(p, g) c_(p, g) e^(i (p + c_g) w x_j) at every point x_j of the
-    centred grid, for coefficients at the nodes of _panel_transform: per
-    offset, one inverse FFT over p."""
-    spread = np.zeros((_OFFSETS.size, size), dtype=complex)
-    spread[:, 1 : size // 2] = coeffs.T * (-1.0) ** np.arange(1, size // 2)
-    sums = size * np.fft.ifft(spread)
-    return np.sum(np.exp(1j * np.outer(_OFFSETS, _grid_phase(size))) * sums, axis=0)
-
-
-def _halfline_apply(lam, unit_rule, fhat_unit, fhat_panel, grid, fhat_zero=None):
-    """sqrt(2/pi) * int_0^inf xi^lam Re(fhat(xi) e^(i xi x)) d xi at every
-    point x of ``grid``.
-
-    The integral runs in units of the grid's frequency step w = 2 pi / L.
-    ``unit_rule`` carries the Jacobi weight (xi/w)^lam on the first panel
-    (0, w), with ``fhat_unit`` at w times its nodes.  Given ``fhat_zero`` =
-    fhat(0), it carries (xi/w)^(lam+1) instead, and the first panel peels
-    off the constant Re(fhat(0)): the Hadamard finite part for lam in
-    (-2, -1), and the plain integral for lam > -1.  The panels (p w,
-    (p + 1) w), p = 1 .. N/2 - 1, take ``fhat_panel`` from _panel_transform
-    and end at the band limit pi/dx.
-    """
-    step = 2.0 * math.pi / grid.length
-    theta = _grid_phase(grid.size)
-    unit_nodes, unit_weights = unit_rule
-    panel_nodes = np.arange(1, grid.size // 2)[:, None] + _OFFSETS
-    coeffs = fhat_panel * panel_nodes**lam * _OFFSET_WEIGHTS
-    unit = (fhat_unit * np.exp(1j * np.outer(theta, unit_nodes))).real
-    if fhat_zero is None:
-        out = unit @ unit_weights
-    else:
-        r0 = fhat_zero.real
-        out = ((unit - r0) / unit_nodes) @ unit_weights + r0 / (lam + 1.0)
-    out += _panel_sum(coeffs, grid.size).real
-    return _SQRT_2_OVER_PI * step ** (lam + 1.0) * out
+    # w x_k = -pi + 2 pi k / N on the centred grid
+    theta = math.pi * (2.0 * np.arange(size) / size - 1.0)
+    band = slice(0, 1) if first else slice(1, size // 2)
+    sums = np.zeros((len(powers),) + values.shape, dtype=complex)
+    padded = np.zeros(values.shape, dtype=complex)
+    for node, weight in zip(*rule):
+        tilt = np.exp(1j * node * theta)
+        spectrum = np.fft.fft(values * tilt.conj())[..., band]
+        lattice = np.arange(size)[band] + node
+        for out, lam in zip(sums, powers):
+            padded[..., band] = weight * lattice**lam * spectrum
+            out += tilt * np.fft.ifft(padded)
+    return size * dx / math.sqrt(2.0 * math.pi) * sums
 
 
 def commutator_check(p, f):
@@ -284,11 +225,12 @@ def commutator_check(p, f):
     compactly supported input (a grid FFT misrepresents the slowly decaying
     order s-1 term), sharing nothing but the transform of f.  The panels
     are one grid frequency step w = 2 pi / L wide and end at the band limit
-    xi_max = pi/dx: a Gauss-Jacobi rule on (0, w) and 12-point
-    Gauss-Legendre rules on the rest, whose transforms and sums back are
-    plain FFTs (_panel_transform, _panel_sum).  Returns a report dict with
-    the relative l2 residual over the grid points with |x| <= L/4, their
-    count, xi_max and the panel count N/2.
+    xi_max = pi/dx: a 16-node Gauss-Jacobi rule on (0, w) and the 12-point
+    Gauss-Legendre rule on the rest.  Each rule is one shifted-lattice sum
+    (_lattice_sum), so every panel costs one FFT per Gauss node and one
+    inverse FFT per order.  Returns a report dict with the relative l2
+    residual over the grid points with |x| <= L/4, their count, xi_max and
+    the panel count N/2.
 
     s = 1/2 is rejected: the second xi-derivative of |xi|^(2s) produces a
     genuine Dirac term at the origin exactly there, so the displayed identity
@@ -317,28 +259,29 @@ def commutator_check(p, f):
     mask = np.abs(x) <= 0.25 * f.length
     targets = x[mask]
 
+    # sqrt(2/pi) int_0^inf xi^lam Re(hat(v)(xi) e^(i xi x)) d xi in units
+    # of w: the Jacobi rule on (0, w) carries (xi/w)^(2s), or (xi/w)^(lam+1)
+    # for the order s-1 sides, whose finite part peels off hat(u)(0)
     step = 2.0 * math.pi / f.length
     lam = 2.0 * s - 2.0
     rule_s = jacobi_unit_rule(2.0 * s, _FIRST_PANEL_SIZE)
-    rule_shift = jacobi_unit_rule(2.0 * s - 1.0, _FIRST_PANEL_SIZE)
-
+    rule_shift = jacobi_unit_rule(lam + 1.0, _FIRST_PANEL_SIZE)
     stacked = np.stack([u, weight * u])
-    # one dense transform at both Jacobi rules' nodes on (0, w) and at xi = 0
-    unit_nodes = step * np.concatenate([rule_s[0], rule_shift[0], [0.0]])
-    fh_unit = _nudft(stacked, x, unit_nodes, f.dx)
-    fh_u_s, fh_bu_s = fh_unit[:, :_FIRST_PANEL_SIZE]
-    fh_u_shift, fh_zero = fh_unit[0, _FIRST_PANEL_SIZE:-1], fh_unit[0, -1]
-    fh_u_panel, fh_bu_panel = _panel_transform(stacked, f.dx)
 
-    lap_s_bu = _halfline_apply(2.0 * s, rule_s, fh_bu_s, fh_bu_panel, f)
-    lap_s_u = _halfline_apply(2.0 * s, rule_s, fh_u_s, fh_u_panel, f)
+    lap_s = _lattice_sum(stacked, f.dx, _PANEL_RULE, (2.0 * s,)) + _lattice_sum(
+        stacked, f.dx, rule_s, (0.0,), first=True
+    )
+    lap_s_u, lap_s_bu = _SQRT_2_OVER_PI * step ** (2.0 * s + 1.0) * lap_s[0].real
     lhs = (lap_s_bu - weight * lap_s_u)[mask]
 
-    g = _halfline_apply(lam, rule_shift, fh_u_shift, fh_u_panel, f, fhat_zero=fh_zero)
-    # d/dx brings i xi: the order lam + 1 integral of i fhat
-    g_prime = _halfline_apply(
-        lam + 1.0, rule_shift, 1j * fh_u_shift, 1j * fh_u_panel, f
+    g, g_prime = _lattice_sum(u, f.dx, _PANEL_RULE, (lam, lam + 1.0)) + _lattice_sum(
+        u, f.dx, rule_shift, (-1.0, 0.0), first=True
     )
+    fhat_zero = f.dx * np.sum(u) / math.sqrt(2.0 * math.pi)
+    finite_part = fhat_zero * (1.0 / (lam + 1.0) - np.sum(rule_shift[1] / rule_shift[0]))
+    g = _SQRT_2_OVER_PI * step ** (lam + 1.0) * (g.real + finite_part)
+    # d/dx brings i xi: Re(i z) = -Im z of the order lam + 1 sum
+    g_prime = -_SQRT_2_OVER_PI * step ** (lam + 2.0) * g_prime.imag
     rhs = -s * (2.0 * targets * g_prime[mask] + (2.0 * s - 1.0) * g[mask])
 
     denom = max(np.linalg.norm(lhs), np.linalg.norm(rhs))

@@ -274,3 +274,16 @@ def test_periodized_kernel_symmetry_and_periodicity():
         assert math.isclose(a, periodized_kernel(spec, L, xi - L), rel_tol=1e-12)
     with pytest.raises(SingularityError):
         periodized_kernel(spec, L, 2.0 * L)
+
+
+def test_periodized_kernel_rejects_non_finite_xi():
+    # caught before np.mod, which warns on inf and NaN and would report a
+    # lattice divergence instead
+    spec = calibrate_kernel(FracParams(3, 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for xi in (np.inf, -np.inf, np.nan, np.array([1.0, np.inf])):
+            with pytest.raises(ParameterError, match="finite xi"):
+                periodized_kernel(spec, 5.0, xi)
+        with pytest.raises(SingularityError, match=r"xi = \[1.e\+300\]"):
+            periodized_kernel(spec, 5.0, np.array([1e300]))

@@ -19,12 +19,10 @@ from conflap.euclidean import (
     line_quotient,
     _difference_weights,
     _factor_power_flat_lap,
-    _nudft,
-    _panel_sum,
-    _panel_transform,
+    _lattice_sum,
 )
 from conflap.params import FracParams, GridFunction
-from conflap.specfun import panel_rule
+from conflap.specfun import jacobi_unit_rule, panel_rule
 from conflap.sphere import ModeSpectrum, frac_lap_constant, sphere_curvature
 
 
@@ -41,6 +39,12 @@ def closed_form_constant(s):
 
 def grid(half_width, size):
     return -half_width + (2.0 * half_width / size) * np.arange(size)
+
+
+def _nudft(values, x, xi, dx):
+    """Trapezoid Fourier transform hat(u)(xi) = (2 pi)^(-1/2) int u e^(-i xi x)
+    as a dense sum over the grid."""
+    return dx / math.sqrt(2.0 * math.pi) * (np.exp(-1j * np.outer(xi, x)) @ values)
 
 
 # (-Delta)^s exp(-x^2/2) = 2^s Gamma(s+1/2)/sqrt(pi) M(s+1/2, 1/2, -x^2/2),
@@ -166,6 +170,17 @@ class TestIntegralRoute:
             spectral, integral = routes(p, 2.0)
             assert np.linalg.norm(spectral - integral) < 2e-5 * np.linalg.norm(spectral)
 
+    @pytest.mark.parametrize("size", [4096, 65536])
+    def test_far_weights_follow_the_kernel(self, size):
+        # far from the singularity the cubic rule's weight is h (d h)^(-1-2s)
+        # up to O(d^-4), so this holds only if the cell moments keep full
+        # relative accuracy at large d, free of cancellation
+        h = 1.0 / 64.0
+        d = np.arange(size // 2, size - 1)
+        for s in (0.05, 0.5, 0.9):
+            w = _difference_weights(size, h, s)[d]
+            assert np.max(np.abs(w / (h * (d * h) ** (-1.0 - 2.0 * s)) - 1.0)) < 1e-10, s
+
     def test_rejects_local_orders(self):
         f = GridFunction(8.0, np.zeros(64))
         with pytest.raises(ParameterError):
@@ -257,45 +272,46 @@ class TestCommutator:
 
 
 class TestPanelQuadrature:
-    """The FFT panel transforms of commutator_check against their dense forms,
-    on the c09 input (width 1) and the TestCommutator input (width 3)."""
+    """_lattice_sum, the panel quadrature of commutator_check, against the
+    dense double sum: the transform _nudft at every node, then explicit
+    phases e^(i xi x) at every 32nd grid point, for Gaussians of width 1
+    and 3 on L = 80 (the commutator inputs, at a grid small enough for the
+    dense reference)."""
 
-    size = 4096
+    size = 1024
     length = 80.0
 
-    def nodes(self):
-        # the panels of commutator_check: (p w, (p + 1) w), p = 1 .. N/2 - 1
-        offsets, offset_weights = panel_rule(0.0, 1.0, 1)
-        panels = np.arange(1, self.size // 2)[:, None] + offsets
-        step = 2.0 * math.pi / self.length
-        return step * panels.ravel(), np.tile(offset_weights, panels.shape[0])
-
-    @pytest.mark.parametrize("sigma", [1.0, 3.0])
-    def test_forward_matches_dense_transform(self, sigma):
-        x = grid(40.0, self.size)
-        f = GridFunction(self.length, np.exp(-0.5 * (x / sigma) ** 2))
-        stacked = np.stack([f.values, 0.5 * (1.0 + x**2) * f.values])
-        # every 97th node keeps the dense reference small and still visits
-        # each Gauss offset across the whole band
-        pick = np.arange(0, 12 * (self.size // 2 - 1), 97)
-        nodes = self.nodes()[0][pick]
-        fast = _panel_transform(stacked, f.dx).reshape(2, -1)[:, pick]
-        for row, values in zip(fast, stacked):
-            dense = _nudft(values, x, nodes, f.dx)
-            # sup of |hat(v)| over all xi, attained at xi = 0 for v >= 0
-            scale = f.dx * np.sum(np.abs(values)) / math.sqrt(2.0 * math.pi)
-            assert np.max(np.abs(row - dense)) <= 1e-13 * scale
-
-    @pytest.mark.parametrize("sigma", [1.0, 3.0])
-    def test_inverse_matches_dense_phase_sum(self, sigma):
-        # the panel sum of _halfline_apply, at every 32nd grid point
-        x = grid(40.0, self.size)
-        nodes, weights = self.nodes()
-        coeffs = sigma * np.exp(-0.5 * (sigma * nodes) ** 2) * nodes**-0.6 * weights
+    def compare(self, sigma, rule, band, powers, first):
+        x = grid(0.5 * self.length, self.size)
+        dx = self.length / self.size
+        values = np.exp(-0.5 * (x / sigma) ** 2)
+        nodes, weights = rule
+        lattice = (band[:, None] + nodes).ravel()
+        xi = 2.0 * math.pi / self.length * lattice
+        # eight blocks keep the dense phase matrix near 12 MB
+        fhat = np.concatenate(
+            [_nudft(values, x, part, dx) for part in np.array_split(xi, 8)]
+        )
         pick = np.arange(0, self.size, 32)
-        dense = np.exp(1j * np.outer(x[pick], nodes)) @ coeffs
-        fast = _panel_sum(coeffs.reshape(-1, 12), self.size)[pick]
-        assert np.max(np.abs(fast - dense)) <= 1e-13 * np.max(np.abs(dense))
+        phases = np.exp(1j * np.outer(x[pick], xi))
+        fast = _lattice_sum(values, dx, rule, powers, first=first)[:, pick]
+        for lam, row in zip(powers, fast):
+            dense = phases @ (np.tile(weights, band.size) * lattice**lam * fhat)
+            assert np.max(np.abs(row - dense)) <= 1e-13 * np.max(np.abs(dense)), lam
+
+    @pytest.mark.parametrize("sigma", [1.0, 3.0])
+    def test_legendre_panels_match_dense_sum(self, sigma):
+        # panels (p w, (p + 1) w), p = 1 .. N/2 - 1, at the orders 2s, 2s - 2
+        # and 2s - 1 that the check takes at s = 0.3
+        band = np.arange(1, self.size // 2)
+        self.compare(sigma, panel_rule(0.0, 1.0, 1), band, (0.6, -1.4, -0.4), False)
+
+    @pytest.mark.parametrize("sigma", [1.0, 3.0])
+    def test_first_panel_matches_dense_sum(self, sigma):
+        # the first panel (0, w) on the Jacobi nodes, with the finite part's
+        # order -1 and the derivative's order 0
+        rule = jacobi_unit_rule(-0.4, 16)
+        self.compare(sigma, rule, np.arange(1), (-1.0, 0.0), True)
 
 
 class TestCovarianceBridge:

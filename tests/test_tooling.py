@@ -7,7 +7,9 @@ from pathlib import Path
 
 import conflap
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ROOT / "bench" / "workloads.py"
+PACKAGE = ROOT / "src" / "conflap"
 
 
 def test_benchmark_calls_only_exported_names():
@@ -71,3 +73,47 @@ def test_selftest_leaves_out_scipy_signal_sparse_and_optimize():
     )
     for module in ("scipy.signal", "scipy.sparse", "scipy.optimize"):
         assert _loaded_by(module, selftest) == "False", module
+
+
+def _defined_and_used(statement):
+    """Names a module-level statement binds at module level, and the names
+    it reads (loads, attributes and ``from`` imports)."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        defined = {statement.name}
+    else:
+        targets = getattr(statement, "targets", [getattr(statement, "target", None)])
+        defined = {
+            node.id
+            for target in targets
+            if target is not None
+            for node in ast.walk(target)
+            if isinstance(node, ast.Name)
+        }
+    used = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return defined, used
+
+
+def test_every_private_library_name_has_a_library_caller():
+    # a module-level _name that only its own definition mentions is dead
+    # code, or a helper that belongs with the tests that still call it
+    statements = [
+        (path.name, statement)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for statement in ast.parse(path.read_text()).body
+    ]
+    scanned = [(where, *_defined_and_used(statement)) for where, statement in statements]
+    dead = []
+    for index, (where, defined, _) in enumerate(scanned):
+        for name in sorted(defined):
+            if name.startswith("_") and not name.startswith("__") and not any(
+                name in used for other, (_, _, used) in enumerate(scanned) if other != index
+            ):
+                dead.append(f"{where}: {name}")
+    assert dead == []
