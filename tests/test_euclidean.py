@@ -307,6 +307,46 @@ class TestPanelQuadrature:
         self.compare(sigma, panel_rule(0.0, 1.0, 1), band, (0.6, -1.4, -0.4), False)
 
     @pytest.mark.parametrize("sigma", [1.0, 3.0])
+    def test_forward_matches_dense_transform(self, sigma):
+        # for one node c at order 0 the sum is a trigonometric polynomial in
+        # e^(i (p + c) w x); its coefficients, read back on the grid, must be
+        # hat(v)((p + c) w) for every Legendre node across the whole band,
+        # for u and for the B u of the commutator's left side
+        x = grid(0.5 * self.length, self.size)
+        dx = self.length / self.size
+        u = np.exp(-0.5 * (x / sigma) ** 2)
+        stacked = np.stack([u, 0.5 * (1.0 + x**2) * u])
+        theta = 2.0 * math.pi / self.length * x
+        band = np.arange(1, self.size // 2)
+        for node in panel_rule(0.0, 1.0, 1)[0]:
+            out = _lattice_sum(stacked, dx, ([node], [1.0]), (0.0,))[0]
+            read_back = np.exp(-1j * np.outer(band + node, theta)) @ out.T / self.size
+            dense = _nudft(stacked.T, x, 2.0 * math.pi / self.length * (band + node), dx)
+            # sup of |hat(v)| over all xi, attained at xi = 0 for v >= 0
+            scale = dx * np.sum(np.abs(stacked), axis=1) / math.sqrt(2.0 * math.pi)
+            assert np.all(np.max(np.abs(read_back - dense), axis=0) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("sigma", [1.0, 3.0])
+    def test_inverse_matches_dense_phase_sum(self, sigma):
+        # the sum back over every Legendre panel against explicit phases at
+        # every 32nd grid point, with the closed-form transform
+        # sigma e^(-(sigma xi)^2 / 2) of the Gaussian as coefficients
+        x = grid(0.5 * self.length, self.size)
+        dx = self.length / self.size
+        nodes, weights = panel_rule(0.0, 1.0, 1)
+        lattice = (np.arange(1, self.size // 2)[:, None] + nodes).ravel()
+        xi = 2.0 * math.pi / self.length * lattice
+        coeffs = (
+            sigma * np.exp(-0.5 * (sigma * xi) ** 2)
+            * lattice**-0.6 * np.tile(weights, self.size // 2 - 1)
+        )
+        pick = np.arange(0, self.size, 32)
+        dense = np.exp(1j * np.outer(x[pick], xi)) @ coeffs
+        values = np.exp(-0.5 * (x / sigma) ** 2)
+        fast = _lattice_sum(values, dx, (nodes, weights), (-0.6,))[0, pick]
+        assert np.max(np.abs(fast - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("sigma", [1.0, 3.0])
     def test_first_panel_matches_dense_sum(self, sigma):
         # the first panel (0, w) on the Jacobi nodes, with the finite part's
         # order -1 and the derivative's order 0
