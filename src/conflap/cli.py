@@ -471,6 +471,7 @@ def delaunay(n, s, periods, size, stride, tol):
             "peak": float(sol.values.max()),
             "newton_steps": sol.newton_steps,
             "krylov_steps": sol.krylov_steps,
+            "start": sol.start,
         }
         for sol in solutions
     ]

@@ -9,6 +9,7 @@ sech-type limit profiles as the period grows.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -24,13 +25,21 @@ _RESIDUAL_CAP = 1e-10
 _FLAT_SPREAD = 1e-3
 #: absolute tolerance of ``bifurcation_period`` on xi
 BIFURCATION_XTOL = 1e-12
-#: cap on the relative tolerance of each Newton step's GMRES solve: 1e-3 or
-#: 1e-4 lose the tower start at n = 2, s near 1 (q about 191), and 1e-5 sends
-#: (2, 0.937, 1.073 L0) onto the constant where the exact step finds the bump
+#: cap on the relative tolerance of each Newton step's GMRES solve: 1e-5 and
+#: looser lose the tower start at (2, 0.9896, 4.5385 L0), q about 191, which
+#: takes 58 Newton steps at 1e-6 and 1e-7; near L0, (2, 0.937, 1.073 L0) and
+#: (2, 0.965, 1.080 L0) solve from the seed in 3 steps at any cap up to 1e-3
 _FORCING_CAP = 1e-7
-#: cap on the Krylov steps of one Newton step; over the 6638 Newton steps of
+#: cap on the Krylov steps of one Newton step; over the 5202 Newton steps of
 #: the seed 0-7 benchmark sweep draws at N = 512 the most any took was 28
 _KRYLOV_STEPS = 240
+#: reach of the Lyapunov-Schmidt seed in q eps: v^q is about exp(q eps cos),
+#: so the expansion holds while q eps, not eps, is small.  Over the 1960
+#: solves of the seed 0-7 benchmark sweep draws at N = 512, reach 3 leaves 3
+#: failures and none off the bump; 2 and 2.5 leave 8 near L0 on the constant,
+#: 3.75 and 4 fail 6 and 24, and a gate eps <= 0.5 instead, which seeds
+#: n = 2, s near 0.95 at L >= 3 L0 (q about 40), fails 41
+_SEED_REACH = 3.0
 #: cap on the Newton steps of one solve
 _NEWTON_STEPS = 60
 
@@ -56,13 +65,13 @@ def delaunay_residual(p, f):
     return applied - cyl_curvature(p) * f.values ** p.q
 
 
-def bifurcation_period(p):
-    """Period at which the constant branch loses rigidity.
+@lru_cache(maxsize=64)  # solve_delaunay's seed reuses the caller's L0 root
+def _bifurcation_root(p):
+    """xi0 = 2 pi / L0, where theta(xi0) = c_(n,s) q, and the slope of log
+    theta there, Im psi(B + i xi0/2) - Im psi(A + i xi0/2) > 0.
 
-    The first nonconstant mode appears when theta(2 pi / L) = c_(n,s) q.
-    With theta = 2^(2s) |Gamma(A + i xi/2)|^2 / |Gamma(B + i xi/2)|^2, the
-    slope of log theta is Im psi(B + i xi/2) - Im psi(A + i xi/2) > 0, so
-    the root is bracketed by doubling, then found by Newton on log theta
+    theta = 2^(2s) |Gamma(A + i xi/2)|^2 / |Gamma(B + i xi/2)|^2 increases,
+    so the root is bracketed by doubling, then found by Newton on log theta
     that bisects whenever a step leaves the bracket.
     """
     beta = cyl_mode_parameter(p.n, 0)
@@ -87,9 +96,48 @@ def bifurcation_period(p):
         if not lo < step < hi:
             step = 0.5 * (lo + hi)
         if abs(step - xi) <= BIFURCATION_XTOL:
-            return 2.0 * math.pi / step
+            return step, slope
         xi = step
     raise NonConvergenceError("bifurcation frequency did not converge in 100 steps")
+
+
+def bifurcation_period(p):
+    """Period L0 = 2 pi / xi0 at which the constant branch loses rigidity:
+    the first nonconstant mode appears where theta(xi0) = c_(n,s) q."""
+    return 2.0 * math.pi / _bifurcation_root(p)[0]
+
+
+def _branch_expansion(p, period):
+    """Second-order Lyapunov-Schmidt expansion of the bump branch at L0.
+
+    With xi = 2 pi / L, the branch is v = 1 + eps cos(xi t)
+    + eps^2 (-q/4 + a2 cos(2 xi t)) + O(eps^3), where
+    a2 = c q (q - 1) / (4 (theta(2 xi0) - c q)), and the cos-component at
+    order eps^3 gives eps^2 = theta'(xi0) (xi - xi0) / (c q (q - 1) D) with
+    D = -q/4 + a2/2 + (q - 2)/8 (Crandall & Rabinowitz 1971).  Returns
+    eps^2, a2 and L0; eps^2 > 0 past L0 when D < 0.
+    """
+    xi0, slope = _bifurcation_root(p)  # slope of log theta, theta'/(c q)
+    q = p.q
+    target = cyl_curvature(p) * q
+    a2 = target * (q - 1.0) / (4.0 * (float(cyl_symbol(p, 0, 2.0 * xi0)) - target))
+    drift = -0.25 * q + 0.5 * a2 + 0.125 * (q - 2.0)
+    eps2 = slope * (2.0 * math.pi / period - xi0) / ((q - 1.0) * drift)
+    return eps2, a2, 2.0 * math.pi / xi0
+
+
+def branch_amplitude(p, period):
+    """Amplitude eps of the bump branch's first mode at a period past L0,
+    from the second-order Lyapunov-Schmidt expansion: the branch profile
+    is 1 + eps cos(2 pi t / L) + O(eps^2), eps of order sqrt(L - L0)."""
+    eps2, _, period0 = _branch_expansion(p, period)
+    if not period > period0:
+        raise ParameterError(
+            f"period {period!r} is not past the bifurcation period {period0!r}"
+        )
+    if not eps2 > 0.0:
+        raise ParameterError(f"the branch at n = {p.n}, s = {p.s} is not supercritical")
+    return math.sqrt(eps2)
 
 
 @dataclass(frozen=True)
@@ -105,6 +153,7 @@ class DelaunaySolution:
     nonconstant: bool
     newton_steps: int = 0
     krylov_steps: int = 0
+    start: str = "array"
 
     def __post_init__(self):
         if not self.residual_norm < _RESIDUAL_CAP:
@@ -182,12 +231,18 @@ def _krylov_step(theta, slope, res, tol):
 def solve_delaunay(p, period, init="auto", size=512, tol=1e-11):
     """Newton-Krylov solve of L v = c_(n,s) v^q on one period.
 
-    ``init`` is "auto" (the constant where theta(2 pi / L) >= c_(n,s) q, at
-    or below the bifurcation period, else the periodized limit profile) or
-    an array on the solver grid, of which the even part about its peak is
-    kept.  The unknowns are w_k = v(k dx), k = 0 .. N/2, so the translation
-    mode v' stays out of the Jacobian, which ``_krylov_step`` applies
-    matrix-free in an unrestarted GMRES preconditioned by 1/theta.
+    ``init`` is an array on the solver grid, of which the even part about
+    its peak is kept, or "auto", which starts from
+      - the constant where theta(2 pi / L) >= c_(n,s) q, at or below the
+        bifurcation period L0;
+      - else the Lyapunov-Schmidt seed 1 + eps cos(xi t)
+        + eps^2 (-q/4 + a2 cos(2 xi t)) of ``_branch_expansion``, where it
+        is positive and q eps <= 3, which holds near L0;
+      - else the periodized limit profile, the tower of bumps.
+    The result's ``start`` names the choice ("constant", "seed", "tower"
+    or "array").  The unknowns are w_k = v(k dx), k = 0 .. N/2, so the
+    translation mode v' stays out of the Jacobian, which ``_krylov_step``
+    applies matrix-free in an unrestarted GMRES preconditioned by 1/theta.
     Newton stops below ``tol`` or the residual's round-off floor
     eps max(theta) (max w - min w), unless ``tol`` is under eps c max(w)^q;
     trial steps that are not positive are halved.  The result peaks at
@@ -209,9 +264,9 @@ def solve_delaunay(p, period, init="auto", size=512, tol=1e-11):
     if isinstance(init, str):
         if init != "auto":
             raise ParameterError(f"unknown init {init!r}")
-        tower = theta[1] < curvature * q
-        w = _tower_values(p, period, grid.dx * nodes) if tower else np.ones(half + 1)
+        w, start = _auto_start(p, period, theta[1] < curvature * q, grid.dx * nodes)
     else:
+        start = "array"
         v = np.asarray(init, dtype=float)
         if v.shape != (size,):
             raise ParameterError(f"init array must have shape ({size},), got {v.shape}")
@@ -261,8 +316,24 @@ def solve_delaunay(p, period, init="auto", size=512, tol=1e-11):
         n=p.n, s=p.s, period=period, values=v, residual_norm=norm,
         energy=functional_FL(p, GridFunction(period, v)),
         nonconstant=float(v.max() - v.min()) > _FLAT_SPREAD * float(v.max()),
-        newton_steps=newton_steps, krylov_steps=krylov_steps,
+        newton_steps=newton_steps, krylov_steps=krylov_steps, start=start,
     )
+
+
+def _auto_start(p, period, unstable, t):
+    """The "auto" start on the nodes t >= 0 and its name: the constant while
+    the first mode is stable, the Lyapunov-Schmidt seed where it is positive
+    and q eps <= _SEED_REACH, else the tower of limit bumps."""
+    if not unstable:
+        return np.ones(t.size), "constant"
+    eps2, a2, _ = _branch_expansion(p, period)
+    if eps2 > 0.0 and p.q * math.sqrt(eps2) <= _SEED_REACH:
+        phase = 2.0 * math.pi / period * t
+        w = 1.0 + math.sqrt(eps2) * np.cos(phase)
+        w += eps2 * (a2 * np.cos(2.0 * phase) - 0.25 * p.q)
+        if np.all(w > 0.0):
+            return w, "seed"
+    return _tower_values(p, period, t), "tower"
 
 
 def _critical_mass(p, f):

@@ -295,6 +295,7 @@ class TestDelaunay:
         assert summary["residual_norm"] < 1e-9
         assert summary["tower_defect"] < 0.5
         assert 1 <= summary["newton_steps"] <= summary["krylov_steps"]
+        assert summary["start"] == "seed"
         assert len(payload["results"]) == 512 // 64
         # samples run over the centred period [-L/2, L/2), peak at t = 0
         ts = [r["t"] for r in payload["results"]]

@@ -20,6 +20,7 @@ from conflap.delaunay import (
     apply_Ls_periodic,
     asymptotic_profile,
     bifurcation_period,
+    branch_amplitude,
     bubble_tower_defect,
     continue_branch,
     delaunay_residual,
@@ -27,6 +28,7 @@ from conflap.delaunay import (
     kernel_functional_FL,
     limit_amplitude,
     solve_delaunay,
+    _branch_expansion,
     _critical_mass,
     _even,
     _gmres,
@@ -194,18 +196,39 @@ class TestSolveDelaunay:
         assert not sol.nonconstant
         assert np.max(np.abs(sol.values - 1.0)) < 1e-9
 
-    def test_hard_point_fails_cleanly(self):
-        # near L0 at (2, 0.9) a full Newton step takes v below zero; such
-        # trials must be halved before v^q is formed, and the suite's
-        # error::RuntimeWarning setting turns a leak here into a failure; the
-        # error carries the Newton and Krylov counts it reached
+    def test_hard_point_solves_nonconstant(self):
+        # near L0 at (2, 0.9) Newton from the tower took 60 steps and failed;
+        # the seed start reaches the bump.  Trials that take v below zero
+        # must be halved before v^q is formed, and the suite's
+        # error::RuntimeWarning setting turns a leak here into a failure
         p = FracParams(2, 0.9)
-        try:
-            sol = solve_delaunay(p, 1.02 * bifurcation_period(p))
-        except NewtonDivergenceError as error:
-            assert 0 < error.newton_steps <= error.krylov_steps
-            return
+        sol = solve_delaunay(p, 1.02 * bifurcation_period(p))
+        assert sol.start == "seed"
+        assert sol.nonconstant
         assert sol.residual_norm < 1e-10
+
+    @pytest.mark.parametrize(
+        "n, s, ratio",
+        [(2, 0.7942, 1.5016), (2, 0.8871, 1.6262), (2, 0.937, 1.073), (2, 0.965, 1.080)],
+    )
+    def test_former_tower_start_failures_reach_the_bump(self, n, s, ratio):
+        # from the tower these points stalled, diverged or landed on the
+        # constant depending on round-off; the seed start ends on the bump
+        p = FracParams(n, s)
+        sol = solve_delaunay(p, ratio * bifurcation_period(p))
+        assert sol.start == "seed"
+        assert sol.nonconstant
+        assert sol.residual_norm < 1e-10
+
+    def test_start_names_the_auto_choice(self):
+        p = FracParams(3, 0.5)
+        starts = [
+            solve_delaunay(p, ratio * PERIOD_THRESHOLD_3_HALF).start
+            for ratio in (0.8, 1.02, 6.0)
+        ]
+        assert starts == ["constant", "seed", "tower"]
+        warm = solve_delaunay(p, 1.02 * PERIOD_THRESHOLD_3_HALF, init=np.ones(512))
+        assert warm.start == "array"
 
     def test_large_order_tower_start_has_no_overflow(self):
         # n = 2, s near 1: the limit bump decays so slowly that cosh(t)
@@ -217,13 +240,12 @@ class TestSolveDelaunay:
         assert sol.residual_norm < 1e-10
 
     def test_robustness_grid(self):
-        # every case solves or fails with a typed error; only the known hard
-        # points near L0 may end off the bump branch
-        known_hard = {
-            (2, 0.5, 1.02), (2, 0.7, 1.02), (2, 0.9, 1.02), (2, 0.9, 1.5),
-            (3, 0.7, 1.02),
-        }
+        # every case solves or fails with a typed error, and none may end off
+        # the bump branch; the 80 solves take at most 200 Newton steps (180
+        # with the seed start near L0, 309 from the tower start past L0)
+        known_hard = set()
         off_branch = set()
+        newton_steps = 0
         for n in (2, 3, 4, 5):
             for s in (0.1, 0.3, 0.5, 0.7, 0.9):
                 p = FracParams(n, s)
@@ -235,9 +257,11 @@ class TestSolveDelaunay:
                         off_branch.add((n, s, ratio))
                         continue
                     assert sol.residual_norm < 1e-10
+                    newton_steps += sol.newton_steps
                     if not sol.nonconstant:
                         off_branch.add((n, s, ratio))
         assert off_branch <= known_hard
+        assert newton_steps <= 200
 
     def test_constant_init_stays_constant(self):
         p = FracParams(3, 0.5)
@@ -345,6 +369,44 @@ class TestSolveDelaunay:
                 energy=0.0,
                 nonconstant=False,
             )
+
+
+class TestBranchAmplitude:
+    """The Lyapunov-Schmidt expansion at L0 against the solved branch."""
+
+    @pytest.mark.parametrize("n, s", [(3, 0.5), (2, 0.3), (5, 0.9), (4, 0.1), (2, 0.9)])
+    def test_matches_solved_half_spread(self, n, s):
+        # the half spread of the profile is eps + O(eps^2); measured worst
+        # 0.72 eps^2, at (2, 0.9, 1.05 L0)
+        p = FracParams(n, s)
+        period0 = bifurcation_period(p)
+        for ratio in (1.005, 1.02, 1.05):
+            eps = branch_amplitude(p, ratio * period0)
+            sol = solve_delaunay(p, ratio * period0)
+            half_spread = 0.5 * float(sol.values.max() - sol.values.min())
+            assert abs(half_spread - eps) <= eps**2, (ratio, half_spread, eps)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_branch_is_supercritical(self, n):
+        # D = -q/4 + a2/2 + (q - 2)/8 < 0 makes eps^2 > 0 past L0; the
+        # measured maximum over n = 2 .. 6 is -0.224, at n = 2
+        drifts = []
+        for s in np.linspace(0.005, 0.995, 34):
+            p = FracParams(n, float(s))
+            eps2, a2, _ = _branch_expansion(p, 1.1 * bifurcation_period(p))
+            drifts.append(-0.25 * p.q + 0.5 * a2 + 0.125 * (p.q - 2.0))
+            assert eps2 > 0.0
+        assert max(drifts) < 0.0
+
+    def test_rejects_periods_up_to_L0_and_orders_from_n_half(self):
+        p = FracParams(3, 0.5)
+        period0 = bifurcation_period(p)
+        for period in (period0, 0.9 * period0):
+            with pytest.raises(ParameterError, match="not past the bifurcation period"):
+                branch_amplitude(p, period)
+        for n, s in ((2, 1.0), (3, 1.5), (3, 2.0)):
+            with pytest.raises(ParameterError, match="s < n/2"):
+                branch_amplitude(FracParams(n, s), 10.0)
 
 
 @pytest.mark.filterwarnings("error")
