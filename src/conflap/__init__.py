@@ -6,6 +6,8 @@ Silvestre extension realization, and the periodic (Delaunay) solutions of the
 constant-curvature equation on the cylinder.
 """
 
+from types import ModuleType as _ModuleType
+
 from .cylinder import (
     calibrate_kernel,
     cyl_curvature,
@@ -79,68 +81,8 @@ from .sphere import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Bubble",
-    "ConflapError",
-    "DelaunaySolution",
-    "ExtensionSolution",
-    "FracParams",
-    "GridFunction",
-    "KernelSpec",
-    "ModeSpectrum",
-    "NewtonDivergenceError",
-    "NonConvergenceError",
-    "ParameterError",
-    "SingularityError",
-    "SupportError",
-    "TaperError",
-    "apply_Ls_periodic",
-    "apply_sphere",
-    "apply_sphere_grid",
-    "asymptotic_profile",
-    "bifurcation_period",
-    "branch_amplitude",
-    "bubble_eval",
-    "bubble_tower_defect",
-    "calibrate_kernel",
-    "calibrate_sphere_kernel",
-    "commutator_check",
-    "conformal_laplacian_eigenvalue",
-    "continue_branch",
-    "cosine_taper",
-    "covariance_bridge",
-    "cyl_curvature",
-    "cyl_kernel",
-    "cyl_symbol",
-    "d_s_const",
-    "d_star_const",
-    "delaunay_residual",
-    "energy_of_extension",
-    "factored_symbol",
-    "frac_lap_constant",
-    "frac_lap_integral",
-    "frac_lap_spectral",
-    "functional_FL",
-    "gamma_abs2",
-    "gjms_symbol",
-    "hyp2f1",
-    "kernel_base",
-    "kernel_functional_FL",
-    "kernel_multiplier",
-    "limit_amplitude",
-    "line_quotient",
-    "log_gamma",
-    "log_gamma_abs2",
-    "mode_eigenvalue",
-    "periodized_kernel",
-    "singular_integral_apply",
-    "solve_delaunay",
-    "solve_extension_mode",
-    "sphere_curvature",
-    "sphere_kernel",
-    "sphere_symbol",
-    "theta0",
-    "vol_sphere",
-    "weighted_volume_coefficient",
-    "yamabe_quotient_sphere",
-]
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

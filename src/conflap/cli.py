@@ -43,7 +43,7 @@ from .extension import (
     solve_extension_mode,
     weighted_volume_coefficient,
 )
-from .params import FracParams, GridFunction
+from .params import FracParams, GridFunction, require_dimension, require_unit_order
 from .sphere import (
     ModeSpectrum,
     calibrate_sphere_kernel,
@@ -95,6 +95,15 @@ _output_option = click.option(
     show_default=True,
     help="Output path; '-' writes to standard output.",
 )
+
+
+def _admits(rule, *args):
+    """Whether the library's range rule ``rule`` passes on ``args``."""
+    try:
+        rule(*args)
+    except ParameterError:
+        return False
+    return True
 
 
 def _orders_option(**kw):
@@ -188,10 +197,10 @@ def curvature(n, orders):
     def one(s):
         p = FracParams(n, s)
         q_s = float(sphere_curvature(p))
-        c_ns = float(cyl_curvature(p)) if n >= 2 else None
+        c_ns = float(cyl_curvature(p)) if _admits(require_dimension, n, "c_ns", 2) else None
         record = {"s": s, "Q_s": q_s, "c_ns": c_ns}
         record.update(d_s=None, d_star_s=None, V_s=None)
-        if 0.0 < s < 1.0 and abs(n - 2.0 * s) > 1e-12:
+        if _admits(require_unit_order, s, "d_s") and _admits(p.require_noncritical, "V_s"):
             record["d_s"] = float(d_s_const(s))
             record["d_star_s"] = float(d_star_const(s))
             record["V_s"] = float(weighted_volume_coefficient(p, q_s, vol_sphere(n)))

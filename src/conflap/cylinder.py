@@ -14,8 +14,8 @@ import math
 import numpy as np
 
 from .errors import NonConvergenceError, ParameterError, SingularityError
-from .params import KernelSpec
-from .sphere import frac_lap_constant, vol_sphere
+from .params import KernelSpec, require_dimension
+from .sphere import _check_mode, frac_lap_constant, vol_sphere
 from .specfun import hyp2f1, jacobi_unit_rule, log_gamma, log_gamma_abs2, panel_rule
 
 _PERIODIZE_REL_TOL = 1e-15
@@ -25,21 +25,14 @@ _PERIODIZE_MAX_SHELLS = 400
 KERNEL_MULTIPLIER_XI_MAX = 200.0
 
 
-def _check_cylinder_dim(p):
-    if p.n < 2:
-        raise ParameterError(f"the cylinder needs n >= 2, got n = {p.n}")
-
-
 def cyl_mode_parameter(n, m):
     """Shift beta_m = sqrt((n/2-1)^2 + mu_m) for cross-sectional degree m.
 
     mu_m = m (m + n - 2) is the S^(n-1) eigenvalue, and the square root
     collapses to m + n/2 - 1.
     """
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-        raise ParameterError(f"mode degree must be an int, got {m!r}")
-    if m < 0:
-        raise ParameterError(f"mode degree must be >= 0, got {m}")
+    if _check_mode(m).ndim:
+        raise ParameterError(f"the cylinder takes one mode degree, got {m!r}")
     mu = m * (m + n - 2)
     return math.sqrt((0.5 * n - 1.0) ** 2 + mu)
 
@@ -51,11 +44,8 @@ def cyl_symbol(p, m, xi):
     |Gamma((1 - s + beta_m)/2 + i xi/2)|^2, positive and even in xi.
     Accepts scalar or array xi.  Needs 0 < s < n/2.
     """
-    _check_cylinder_dim(p)
-    if p.s >= 0.5 * p.n:
-        raise ParameterError(
-            f"cylinder symbol needs s < n/2, got n = {p.n}, s = {p.s}"
-        )
+    require_dimension(p.n, "the cylinder", least=2)
+    p.require_subcritical("the cylinder symbol")
     beta = cyl_mode_parameter(p.n, m)
     x_plus = 0.5 * (1.0 + p.s + beta)
     x_minus = 0.5 * (1.0 - p.s + beta)
@@ -76,11 +66,8 @@ def cyl_curvature(p):
     Closed form 2^(2s) (Gamma((n/2+s)/2) / Gamma((n/2-s)/2))^2, which is the
     zero-mode symbol evaluated at xi = 0.
     """
-    _check_cylinder_dim(p)
-    if p.s >= 0.5 * p.n:
-        raise ParameterError(
-            f"cylinder curvature needs s < n/2, got n = {p.n}, s = {p.s}"
-        )
+    require_dimension(p.n, "the cylinder", least=2)
+    p.require_subcritical("the cylinder curvature")
     lg = log_gamma(0.5 * (0.5 * p.n + p.s)) - log_gamma(0.5 * (0.5 * p.n - p.s))
     return math.exp(2.0 * p.s * math.log(2.0) + 2.0 * lg)
 
@@ -94,7 +81,7 @@ def kernel_base(p, h):
     a float.  Raises SingularityError where h is so small that the profile
     overflows float64.
     """
-    _check_cylinder_dim(p)
+    require_dimension(p.n, "the cylinder", least=2)
     hs = np.asarray(h, dtype=float)
     if not ((hs > 0.0) & np.isfinite(hs)).all():
         raise ParameterError(f"kernel profile needs finite h > 0, got {h}")
@@ -112,17 +99,6 @@ def kernel_base(p, h):
     if not np.isfinite(out).all():
         raise SingularityError(f"kernel profile overflows float64 at h = {h}")
     return float(out) if hs.ndim == 0 else out
-
-
-def _require_kernel_params(p):
-    _check_cylinder_dim(p)
-    if p.s == math.floor(p.s):
-        raise ParameterError(
-            f"integer s = {p.s}: the operator is local and has no kernel "
-            "representation to calibrate"
-        )
-    if not 0.0 < p.s < 1.0:
-        raise ParameterError(f"kernel calibration needs s in (0, 1), got s = {p.s}")
 
 
 def _difference_integral(p, xi):
@@ -158,8 +134,9 @@ def calibrate_kernel(p):
     integrated over the cross-section.  The record holds the relative
     residuals of c + norm * int (1 - cos(xi h)) K0(h) dh against Theta0(xi)
     at xi = 1 and 2; neither is fitted, and ``residual`` is the larger.
+    Needs n >= 2 and, like ``frac_lap_constant``, 0 < s < 1.
     """
-    _require_kernel_params(p)
+    require_dimension(p.n, "the cylinder", least=2)
     norm = frac_lap_constant(p) * vol_sphere(p.n - 1) * 2.0 ** (-p.sigma)
     spec = KernelSpec(p, norm)
     check_xi = [1.0, 2.0]

@@ -7,6 +7,7 @@ single-bump profiles exists, approaching a superposition of translated
 sech-type limit profiles as the period grows.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -384,20 +385,21 @@ def kernel_functional_FL(spec, f):
 def continue_branch(p, periods, size=512, tol=1e-11):
     """Solve along a list of periods, reusing each profile as the next start.
 
-    A warm start that falls back onto the constant while the previous
-    period carried a bump is retried from the limit-profile ansatz, so a
-    too-large period step does not silently drop off the branch.
+    A warm start that falls back onto the constant or raises
+    NonConvergenceError is retried from "auto", so a too-large period step
+    does not drop off the branch; the first period starts from "auto".
     """
     sols = []
-    guess = "auto"
     for period in periods:
-        sol = solve_delaunay(p, period, init=guess, size=size, tol=tol)
-        if not sol.nonconstant and not isinstance(guess, str):
+        sol = None
+        if sols:
+            with contextlib.suppress(NonConvergenceError):
+                sol = solve_delaunay(p, period, init=sols[-1].values, size=size, tol=tol)
+        if sol is None or not sol.nonconstant:
             retry = solve_delaunay(p, period, init="auto", size=size, tol=tol)
-            if retry.nonconstant:
+            if sol is None or retry.nonconstant:
                 sol = retry
         sols.append(sol)
-        guess = sol.values
     return sols
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
 from .errors import ParameterError, SupportError, TaperError
-from .params import GridFunction
+from .params import GridFunction, require_dimension, require_unit_order
 from .specfun import jacobi_unit_rule, panel_rule
 from .sphere import frac_lap_constant, sphere_symbol
 
@@ -57,11 +57,6 @@ def cosine_taper(size, fraction=0.1):
     return window
 
 
-def _require_line(p):
-    if p.n != 1:
-        raise ParameterError(f"line routines are one-dimensional, got n = {p.n}")
-
-
 def frac_lap_spectral(p, f, edge_tol=1e-7):
     """(-Delta)^s on the line as the Fourier multiplier |xi|^(2s).
 
@@ -69,7 +64,7 @@ def frac_lap_spectral(p, f, edge_tol=1e-7):
     ``edge_tol``), since the FFT silently periodizes; violations raise
     TaperError rather than returning wrapped-around garbage.
     """
-    _require_line(p)
+    require_dimension(p.n, "the line", most=1)
     values = f.values
     n = values.size
     band = max(2, n // 64)
@@ -83,14 +78,6 @@ def frac_lap_spectral(p, f, edge_tol=1e-7):
             )
     out = np.fft.irfft(np.fft.rfft(values) * f.frequencies ** (2.0 * p.s), n)
     return GridFunction(f.length, out)
-
-
-def _require_integral_order(p):
-    _require_line(p)
-    if not 0.0 < p.s < 1.0:
-        raise ParameterError(
-            f"the singular-integral route needs s in (0, 1), got s = {p.s}"
-        )
 
 
 def _difference_weights(size, h, s):
@@ -125,7 +112,8 @@ def frac_lap_integral(p, f):
     t^(-1-2s) dt.  u is treated as identically zero beyond the grid, so the
     tail reduces to 2 u(x) integrated in closed form past the weighted range.
     """
-    _require_integral_order(p)
+    require_dimension(p.n, "the line", most=1)
+    require_unit_order(p.s, "the singular-integral route")
     s = p.s
     values = f.values
     n = values.size
@@ -237,7 +225,7 @@ def commutator_check(p, f):
     fails by a point mass.  s = 1, the local limit where the right side is
     -(2 x f' + f), takes the same quadrature.
     """
-    _require_line(p)
+    require_dimension(p.n, "the line", most=1)
     s = p.s
     if s == 0.5:
         raise ParameterError(
@@ -346,7 +334,8 @@ def covariance_bridge(p, spectrum, half_width=2000.0, size=1 << 17):
     sum c_m theta(m) cos(m alpha) with theta the circle symbol.  Returns a
     report dict with the mismatch over |x| <= 4 (``compare_cap``).
     """
-    _require_integral_order(p)
+    require_dimension(p.n, "the line", most=1)
+    require_unit_order(p.s, "the singular-integral route")
     if spectrum.n != 1:
         raise ParameterError(f"bridge expects circle data, got n = {spectrum.n}")
     coeffs = spectrum.coeffs

@@ -19,12 +19,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import ParameterError
+from .params import require_unit_order
 from .specfun import log_gamma
-
-
-def _require_order(s):
-    if not 0.0 < s < 1.0:
-        raise ParameterError(f"extension constants need s in (0, 1), got {s!r}")
 
 
 def d_s_const(s):
@@ -33,7 +29,7 @@ def d_s_const(s):
     Written as -4^s Gamma(1+s) / Gamma(1-s), which has no pole at s = 0 and
     no cancellation, so it tends to -1 as s -> 0.
     """
-    _require_order(s)
+    require_unit_order(s, "the extension constants")
     return -math.exp(2.0 * s * math.log(2.0) + log_gamma(1.0 + s) - log_gamma(1.0 - s))
 
 
@@ -51,8 +47,7 @@ def weighted_volume_coefficient(p, curvature, volume):
     weighted volume of the extension."""
     if not (math.isfinite(curvature) and math.isfinite(volume) and volume > 0.0):
         raise ParameterError("need finite curvature and positive volume")
-    if abs(p.n - 2.0 * p.s) < 1e-12:
-        raise ParameterError("coefficient is undefined at s = n/2")
+    p.require_noncritical("the weighted volume coefficient")
     return curvature * volume / (d_s_const(p.s) * (p.n / 2.0 - p.s))
 
 
@@ -153,7 +148,7 @@ def solve_extension_mode(p, xi, mesh_size=600):
     Where |xi|^(2s) or 30/|xi| leaves the normal floats, ParameterError.
     """
     s = p.s
-    _require_order(s)
+    require_unit_order(s, "the extension")
     xi = abs(float(xi))
     if not math.isfinite(xi):
         raise ParameterError(f"frequency must be finite, got {xi!r}")

@@ -1,4 +1,5 @@
-"""Parameter and grid containers shared by all geometry modules."""
+"""Parameter and grid containers, and the parameter-range rules, shared by all
+geometry modules."""
 
 import math
 from dataclasses import dataclass, field
@@ -12,25 +13,43 @@ from .errors import ParameterError
 CALIBRATION_RESIDUAL_CAP = 1e-8
 
 
+def require_dimension(n, context="dimension n", least=1, most=None):
+    """Refuse n unless it is an int with least <= n (<= most, if given): the
+    one dimension rule, n >= 2 on the cylinder and n = 1 on the line."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ParameterError(f"dimension n must be an int, got {n!r}")
+    if n < least:
+        raise ParameterError(f"{context} needs n >= {least}, got n = {n}")
+    if most is not None and n > most:
+        raise ParameterError(f"{context} needs n <= {most}, got n = {n}")
+
+
+def require_unit_order(s, context):
+    """Refuse s outside 0 < s < 1, the range of the singular kernels, of the
+    extension and of its constants; integer s, where the operator is local,
+    falls outside it."""
+    if not 0.0 < s < 1.0:
+        raise ParameterError(f"{context} needs s in (0, 1), got s = {s}")
+
+
 @dataclass(frozen=True)
 class FracParams:
     """Dimension n and fractional order s of the operator family.
 
-    The constructor pins down only n >= 1 and s > 0.  Stricter ranges are
-    enforced by the operations that need them (s < n/2 for the critical
-    exponents, s in (0, 1) non-integer for kernel representations), because
-    several quantities, the sphere symbol among them, continue analytically
-    past s = n/2 and remain useful there.
+    The constructor pins down only n >= 1 and s > 0.  This module owns every
+    stricter range, and the operations that need one call its rule:
+    ``require_subcritical`` (s < n/2, for the scattering symbols and the
+    critical exponents), ``require_noncritical`` (s != n/2),
+    ``require_unit_order`` (0 < s < 1, for the kernels and the extension)
+    and ``require_dimension``.  Several quantities, the sphere symbol among
+    them, continue analytically past s = n/2 and remain useful there.
     """
 
     n: int
     s: float
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise ParameterError(f"dimension n must be an int, got {self.n!r}")
-        if self.n < 1:
-            raise ParameterError(f"dimension n must be >= 1, got {self.n}")
+        require_dimension(self.n)
         s = float(self.s)
         if not math.isfinite(s) or s <= 0.0:
             raise ParameterError(f"order s must be finite and positive, got {self.s!r}")
@@ -50,6 +69,12 @@ class FracParams:
         if self.s >= 0.5 * self.n:
             raise ParameterError(
                 f"{context} requires s < n/2, got n = {self.n}, s = {self.s}"
+            )
+
+    def require_noncritical(self, context):
+        if abs(self.n - 2.0 * self.s) < 1e-12:
+            raise ParameterError(
+                f"{context} is undefined at s = n/2, got n = {self.n}, s = {self.s}"
             )
 
     @property

@@ -17,7 +17,7 @@ from numpy.polynomial.legendre import leggauss, legvander
 from scipy.special import poch, roots_jacobi
 
 from .errors import ParameterError, SingularityError
-from .params import KernelSpec
+from .params import KernelSpec, require_dimension, require_unit_order
 from .specfun import log_gamma
 
 #: The S^1 moment corrections act on modes up to the grid size over this;
@@ -34,7 +34,7 @@ def _check_mode(m):
     degrees = np.asarray(m)
     if degrees.dtype.kind not in "iu":
         raise ParameterError(f"mode degree must be an int, got {m!r}")
-    if np.any(degrees < 0):
+    if (degrees < 0).any():
         raise ParameterError(f"mode degree must be >= 0, got {m}")
     return degrees
 
@@ -96,8 +96,7 @@ def factored_symbol(p0, k, m):
     if not isinstance(k, int) or k < 1:
         raise ParameterError(f"factor count k must be an int >= 1, got {k!r}")
     s0 = p0.s
-    if not 0.0 < s0 < 1.0:
-        raise ParameterError(f"base order s0 must lie in (0, 1), got {s0}")
+    require_unit_order(s0, "the factored symbol's base order")
     if s0 + k >= 0.5 * p0.n:
         raise ParameterError(
             f"factored symbol needs s0 + k < n/2, got s0 = {s0}, k = {k}, n = {p0.n}"
@@ -111,8 +110,7 @@ def factored_symbol(p0, k, m):
 
 def vol_sphere(n):
     """Volume of the unit round S^n."""
-    if not isinstance(n, int) or n < 1:
-        raise ParameterError(f"dimension must be an int >= 1, got {n!r}")
+    require_dimension(n)
     return 2.0 * math.pi ** (0.5 * (n + 1)) / math.exp(log_gamma(0.5 * (n + 1)))
 
 
@@ -124,8 +122,7 @@ class ModeSpectrum:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ParameterError(f"dimension must be an int >= 1, got {self.n!r}")
+        require_dimension(self.n)
         c = np.asarray(self.coeffs, dtype=float)
         if c.ndim != 1 or c.size == 0:
             raise ParameterError("coeffs must be a non-empty 1-d array")
@@ -158,13 +155,6 @@ def _circle_moment(alpha):
     )
 
 
-def _require_kernel_range(p):
-    if not 0.0 < p.s < 1.0:
-        raise ParameterError(
-            f"the singular-kernel representation needs s in (0, 1), got s = {p.s}"
-        )
-
-
 def frac_lap_constant(p):
     """C_(n,s) = s 4^s Gamma(n/2 + s) / (pi^(n/2) Gamma(1 - s)), for 0 < s < 1.
 
@@ -173,7 +163,7 @@ def frac_lap_constant(p):
     sphere and cylinder kernels pull back |x - y|^(-n-2s), so their
     normalizations are this constant too.
     """
-    _require_kernel_range(p)
+    require_unit_order(p.s, "the singular-kernel representation")
     log_ratio = log_gamma(0.5 * p.n + p.s) - log_gamma(1.0 - p.s)
     return p.s * 4.0**p.s * math.exp(log_ratio) / math.pi ** (0.5 * p.n)
 

@@ -646,6 +646,15 @@ class TestBranchContinuation:
         for sol in sols:
             assert sol.values.max() - sol.values.min() > 1.0
 
+    def test_stalled_warm_start_retries_from_auto(self):
+        # the warm start from 1.2 L0 stalls in Newton at 2 L0, where mode 2
+        # sits at the bifurcation frequency; "auto" solves there directly
+        for n, s in ((3, 0.85), (3, 0.9), (5, 0.85), (2, 0.9)):
+            p = FracParams(n, s)
+            period0 = bifurcation_period(p)
+            sols = continue_branch(p, [1.2 * period0, 2.0 * period0], size=512)
+            assert [sol.nonconstant for sol in sols] == [True, True], (n, s)
+
     def test_peaks_grow_and_energy_beats_constant(self):
         p = FracParams(3, 0.5)
         base = PERIOD_THRESHOLD_3_HALF

@@ -3,8 +3,56 @@ import math
 import numpy as np
 import pytest
 
+import conflap
+from conflap.cylinder import cyl_mode_parameter
 from conflap.errors import ParameterError
 from conflap.params import FracParams, GridFunction, KernelSpec
+
+_LINE = GridFunction(8.0, np.zeros(16))
+_CIRCLE = conflap.ModeSpectrum(1, [1.0, 0.5])
+
+# one out-of-range input per public entry point of each (n, s) range rule:
+# s < n/2, n >= 2 on the cylinder, n = 1 on the line, 0 < s < 1 for the
+# kernels and the extension, degrees m >= 0 and dimensions n >= 1
+REFUSALS = {
+    "cyl_symbol at s = n/2": lambda: conflap.cyl_symbol(FracParams(3, 1.5), 0, 1.0),
+    "cyl_symbol at n = 1": lambda: conflap.cyl_symbol(FracParams(1, 0.25), 0, 1.0),
+    "cyl_curvature at s = n/2": lambda: conflap.cyl_curvature(FracParams(3, 1.5)),
+    "cyl_curvature at n = 1": lambda: conflap.cyl_curvature(FracParams(1, 0.25)),
+    "calibrate_kernel at s = 1": lambda: conflap.calibrate_kernel(FracParams(3, 1.0)),
+    "calibrate_kernel at s = 1.5": lambda: conflap.calibrate_kernel(FracParams(3, 1.5)),
+    "frac_lap_constant at s = 1": lambda: conflap.frac_lap_constant(FracParams(3, 1.0)),
+    "calibrate_sphere_kernel at s = 1": (
+        lambda: conflap.calibrate_sphere_kernel(FracParams(1, 1.0))
+    ),
+    "frac_lap_integral at n = 2": lambda: conflap.frac_lap_integral(FracParams(2, 0.5), _LINE),
+    "frac_lap_integral at s = 1": lambda: conflap.frac_lap_integral(FracParams(1, 1.0), _LINE),
+    "covariance_bridge at n = 2": (
+        lambda: conflap.covariance_bridge(FracParams(2, 0.5), _CIRCLE)
+    ),
+    "covariance_bridge at s = 1": (
+        lambda: conflap.covariance_bridge(FracParams(1, 1.0), _CIRCLE)
+    ),
+    "d_s_const at s = 1": lambda: conflap.d_s_const(1.0),
+    "solve_extension_mode at s = 1": (
+        lambda: conflap.solve_extension_mode(FracParams(3, 1.0), 1.0)
+    ),
+    "factored_symbol with s0 = 1": lambda: conflap.factored_symbol(FracParams(7, 1.0), 1, 2),
+    "cyl_mode_parameter with m = True": lambda: cyl_mode_parameter(3, True),
+    "cyl_mode_parameter with m = -1": lambda: cyl_mode_parameter(3, -1),
+    "cyl_mode_parameter with m = 1.0": lambda: cyl_mode_parameter(3, 1.0),
+    "cyl_mode_parameter with m = [1, 2]": lambda: cyl_mode_parameter(3, [1, 2]),
+    "sphere_symbol with m = -1": lambda: conflap.sphere_symbol(FracParams(3, 0.5), -1),
+    "vol_sphere(0)": lambda: conflap.vol_sphere(0),
+    "ModeSpectrum(0, [1.0])": lambda: conflap.ModeSpectrum(0, [1.0]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", REFUSALS.values(), ids=REFUSALS.keys())
+def test_range_rules_refuse_with_parameter_error(call):
+    with pytest.raises(ParameterError):
+        call()
 
 
 def test_valid_construction():

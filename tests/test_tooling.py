@@ -1,6 +1,7 @@
 """Checks on the repository's tooling against the library's public names."""
 
 import ast
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,23 @@ def test_benchmark_calls_only_exported_names():
     }
     assert {"solve_delaunay", "log_gamma_abs2", "tracer"} <= called
     assert sorted(called - set(conflap.__all__) - {"tracer"}) == []
+
+
+def test_all_lists_each_public_name_once():
+    # __all__ is built from what __init__ imports: sorted, without repeats,
+    # every public non-module name of the package, and each of them defined
+    # in a conflap module, so no helper import leaks in
+    names = conflap.__all__
+    assert names == sorted(set(names))
+    public = {
+        name
+        for name, value in vars(conflap).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert set(names) == public
+    assert sorted(
+        name for name in names if not getattr(conflap, name).__module__.startswith("conflap.")
+    ) == []
 
 
 def _loaded_by(module, statements="import conflap.cli"):
