@@ -15,6 +15,7 @@ import click
 import numpy as np
 
 from .cylinder import (
+    BIFURCATION_XTOL,
     calibrate_kernel,
     cyl_curvature,
     cyl_kernel,
@@ -23,7 +24,6 @@ from .cylinder import (
     periodized_kernel,
 )
 from .delaunay import (
-    BIFURCATION_XTOL,
     bifurcation_period,
     bubble_tower_defect,
     continue_branch,
@@ -197,9 +197,9 @@ def curvature(n, orders):
     def one(s):
         p = FracParams(n, s)
         q_s = float(sphere_curvature(p))
-        c_ns = float(cyl_curvature(p)) if _admits(require_dimension, n, "c_ns", 2) else None
-        record = {"s": s, "Q_s": q_s, "c_ns": c_ns}
-        record.update(d_s=None, d_star_s=None, V_s=None)
+        record = dict(s=s, Q_s=q_s, c_ns=None, d_s=None, d_star_s=None, V_s=None)
+        if _admits(require_dimension, n, "c_ns", 2) and _admits(p.require_subcritical, "c_ns"):
+            record["c_ns"] = float(cyl_curvature(p))
         if _admits(require_unit_order, s, "d_s") and _admits(p.require_noncritical, "V_s"):
             record["d_s"] = float(d_s_const(s))
             record["d_star_s"] = float(d_star_const(s))

@@ -2,39 +2,54 @@
 
 Functions split over spherical harmonics on the cross-section and Fourier
 frequencies xi along the axis; the operator multiplies each (m, xi) component
-by a ratio of squared Gamma moduli.  The translation-invariant part also has
-a convolution kernel in the axial variable, a hypergeometric profile with an
-algebraic singularity at 0 and exponential decay, which this module evaluates
-directly, normalizes in closed form, checks against the symbol, and
-periodizes for the study of periodic solutions.
+by a ratio of squared Gamma moduli, which only this module evaluates, and the
+root Theta^0(xi0) = c_(n,s) q of its zero mode fixes the bifurcation period of
+the Delaunay branch.  The translation-invariant part also has a convolution
+kernel in the axial variable, a hypergeometric profile with an algebraic
+singularity at 0 and exponential decay, which this module evaluates directly,
+normalizes in closed form, checks against the symbol, and periodizes for the
+study of periodic solutions.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
+from scipy.special import loggamma, psi
 
 from .errors import NonConvergenceError, ParameterError, SingularityError
 from .params import KernelSpec, require_dimension
 from .sphere import _check_mode, frac_lap_constant, vol_sphere
-from .specfun import hyp2f1, jacobi_unit_rule, log_gamma, log_gamma_abs2, panel_rule
+from .specfun import hyp2f1, jacobi_unit_rule, log_gamma, panel_rule
 
 _PERIODIZE_REL_TOL = 1e-15
 _PERIODIZE_MAX_SHELLS = 400
 #: largest |xi| ``kernel_multiplier`` accepts: the 64-node Jacobi rule on
 #: (0, 1) resolves 1 - cos(xi h) to about 1e-9 up to here, and not past it
 KERNEL_MULTIPLIER_XI_MAX = 200.0
+#: absolute tolerance of ``bifurcation_period`` on xi
+BIFURCATION_XTOL = 1e-12
 
 
 def cyl_mode_parameter(n, m):
-    """Shift beta_m = sqrt((n/2-1)^2 + mu_m) for cross-sectional degree m.
-
-    mu_m = m (m + n - 2) is the S^(n-1) eigenvalue, and the square root
-    collapses to m + n/2 - 1.
-    """
+    """Shift beta_m = sqrt((n/2-1)^2 + mu_m) = m + n/2 - 1 for cross-sectional
+    degree m, where mu_m = m (m + n - 2) is the S^(n-1) eigenvalue."""
     if _check_mode(m).ndim:
         raise ParameterError(f"the cylinder takes one mode degree, got {m!r}")
-    mu = m * (m + n - 2)
-    return math.sqrt((0.5 * n - 1.0) ** 2 + mu)
+    return int(m) + 0.5 * n - 1.0
+
+
+def _gamma_shifts(p, m):
+    """Shifts A, B = (1 +- s + beta_m)/2 of Theta^m_s, after the checks on n, s and m."""
+    require_dimension(p.n, "the cylinder", least=2)
+    p.require_subcritical("the cylinder symbol")
+    beta = cyl_mode_parameter(p.n, m)
+    return 0.5 * (1.0 + p.s + beta), 0.5 * (1.0 - p.s + beta)
+
+
+def _log_ratio(a, b, xi):
+    """log |Gamma(A + i xi/2)|^2 - log |Gamma(B + i xi/2)|^2 = log Theta - 2s log 2."""
+    return 2.0 * loggamma(a + 0.5j * xi).real - 2.0 * loggamma(b + 0.5j * xi).real
 
 
 def cyl_symbol(p, m, xi):
@@ -42,22 +57,49 @@ def cyl_symbol(p, m, xi):
 
     Equals 2^(2s) |Gamma((1 + s + beta_m)/2 + i xi/2)|^2 /
     |Gamma((1 - s + beta_m)/2 + i xi/2)|^2, positive and even in xi.
-    Accepts scalar or array xi.  Needs 0 < s < n/2.
+    Accepts finite scalar or array xi.  Needs 0 < s < n/2.
     """
-    require_dimension(p.n, "the cylinder", least=2)
-    p.require_subcritical("the cylinder symbol")
-    beta = cyl_mode_parameter(p.n, m)
-    x_plus = 0.5 * (1.0 + p.s + beta)
-    x_minus = 0.5 * (1.0 - p.s + beta)
-    y = 0.5 * np.asarray(xi, dtype=float)
-    log_ratio = log_gamma_abs2(x_plus, y) - log_gamma_abs2(x_minus, y)
-    out = np.exp(2.0 * p.s * math.log(2.0) + log_ratio)
+    a, b = _gamma_shifts(p, m)
+    xs = np.asarray(xi, dtype=float)
+    if not np.isfinite(xs).all():
+        raise ParameterError(f"the cylinder symbol needs finite xi, got xi = {xi}")
+    out = np.exp(2.0 * p.s * math.log(2.0) + _log_ratio(a, b, xs))
     return float(out) if np.isscalar(xi) else out
 
 
 def theta0(p, xi):
     """Axial symbol of the zero cross-sectional mode."""
     return cyl_symbol(p, 0, xi)
+
+
+@lru_cache(maxsize=64)  # solve_delaunay's seed reuses the caller's L0 root
+def _bifurcation_root(p):
+    """xi0 = 2 pi / L0, the root of the increasing Theta^0(xi) = c_(n,s) q, and
+    the slope Im psi(B + i xi0/2) - Im psi(A + i xi0/2) of log Theta^0 there,
+    by a doubling bracket, then Newton on log Theta^0 that bisects on leaving it."""
+    offset = 2.0 * p.s * math.log(2.0) - math.log(cyl_curvature(p) * p.q)
+    a, b = _gamma_shifts(p, 0)
+
+    def excess(xi):  # log Theta^0(xi) - log(c q) and its xi-derivative
+        slope = psi(b + 0.5j * xi).imag - psi(a + 0.5j * xi).imag
+        return offset + _log_ratio(a, b, xi), slope
+
+    lo, hi = 0.0, 1.0
+    while excess(hi)[0] < 0.0:
+        lo, hi = hi, 2.0 * hi
+        if hi > 1e8:
+            raise NonConvergenceError("no bifurcation frequency below 1e8")
+    xi = 0.5 * (lo + hi)
+    for _ in range(100):
+        value, slope = excess(xi)
+        lo, hi = (xi, hi) if value < 0.0 else (lo, xi)
+        step = xi - value / slope
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - xi) <= BIFURCATION_XTOL:
+            return step, slope
+        xi = step
+    raise NonConvergenceError("bifurcation frequency did not converge in 100 steps")
 
 
 def cyl_curvature(p):

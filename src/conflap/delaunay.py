@@ -10,13 +10,11 @@ sech-type limit profiles as the period grows.
 import contextlib
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import loggamma, psi
 
-from .cylinder import cyl_curvature, cyl_mode_parameter, cyl_symbol, periodized_kernel
+from .cylinder import _bifurcation_root, cyl_curvature, cyl_symbol, periodized_kernel
 from .errors import NewtonDivergenceError, NonConvergenceError, ParameterError
 from .params import FracParams, GridFunction
 from .sphere import sphere_curvature
@@ -24,8 +22,6 @@ from .sphere import sphere_curvature
 _RESIDUAL_CAP = 1e-10
 #: a profile is nonconstant when max - min exceeds this fraction of its max
 _FLAT_SPREAD = 1e-3
-#: absolute tolerance of ``bifurcation_period`` on xi
-BIFURCATION_XTOL = 1e-12
 #: cap on the relative tolerance of each Newton step's GMRES solve: 1e-5 and
 #: looser lose the tower start at (2, 0.9896, 4.5385 L0), q about 191, which
 #: takes 58 Newton steps at 1e-6 and 1e-7; near L0, (2, 0.937, 1.073 L0) and
@@ -64,42 +60,6 @@ def delaunay_residual(p, f):
         raise ParameterError("the curvature-equation defect needs v > 0")
     applied = apply_Ls_periodic(p, f).values
     return applied - cyl_curvature(p) * f.values ** p.q
-
-
-@lru_cache(maxsize=64)  # solve_delaunay's seed reuses the caller's L0 root
-def _bifurcation_root(p):
-    """xi0 = 2 pi / L0, where theta(xi0) = c_(n,s) q, and the slope of log
-    theta there, Im psi(B + i xi0/2) - Im psi(A + i xi0/2) > 0.
-
-    theta = 2^(2s) |Gamma(A + i xi/2)|^2 / |Gamma(B + i xi/2)|^2 increases,
-    so the root is bracketed by doubling, then found by Newton on log theta
-    that bisects whenever a step leaves the bracket.
-    """
-    beta = cyl_mode_parameter(p.n, 0)
-    shifts = np.array([0.5 * (1.0 + p.s + beta), 0.5 * (1.0 - p.s + beta)])
-    offset = 2.0 * p.s * math.log(2.0) - math.log(cyl_curvature(p) * p.q)
-
-    def excess(xi):  # log theta(xi) - log(c q) and its xi-derivative
-        z = shifts + 0.5j * xi
-        logs, slope = loggamma(z).real, psi(z).imag
-        return offset + 2.0 * (logs[0] - logs[1]), slope[1] - slope[0]
-
-    lo, hi = 0.0, 1.0
-    while excess(hi)[0] < 0.0:
-        lo, hi = hi, 2.0 * hi
-        if hi > 1e8:
-            raise NonConvergenceError("no bifurcation frequency below 1e8")
-    xi = 0.5 * (lo + hi)
-    for _ in range(100):
-        value, slope = excess(xi)
-        lo, hi = (xi, hi) if value < 0.0 else (lo, xi)
-        step = xi - value / slope
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi)
-        if abs(step - xi) <= BIFURCATION_XTOL:
-            return step, slope
-        xi = step
-    raise NonConvergenceError("bifurcation frequency did not converge in 100 steps")
 
 
 def bifurcation_period(p):

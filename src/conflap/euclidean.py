@@ -32,6 +32,8 @@ _PANEL_RULE = panel_rule(0.0, 1.0, 1)
 _SUPPORT_TOL = 1e-10
 #: half-width of the window |x| <= cap where the bridge compares both sides
 _COMPARE_CAP = 4.0
+#: share of the samples on each side over which ``cosine_taper`` rolls off
+_TAPER_FRACTION = 0.1
 
 #: cubic Lagrange basis on offsets {-1, 0, 1, 2}, coefficients in tau^k
 _CUBIC_BASIS = np.array(
@@ -44,12 +46,10 @@ _CUBIC_BASIS = np.array(
 )
 
 
-def cosine_taper(size, fraction=0.1):
+def cosine_taper(size):
     """Window that is 1 in the core and rolls off to 0 over the outer
-    ``fraction`` of samples on each side with a smooth half-cosine."""
-    if not 0.0 < fraction < 0.5:
-        raise ParameterError(f"taper fraction must lie in (0, 0.5), got {fraction!r}")
-    ramp = max(2, int(round(size * fraction)))
+    ``_TAPER_FRACTION`` of samples on each side with a smooth half-cosine."""
+    ramp = max(2, int(round(size * _TAPER_FRACTION)))
     window = np.ones(size)
     edge = 0.5 * (1.0 - np.cos(math.pi * np.arange(ramp) / ramp))
     window[:ramp] = edge
@@ -352,7 +352,7 @@ def covariance_bridge(p, spectrum, half_width=2000.0, size=1 << 17):
     factor = 0.5 * (1.0 + x**2)
     # sum_m c_m cos(m alpha) = sum_m c_m T_m(cos alpha)
     flat = factor ** (s - 0.5) * chebval(np.cos(alpha), reduced)
-    tapered = GridFunction(2.0 * half_width, flat * cosine_taper(size, 0.1))
+    tapered = GridFunction(2.0 * half_width, flat * cosine_taper(size))
     # after the pole split the profile decays like |x|^(2s-3); what the taper
     # removes feeds back into the comparison window at the 1e-8 level, well
     # inside the relaxed edge tolerance

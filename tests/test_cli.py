@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import rgamma
 
 import conflap
 from conflap import cli
@@ -41,12 +42,16 @@ class TestCurvature:
         assert record["V_s"] == pytest.approx(-2.0 * math.pi**2, rel=1e-12)
 
     def test_trace_constants_nulled_outside_domain(self, capsys):
-        code, out, _ = run(capsys, ["curvature", "--n", "5", "--s", "1.5"])
-        assert code == 0
-        record = json.loads(out)["results"][0]
-        assert record["d_s"] is None
-        assert record["V_s"] is None
-        assert record["Q_s"] > 0.0
+        # Q_s = Gamma(n/2 + s) / Gamma(n/2 - s) holds at every s; c_ns needs
+        # s < n/2, and d_s, d*_s and V_s need 0 < s < 1
+        for n, s in [(5, 1.5), (2, 1.0), (2, 1.5), (3, 1.5)]:
+            code, out, _ = run(capsys, ["curvature", "--n", str(n), "--s", str(s)])
+            assert code == 0
+            record = json.loads(out)["results"][0]
+            q_s = math.gamma(0.5 * n + s) * rgamma(0.5 * n - s)
+            assert record["Q_s"] == pytest.approx(q_s, rel=1e-12, abs=1e-12)
+            assert (record["c_ns"] is None) == (s >= 0.5 * n)
+            assert record["d_s"] is record["d_star_s"] is record["V_s"] is None
 
     def test_overflowing_trace_weight_is_input_error(self, capsys):
         code, out, err = run(capsys, ["curvature", "--n", "3", "--s", "1e-320"])
@@ -74,6 +79,14 @@ class TestSymbol:
         assert code == 0
         record = json.loads(out)["results"][0]
         assert record["symbol"] == pytest.approx(2.0 / math.pi, rel=1e-12)
+
+    def test_cylinder_rejects_infinite_frequency(self, capsys):
+        code, out, err = run(
+            capsys, ["symbol", "cylinder", "--n", "3", "--s", "0.5", "--xi", "inf"]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "finite xi" in err
 
     def test_sphere_rejects_frequency_flag(self, capsys):
         code, _, err = run(

@@ -57,11 +57,18 @@ KERNEL_TABLE = [
 
 
 def test_mode_parameter_collapses():
-    # sqrt((n/2-1)^2 + m(m+n-2)) = m + n/2 - 1
-    for n in range(2, 9):
-        for m in range(0, 60, 7):
-            got = cyl_mode_parameter(n, m)
-            assert math.isclose(got, m + 0.5 * n - 1.0, rel_tol=1e-14, abs_tol=1e-14)
+    # m + n/2 - 1 = sqrt((n/2-1)^2 + m(m+n-2)), the latter in Python ints, also
+    # for numpy integer degrees whose own type would wrap m(m+n-2)
+    degrees = [*range(0, 60, 7), np.uint8(200), np.int64(2**40)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in range(2, 9):
+            for m in degrees:
+                root = math.sqrt((0.5 * n - 1.0) ** 2 + int(m) * (int(m) + n - 2))
+                got = cyl_mode_parameter(n, m)
+                assert math.isclose(got, root, rel_tol=1e-14, abs_tol=1e-14)
+        p = FracParams(3, 0.5)
+        assert cyl_symbol(p, np.uint8(200), 1.0) == cyl_symbol(p, 200, 1.0)
 
 
 def test_symbol_table():
@@ -129,6 +136,11 @@ def test_symbol_rejects_bad_params():
         cyl_symbol(FracParams(3, 1.5), 0, 1.0)
     with pytest.raises(ParameterError):
         cyl_symbol(FracParams(3, 0.5), -1, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for xi in (math.inf, -math.inf, math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(ParameterError, match="xi"):
+                cyl_symbol(FracParams(3, 0.5), 0, xi)
 
 
 def test_kernel_profile_table():

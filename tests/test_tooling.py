@@ -45,6 +45,21 @@ def test_all_lists_each_public_name_once():
     ) == []
 
 
+def test_only_cylinder_and_specfun_call_gamma_logs():
+    # the cylinder symbol's Gamma ratio and its digamma slope have one owner,
+    # conflap.cylinder; specfun wraps scipy.special for every other module
+    callers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "scipy.special":
+                names = {alias.name for alias in node.names}
+            else:
+                names = {node.attr} if isinstance(node, ast.Attribute) else set()
+            if names & {"loggamma", "psi", "digamma"}:
+                callers.add(path.name)
+    assert callers - {"specfun.py"} == {"cylinder.py"}
+
+
 def _loaded_by(module, statements="import conflap.cli"):
     """'True' or 'False': whether ``statements`` in a fresh process load ``module``."""
     code = f"import sys\n{statements}\nprint({module!r} in sys.modules)"
