@@ -449,7 +449,7 @@ def bifurcation(dims, orders):
     type=float,
     multiple=True,
     required=True,
-    help="Periods to solve; several walk the branch with warm starts.",
+    help="Periods to solve, each from the automatic start.",
 )
 @click.option("--size", type=int, default=512, show_default=True)
 @click.option(

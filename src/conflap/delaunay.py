@@ -7,7 +7,6 @@ single-bump profiles exists, approaching a superposition of translated
 sech-type limit profiles as the period grows.
 """
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -15,7 +14,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .cylinder import _bifurcation_root, cyl_curvature, cyl_symbol, periodized_kernel
-from .errors import NewtonDivergenceError, NonConvergenceError, ParameterError
+from .errors import NewtonDivergenceError, ParameterError
 from .params import FracParams, GridFunction
 from .sphere import sphere_curvature
 
@@ -27,15 +26,15 @@ _FLAT_SPREAD = 1e-3
 #: takes 58 Newton steps at 1e-6 and 1e-7; near L0, (2, 0.937, 1.073 L0) and
 #: (2, 0.965, 1.080 L0) solve from the seed in 3 steps at any cap up to 1e-3
 _FORCING_CAP = 1e-7
-#: cap on the Krylov steps of one Newton step; over the 5202 Newton steps of
+#: cap on the Krylov steps of one Newton step; over the 5277 Newton steps of
 #: the seed 0-7 benchmark sweep draws at N = 512 the most any took was 28
 _KRYLOV_STEPS = 240
 #: reach of the Lyapunov-Schmidt seed in q eps: v^q is about exp(q eps cos),
-#: so the expansion holds while q eps, not eps, is small.  Over the 1960
-#: solves of the seed 0-7 benchmark sweep draws at N = 512, reach 3 leaves 3
-#: failures and none off the bump; 2 and 2.5 leave 8 near L0 on the constant,
-#: 3.75 and 4 fail 6 and 24, and a gate eps <= 0.5 instead, which seeds
-#: n = 2, s near 0.95 at L >= 3 L0 (q about 40), fails 41
+#: so the expansion holds while q eps, not eps, is small; past it the seed
+#: is tried only after the tower.  Over the 1960 solves of the seed 0-7
+#: benchmark sweep draws at N = 512, reach 3 leaves 1 failure and none off
+#: the bump, the solved points taking 5157 Newton steps; 2, 2.5 and 3.5
+#: leave the same in 5466, 5392 and 5163, and 4 fails 24
 _SEED_REACH = 3.0
 #: cap on the Newton steps of one solve
 _NEWTON_STEPS = 60
@@ -112,8 +111,11 @@ class DelaunaySolution:
     residual_norm: float
     energy: float
     nonconstant: bool
+    #: Newton and Krylov steps summed over every start tried
     newton_steps: int = 0
     krylov_steps: int = 0
+    #: the start the result came from: "constant", "seed" or "tower" for
+    #: init="auto", "array" for a given profile
     start: str = "array"
 
     def __post_init__(self):
@@ -199,11 +201,14 @@ def solve_delaunay(p, period, init="auto", size=512, tol=1e-11):
       - else the Lyapunov-Schmidt seed 1 + eps cos(xi t)
         + eps^2 (-q/4 + a2 cos(2 xi t)) of ``_branch_expansion``, where it
         is positive and q eps <= 3, which holds near L0;
-      - else the periodized limit profile, the tower of bumps.
-    The result's ``start`` names the choice ("constant", "seed", "tower"
-    or "array").  The unknowns are w_k = v(k dx), k = 0 .. N/2, so the
-    translation mode v' stays out of the Jacobian, which ``_krylov_step``
-    applies matrix-free in an unrestarted GMRES preconditioned by 1/theta.
+      - else the periodized limit profile, the tower of bumps, then the
+        seed wherever it is positive: the first start to end on the bump
+        wins, else the tower's flat solution or error stands.
+    The result's ``start`` names the start it came from ("constant",
+    "seed", "tower" or "array"), and its step counts cover every try.
+    The unknowns are w_k = v(k dx), k = 0 .. N/2, so the translation mode
+    v' stays out of the Jacobian, which ``_krylov_step`` applies
+    matrix-free in an unrestarted GMRES preconditioned by 1/theta.
     Newton stops below ``tol`` or the residual's round-off floor
     eps max(theta) (max w - min w), unless ``tol`` is under eps c max(w)^q;
     trial steps that are not positive are halved.  The result peaks at
@@ -225,9 +230,8 @@ def solve_delaunay(p, period, init="auto", size=512, tol=1e-11):
     if isinstance(init, str):
         if init != "auto":
             raise ParameterError(f"unknown init {init!r}")
-        w, start = _auto_start(p, period, theta[1] < curvature * q, grid.dx * nodes)
+        starts = _auto_starts(p, period, theta[1] < curvature * q, grid.dx * nodes)
     else:
-        start = "array"
         v = np.asarray(init, dtype=float)
         if v.shape != (size,):
             raise ParameterError(f"init array must have shape ({size},), got {v.shape}")
@@ -235,66 +239,79 @@ def solve_delaunay(p, period, init="auto", size=512, tol=1e-11):
         w = 0.5 * (v[(peak + nodes) % size] + v[(peak - nodes) % size])
         if not np.all(w > 0.0):
             raise ParameterError("init array must have a positive even part")
+        starts = [(w, "array")]
 
     def residual_of(w):
         return _apply_symbol(_even(w), theta)[: half + 1] - curvature * w**q
 
     eps = np.finfo(float).eps
-    res = residual_of(w)
-    norm = float(np.max(np.abs(res)))
-    krylov_steps = 0
-    for newton_steps in range(_NEWTON_STEPS):
-        # a tol under eps c max(w)^q, the unit round-off of the terms, cannot
-        # be met at any N and stays as given
-        floor = eps * theta.max() * np.ptp(w) if tol > eps * curvature * w.max() ** q else 0
-        if norm < max(tol, min(floor, _RESIDUAL_CAP)):
-            break
-        step, count = _krylov_step(theta, curvature * q * w ** (q - 1.0), res, tol)
-        krylov_steps += count
-        for scale in 0.5 ** np.arange(20):
-            trial = w + scale * step
-            if np.all(trial > 0.0):
-                trial_res = residual_of(trial)
-                trial_norm = float(np.max(np.abs(trial_res)))
-                if trial_norm < norm:
-                    break
-        else:
-            raise NewtonDivergenceError(
-                "line search stalled", last_residual=norm,
+    newton_steps = krylov_steps = 0
+    # the first start that ends on the bump wins; if none does, the first
+    # start's flat solution or error stands
+    first = None
+    for w, start in starts:
+        res = residual_of(w)
+        norm = float(np.max(np.abs(res)))
+        failure = "Newton did not reach tolerance"
+        for _ in range(_NEWTON_STEPS):
+            # a tol under eps c max(w)^q, the unit round-off of the terms,
+            # cannot be met at any N and stays as given
+            floor = eps * theta.max() * np.ptp(w) if tol > eps * curvature * w.max() ** q else 0
+            if norm < max(tol, min(floor, _RESIDUAL_CAP)):
+                failure = None
+                break
+            step, count = _krylov_step(theta, curvature * q * w ** (q - 1.0), res, tol)
+            krylov_steps += count
+            for scale in 0.5 ** np.arange(20):
+                trial = w + scale * step
+                if np.all(trial > 0.0):
+                    trial_res = residual_of(trial)
+                    trial_norm = float(np.max(np.abs(trial_res)))
+                    if trial_norm < norm:
+                        break
+            else:
+                failure = "line search stalled"
+                break
+            w, res, norm = trial, trial_res, trial_norm
+            newton_steps += 1
+        if failure:
+            outcome = NewtonDivergenceError(
+                failure, last_residual=norm,
                 newton_steps=newton_steps, krylov_steps=krylov_steps,
             )
-        w, res, norm = trial, trial_res, trial_norm
-    else:
-        raise NewtonDivergenceError(
-            "Newton did not reach tolerance", last_residual=norm,
-            newton_steps=_NEWTON_STEPS, krylov_steps=krylov_steps,
-        )
+        else:
+            # put the peak at x = 0, the middle node; _even(w) already has
+            # it there when w peaks at k = N/2
+            v = np.roll(_even(w), 0 if np.argmax(w) == half else half)
+            outcome = DelaunaySolution(
+                n=p.n, s=p.s, period=period, values=v, residual_norm=norm,
+                energy=functional_FL(p, GridFunction(period, v)),
+                nonconstant=float(v.max() - v.min()) > _FLAT_SPREAD * float(v.max()),
+                newton_steps=newton_steps, krylov_steps=krylov_steps, start=start,
+            )
+            if outcome.nonconstant:
+                return outcome
+        first = first or outcome
+    if isinstance(first, NewtonDivergenceError):
+        raise first
+    return first
 
-    # put the peak at x = 0, the middle node; _even(w) already has it there
-    # when w peaks at k = N/2
-    v = np.roll(_even(w), 0 if np.argmax(w) == half else half)
-    return DelaunaySolution(
-        n=p.n, s=p.s, period=period, values=v, residual_norm=norm,
-        energy=functional_FL(p, GridFunction(period, v)),
-        nonconstant=float(v.max() - v.min()) > _FLAT_SPREAD * float(v.max()),
-        newton_steps=newton_steps, krylov_steps=krylov_steps, start=start,
-    )
 
-
-def _auto_start(p, period, unstable, t):
-    """The "auto" start on the nodes t >= 0 and its name: the constant while
-    the first mode is stable, the Lyapunov-Schmidt seed where it is positive
-    and q eps <= _SEED_REACH, else the tower of limit bumps."""
+def _auto_starts(p, period, unstable, t):
+    """The named "auto" starts on the nodes t >= 0, in the order tried: the
+    constant while the first mode is stable, the Lyapunov-Schmidt seed where
+    it is positive and q eps <= _SEED_REACH, else the tower, then the seed."""
     if not unstable:
-        return np.ones(t.size), "constant"
+        return [(np.ones(t.size), "constant")]
     eps2, a2, _ = _branch_expansion(p, period)
-    if eps2 > 0.0 and p.q * math.sqrt(eps2) <= _SEED_REACH:
-        phase = 2.0 * math.pi / period * t
-        w = 1.0 + math.sqrt(eps2) * np.cos(phase)
-        w += eps2 * (a2 * np.cos(2.0 * phase) - 0.25 * p.q)
-        if np.all(w > 0.0):
-            return w, "seed"
-    return _tower_values(p, period, t), "tower"
+    eps = math.sqrt(max(eps2, 0.0))
+    phase = 2.0 * math.pi / period * t
+    w = 1.0 + eps * np.cos(phase)
+    w += eps2 * (a2 * np.cos(2.0 * phase) - 0.25 * p.q)
+    seed = [(w, "seed")] if eps > 0.0 and np.all(w > 0.0) else []
+    if seed and p.q * eps <= _SEED_REACH:
+        return seed
+    return [(_tower_values(p, period, t), "tower")] + seed
 
 
 def _critical_mass(p, f):
@@ -343,24 +360,8 @@ def kernel_functional_FL(spec, f):
 
 
 def continue_branch(p, periods, size=512, tol=1e-11):
-    """Solve along a list of periods, reusing each profile as the next start.
-
-    A warm start that falls back onto the constant or raises
-    NonConvergenceError is retried from "auto", so a too-large period step
-    does not drop off the branch; the first period starts from "auto".
-    """
-    sols = []
-    for period in periods:
-        sol = None
-        if sols:
-            with contextlib.suppress(NonConvergenceError):
-                sol = solve_delaunay(p, period, init=sols[-1].values, size=size, tol=tol)
-        if sol is None or not sol.nonconstant:
-            retry = solve_delaunay(p, period, init="auto", size=size, tol=tol)
-            if sol is None or retry.nonconstant:
-                sol = retry
-        sols.append(sol)
-    return sols
+    """``solve_delaunay`` from "auto" at each period of a list."""
+    return [solve_delaunay(p, period, size=size, tol=tol) for period in periods]
 
 
 def _sech_power(t, d):

@@ -60,11 +60,6 @@ class FracParams:
         """Singularity exponent (n + 2s)/2 of the off-diagonal kernels."""
         return 0.5 * (self.n + 2.0 * self.s)
 
-    @property
-    def extension_weight(self):
-        """Exponent a = 1 - 2s of the degenerate extension weight y^a."""
-        return 1.0 - 2.0 * self.s
-
     def require_subcritical(self, context):
         if self.s >= 0.5 * self.n:
             raise ParameterError(

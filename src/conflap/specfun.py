@@ -44,9 +44,10 @@ def log_gamma_abs2(x, y):
 
     y may be a scalar (a float is returned) or an array.
     """
+    _require_finite(x=x)
     ys = np.asarray(y, dtype=float)
-    if not math.isfinite(x) or not np.all(np.isfinite(ys)):
-        raise ParameterError(f"log |Gamma|^2 requires finite arguments, got x = {x!r}")
+    if not np.all(np.isfinite(ys)):
+        raise ParameterError(f"y must be finite, got {y!r}")
     if _is_nonpositive_int(x) and np.any(ys == 0.0):
         raise ParameterError(f"Gamma has a pole at z = {x!r}")
     out = 2.0 * special.loggamma(x + 1j * ys).real

@@ -209,11 +209,16 @@ class TestSolveDelaunay:
 
     @pytest.mark.parametrize(
         "n, s, ratio",
-        [(2, 0.7942, 1.5016), (2, 0.8871, 1.6262), (2, 0.937, 1.073), (2, 0.965, 1.080)],
+        [
+            (2, 0.7942, 1.5016), (2, 0.8871, 1.6262), (2, 0.937, 1.073), (2, 0.965, 1.080),
+            (2, 0.85, 1.9), (2, 0.9, 1.8), (2, 0.9777, 1.820), (2, 0.9866, 1.856),
+        ],
     )
     def test_former_tower_start_failures_reach_the_bump(self, n, s, ratio):
         # from the tower these points stalled, diverged or landed on the
-        # constant depending on round-off; the seed start ends on the bump
+        # constant depending on round-off; the seed ends on the bump, as the
+        # only start near L0 and, past its reach in q eps (the last four),
+        # as the start tried after the tower
         p = FracParams(n, s)
         sol = solve_delaunay(p, ratio * bifurcation_period(p))
         assert sol.start == "seed"
@@ -637,23 +642,33 @@ class TestTowerLimit:
 
 class TestBranchContinuation:
     def test_stays_on_bump_branch(self):
-        # at 2 L0 mode 2 sits at the bifurcation frequency, and a warm start
-        # can fall onto a near-constant profile; the retry from the tower
-        # must catch it, so every profile keeps a bump of height above 1
+        # at 2 L0 mode 2 sits at the bifurcation frequency, and a start
+        # stretched from the 1.2 L0 profile falls onto a near-constant
+        # profile there; every profile must keep a bump of height above 1
         p = FracParams(3, 0.5)
         base = PERIOD_THRESHOLD_3_HALF
         sols = continue_branch(p, [m * base for m in (1.2, 2.0, 3.0, 4.0)], size=512)
         for sol in sols:
             assert sol.values.max() - sol.values.min() > 1.0
 
-    def test_stalled_warm_start_retries_from_auto(self):
-        # the warm start from 1.2 L0 stalls in Newton at 2 L0, where mode 2
-        # sits at the bifurcation frequency; "auto" solves there directly
+    def test_reaches_the_bump_where_mode_two_bifurcates(self):
+        # at 2 L0 mode 2 sits at the bifurcation frequency; a start
+        # stretched from the 1.2 L0 profile stalls in Newton there
         for n, s in ((3, 0.85), (3, 0.9), (5, 0.85), (2, 0.9)):
             p = FracParams(n, s)
             period0 = bifurcation_period(p)
             sols = continue_branch(p, [1.2 * period0, 2.0 * period0], size=512)
             assert [sol.nonconstant for sol in sols] == [True, True], (n, s)
+
+    def test_equals_one_period_at_a_time(self):
+        p = FracParams(3, 0.5)
+        periods = [m * PERIOD_THRESHOLD_3_HALF for m in (1.2, 2.0, 3.0, 4.0)]
+        for sol, period in zip(continue_branch(p, periods), periods):
+            alone = solve_delaunay(p, period)
+            assert np.array_equal(sol.values, alone.values)
+            assert (sol.newton_steps, sol.krylov_steps, sol.start) == (
+                alone.newton_steps, alone.krylov_steps, alone.start
+            )
 
     def test_peaks_grow_and_energy_beats_constant(self):
         p = FracParams(3, 0.5)

@@ -60,7 +60,6 @@ def test_valid_construction():
     assert p.n == 3
     assert p.s == 0.5
     assert p.sigma == 2.0
-    assert p.extension_weight == 0.0
 
 
 def test_supercritical_s_is_allowed_at_construction():

@@ -74,6 +74,9 @@ def test_log_gamma_domain():
     for bad in (0.0, -1.0, -0.5, math.inf, math.nan):
         with pytest.raises(ParameterError):
             log_gamma(bad)
+    for x, y, name in ((1.0, math.inf, "y"), (math.inf, 1.0, "x"), (1.0, math.nan, "y")):
+        with pytest.raises(ParameterError, match=f"^{name} must be finite"):
+            log_gamma_abs2(x, y)
 
 
 def test_gamma_abs2_table():
