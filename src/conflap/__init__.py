@@ -60,7 +60,7 @@ from .extension import (
     weighted_volume_coefficient,
 )
 from .params import FracParams, GridFunction, KernelSpec
-from .specfun import gamma_abs2, hyp2f1, log_gamma, log_gamma_abs2
+from .specfun import hyp2f1, log_gamma, log_gamma_abs2
 from .sphere import (
     ModeSpectrum,
     apply_sphere,

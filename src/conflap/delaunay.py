@@ -112,11 +112,10 @@ class DelaunaySolution:
     energy: float
     nonconstant: bool
     #: Newton and Krylov steps summed over every start tried
-    newton_steps: int = 0
-    krylov_steps: int = 0
-    #: the start the result came from: "constant", "seed" or "tower" for
-    #: init="auto", "array" for a given profile
-    start: str = "array"
+    newton_steps: int
+    krylov_steps: int
+    #: the start the result came from: "constant", "seed" or "tower"
+    start: str
 
     def __post_init__(self):
         if not self.residual_norm < _RESIDUAL_CAP:
@@ -191,11 +190,10 @@ def _krylov_step(theta, slope, res, tol):
     return inverse(y), count
 
 
-def solve_delaunay(p, period, init="auto", size=512, tol=1e-11):
+def solve_delaunay(p, period, size=512, tol=1e-11):
     """Newton-Krylov solve of L v = c_(n,s) v^q on one period.
 
-    ``init`` is an array on the solver grid, of which the even part about
-    its peak is kept, or "auto", which starts from
+    Newton starts from
       - the constant where theta(2 pi / L) >= c_(n,s) q, at or below the
         bifurcation period L0;
       - else the Lyapunov-Schmidt seed 1 + eps cos(xi t)
@@ -205,7 +203,8 @@ def solve_delaunay(p, period, init="auto", size=512, tol=1e-11):
         seed wherever it is positive: the first start to end on the bump
         wins, else the tower's flat solution or error stands.
     The result's ``start`` names the start it came from ("constant",
-    "seed", "tower" or "array"), and its step counts cover every try.
+    "seed" or "tower"); the step counts of a result or an error cover
+    every start tried.
     The unknowns are w_k = v(k dx), k = 0 .. N/2, so the translation mode
     v' stays out of the Jacobian, which ``_krylov_step`` applies
     matrix-free in an unrestarted GMRES preconditioned by 1/theta.
@@ -226,28 +225,13 @@ def solve_delaunay(p, period, init="auto", size=512, tol=1e-11):
     grid = GridFunction(period, np.ones(size))
     theta = cyl_symbol(p, 0, grid.frequencies)
     half = size // 2
-    nodes = np.arange(half + 1)
-    if isinstance(init, str):
-        if init != "auto":
-            raise ParameterError(f"unknown init {init!r}")
-        starts = _auto_starts(p, period, theta[1] < curvature * q, grid.dx * nodes)
-    else:
-        v = np.asarray(init, dtype=float)
-        if v.shape != (size,):
-            raise ParameterError(f"init array must have shape ({size},), got {v.shape}")
-        peak = int(np.argmax(v))
-        w = 0.5 * (v[(peak + nodes) % size] + v[(peak - nodes) % size])
-        if not np.all(w > 0.0):
-            raise ParameterError("init array must have a positive even part")
-        starts = [(w, "array")]
+    starts = _auto_starts(p, period, theta[1] < curvature * q, grid.dx * np.arange(half + 1))
 
     def residual_of(w):
         return _apply_symbol(_even(w), theta)[: half + 1] - curvature * w**q
 
     eps = np.finfo(float).eps
     newton_steps = krylov_steps = 0
-    # the first start that ends on the bump wins; if none does, the first
-    # start's flat solution or error stands
     first = None
     for w, start in starts:
         res = residual_of(w)
@@ -274,33 +258,32 @@ def solve_delaunay(p, period, init="auto", size=512, tol=1e-11):
                 break
             w, res, norm = trial, trial_res, trial_norm
             newton_steps += 1
-        if failure:
-            outcome = NewtonDivergenceError(
-                failure, last_residual=norm,
-                newton_steps=newton_steps, krylov_steps=krylov_steps,
-            )
-        else:
-            # put the peak at x = 0, the middle node; _even(w) already has
-            # it there when w peaks at k = N/2
-            v = np.roll(_even(w), 0 if np.argmax(w) == half else half)
-            outcome = DelaunaySolution(
-                n=p.n, s=p.s, period=period, values=v, residual_norm=norm,
-                energy=functional_FL(p, GridFunction(period, v)),
-                nonconstant=float(v.max() - v.min()) > _FLAT_SPREAD * float(v.max()),
-                newton_steps=newton_steps, krylov_steps=krylov_steps, start=start,
-            )
-            if outcome.nonconstant:
-                return outcome
-        first = first or outcome
-    if isinstance(first, NewtonDivergenceError):
-        raise first
-    return first
+        nonconstant = not failure and float(np.ptp(w)) > _FLAT_SPREAD * float(w.max())
+        first = first or (w, norm, failure, start, nonconstant)
+        if nonconstant:
+            break
+    else:
+        # no start ended on the bump: the first start's flat solution or error stands
+        w, norm, failure, start, nonconstant = first
+    if failure:
+        raise NewtonDivergenceError(
+            failure, last_residual=norm, newton_steps=newton_steps, krylov_steps=krylov_steps
+        )
+    # put the peak at x = 0, the middle node; _even(w) already has it there
+    # when w peaks at k = N/2
+    v = np.roll(_even(w), 0 if np.argmax(w) == half else half)
+    return DelaunaySolution(
+        n=p.n, s=p.s, period=period, values=v, residual_norm=norm,
+        energy=functional_FL(p, GridFunction(period, v)), nonconstant=nonconstant,
+        newton_steps=newton_steps, krylov_steps=krylov_steps, start=start,
+    )
 
 
 def _auto_starts(p, period, unstable, t):
-    """The named "auto" starts on the nodes t >= 0, in the order tried: the
-    constant while the first mode is stable, the Lyapunov-Schmidt seed where
-    it is positive and q eps <= _SEED_REACH, else the tower, then the seed."""
+    """The named starts of ``solve_delaunay`` on the nodes t >= 0, in the
+    order tried: the constant while the first mode is stable, the
+    Lyapunov-Schmidt seed where it is positive and q eps <= _SEED_REACH,
+    else the tower, then the seed."""
     if not unstable:
         return [(np.ones(t.size), "constant")]
     eps2, a2, _ = _branch_expansion(p, period)
@@ -360,7 +343,7 @@ def kernel_functional_FL(spec, f):
 
 
 def continue_branch(p, periods, size=512, tol=1e-11):
-    """``solve_delaunay`` from "auto" at each period of a list."""
+    """``solve_delaunay`` at each period of a list."""
     return [solve_delaunay(p, period, size=size, tol=tol) for period in periods]
 
 

@@ -27,7 +27,7 @@ class NonConvergenceError(ConflapError, RuntimeError):
 
 class NewtonDivergenceError(NonConvergenceError):
     """Newton iteration failed; carries the last residual norm seen and the
-    Newton and Krylov step counts reached before the failure."""
+    Newton and Krylov step counts, summed over every start tried."""
 
     def __init__(self, message, last_residual=None, newton_steps=None, krylov_steps=None):
         super().__init__(message)

@@ -235,17 +235,24 @@ def commutator_check(p, f):
         raise ParameterError(f"commutator check needs s in (0, 1], got s = {s}")
     x = f.x
     u = f.values
+    mask = np.abs(x) <= 0.25 * f.length
+    targets = x[mask]
+    report = {
+        "s": s,
+        "residual": 0.0,
+        "targets": int(targets.size),
+        "xi_max": float(math.pi / f.dx),
+        "panels": f.size // 2,
+    }
     scale = np.max(np.abs(u))
     if scale == 0.0:
-        return {"s": s, "residual": 0.0, "targets": 0}
+        return report
     outside = np.abs(x) > 0.375 * f.length
     if np.max(np.abs(u[outside])) > _SUPPORT_TOL * scale:
         raise SupportError(
             "input must be supported in the inner three quarters of the grid"
         )
     weight = 0.5 * (1.0 + x**2)
-    mask = np.abs(x) <= 0.25 * f.length
-    targets = x[mask]
 
     # sqrt(2/pi) int_0^inf xi^lam Re(hat(v)(xi) e^(i xi x)) d xi in units
     # of w: the Jacobi rule on (0, w) carries (xi/w)^(2s), or (xi/w)^(lam+1)
@@ -273,14 +280,8 @@ def commutator_check(p, f):
     rhs = -s * (2.0 * targets * g_prime[mask] + (2.0 * s - 1.0) * g[mask])
 
     denom = max(np.linalg.norm(lhs), np.linalg.norm(rhs))
-    resid = np.linalg.norm(lhs - rhs) / denom
-    return {
-        "s": s,
-        "residual": float(resid),
-        "targets": int(targets.size),
-        "xi_max": float(math.pi / f.dx),
-        "panels": f.size // 2,
-    }
+    report["residual"] = float(np.linalg.norm(lhs - rhs) / denom)
+    return report
 
 
 # ----------------------------------------------------------------------

@@ -54,11 +54,6 @@ def log_gamma_abs2(x, y):
     return float(out) if ys.ndim == 0 else out
 
 
-def gamma_abs2(x, y):
-    """Squared modulus ``|Gamma(x + i y)|^2``."""
-    return math.exp(log_gamma_abs2(x, y))
-
-
 def hyp2f1(a, b, c, z):
     """Gauss hypergeometric function 2F1(a, b; c; z) for z in [0, 1].
 

@@ -132,10 +132,6 @@ class ModeSpectrum:
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
-    @property
-    def max_degree(self):
-        return self.coeffs.size - 1
-
 
 def apply_sphere(p, f):
     """Apply the conformal operator to a zonal spectrum, degree by degree."""

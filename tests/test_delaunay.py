@@ -232,8 +232,6 @@ class TestSolveDelaunay:
             for ratio in (0.8, 1.02, 6.0)
         ]
         assert starts == ["constant", "seed", "tower"]
-        warm = solve_delaunay(p, 1.02 * PERIOD_THRESHOLD_3_HALF, init=np.ones(512))
-        assert warm.start == "array"
 
     def test_large_order_tower_start_has_no_overflow(self):
         # n = 2, s near 1: the limit bump decays so slowly that cosh(t)
@@ -268,11 +266,6 @@ class TestSolveDelaunay:
         assert off_branch <= known_hard
         assert newton_steps <= 200
 
-    def test_constant_init_stays_constant(self):
-        p = FracParams(3, 0.5)
-        sol = solve_delaunay(p, 2.0 * PERIOD_THRESHOLD_3_HALF, init=np.ones(512))
-        assert not sol.nonconstant
-
     def test_deterministic(self):
         p = FracParams(3, 0.5)
         period = 1.3 * PERIOD_THRESHOLD_3_HALF
@@ -287,26 +280,8 @@ class TestSolveDelaunay:
         assert np.max(np.abs(delaunay_residual(p, shifted))) < 1e-12
 
     def test_rejects_bad_inputs(self):
-        p = FracParams(3, 0.5)
-        with pytest.raises(ParameterError, match="init"):
-            solve_delaunay(p, 6.0, init="bogus")
-        with pytest.raises(ParameterError, match="shape"):
-            solve_delaunay(p, 6.0, init=np.ones(100))
         with pytest.raises(ParameterError, match="power of two"):
-            solve_delaunay(p, 6.0, size=100)
-
-    def test_rejects_init_without_positive_even_part(self):
-        # the even part about the peak must be positive before any power of
-        # it is taken, so a bad start raises instead of warning
-        p = FracParams(3, 0.3)
-        period = 1.5 * bifurcation_period(p)
-        t = GridFunction(period, np.ones(512)).x
-        starts = (1.0 + 1.5 * np.cos(2.0 * math.pi * t / period), -np.ones(512))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for init in starts:
-                with pytest.raises(ParameterError, match="positive even part"):
-                    solve_delaunay(p, period, init=init)
+            solve_delaunay(FracParams(3, 0.5), 6.0, size=100)
 
     def test_rejects_tol_above_certificate_cap(self):
         # DelaunaySolution certifies residuals below 1e-10, so a looser tol
@@ -317,17 +292,24 @@ class TestSolveDelaunay:
                 solve_delaunay(FracParams(3, 0.5), 6.2, size=16, tol=1e-3)
 
     def test_divergence_reports_last_residual(self, monkeypatch):
+        # 1.2 L0 is within the seed's reach, so the seed is the only start
         monkeypatch.setattr(delaunay, "_NEWTON_STEPS", 1)
-        p = FracParams(3, 0.5)
-        period = 1.2 * PERIOD_THRESHOLD_3_HALF
-        t = (period / 512) * np.arange(512) - period / 2.0
-        far = 3.0 * asymptotic_profile(p, t)
         with pytest.raises(NewtonDivergenceError) as info:
-            solve_delaunay(p, period, init=far)
+            solve_delaunay(FracParams(3, 0.5), 1.2 * PERIOD_THRESHOLD_3_HALF)
         assert info.value.last_residual is not None
         assert info.value.last_residual > 0.0
         assert info.value.newton_steps == 1
         assert info.value.krylov_steps >= 1
+
+    def test_divergence_counts_every_start(self, monkeypatch):
+        # at (2, 0.9, 2 L0) the tower start fails, then the seed: the error
+        # carries the steps of both, one Newton step each
+        monkeypatch.setattr(delaunay, "_NEWTON_STEPS", 1)
+        p = FracParams(2, 0.9)
+        with pytest.raises(NewtonDivergenceError) as info:
+            solve_delaunay(p, 2.0 * bifurcation_period(p))
+        assert info.value.newton_steps == 2
+        assert info.value.krylov_steps >= 2
 
     def test_iteration_counts(self):
         # the exact constant start takes no step; a bump takes Newton steps,
@@ -373,6 +355,9 @@ class TestSolveDelaunay:
                 residual_norm=1e-3,
                 energy=0.0,
                 nonconstant=False,
+                newton_steps=0,
+                krylov_steps=0,
+                start="constant",
             )
 
 

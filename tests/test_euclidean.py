@@ -263,10 +263,17 @@ class TestCommutator:
             commutator_check(FracParams(1, 0.3), wide)
 
     def test_zero_input(self):
-        report = commutator_check(
-            FracParams(1, 0.3), GridFunction(80.0, np.zeros(1024))
-        )
+        # the zero input reports the grid's window, band limit and panels
+        # like any other input, with a zero residual
+        grid = GridFunction(80.0, np.zeros(1024))
+        report = commutator_check(FracParams(1, 0.3), grid)
+        bump = GridFunction(grid.length, np.exp(-grid.x**2))
+        nonzero = commutator_check(FracParams(1, 0.3), bump)
         assert report["residual"] == 0.0
+        assert report.keys() == nonzero.keys()
+        for key in ("targets", "xi_max", "panels"):
+            assert report[key] == nonzero[key], key
+        assert report["targets"] > 0
 
 
 class TestPanelQuadrature:

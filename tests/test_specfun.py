@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from conflap.errors import ParameterError
 from conflap.specfun import (
-    gamma_abs2,
     hyp2f1,
     log_gamma,
     log_gamma_abs2,
@@ -81,14 +80,14 @@ def test_log_gamma_domain():
 
 def test_gamma_abs2_table():
     for (x, y), ref in GAMMA_ABS2_TABLE:
-        v = gamma_abs2(x, y)
+        v = math.exp(log_gamma_abs2(x, y))
         assert math.isclose(v, float(ref), rel_tol=1e-12), (x, y)
 
 
 def test_gamma_abs2_real_axis():
     for x in np.linspace(0.1, 50.0, 23):
         expected = math.exp(2.0 * math.lgamma(x))
-        assert math.isclose(gamma_abs2(x, 0.0), expected, rel_tol=1e-12)
+        assert math.isclose(math.exp(log_gamma_abs2(x, 0.0)), expected, rel_tol=1e-12)
 
 
 def _log_cosh(p):
@@ -130,9 +129,9 @@ def test_recurrence_property(x, y):
 
 def test_gamma_abs2_pole_raises():
     with pytest.raises(ParameterError):
-        gamma_abs2(0.0, 0.0)
+        log_gamma_abs2(0.0, 0.0)
     with pytest.raises(ParameterError):
-        gamma_abs2(-3.0, 0.0)
+        log_gamma_abs2(-3.0, 0.0)
 
 
 def test_vectorized_matches_scalar():
