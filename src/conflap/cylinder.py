@@ -143,21 +143,30 @@ def kernel_base(p, h):
     return float(out) if hs.ndim == 0 else out
 
 
+@lru_cache(maxsize=64)  # every kernel_multiplier call at p reuses it
+def _near_table(p):
+    """Nodes of the 64-node Gauss-Jacobi rule for h^(1-2s) on (0, 1) and the
+    products weights * h^(1+2s) K0(h) there, as read-only arrays; neither
+    depends on xi."""
+    nodes, weights = jacobi_unit_rule(1.0 - 2.0 * p.s, 64)
+    table = weights * nodes ** (1.0 + 2.0 * p.s) * kernel_base(p, nodes)
+    table.flags.writeable = False
+    return nodes, table
+
+
 def _difference_integral(p, xi):
     """int_R (1 - cos(xi h)) K0(h) dh for the unnormalized profile.
 
     On (0, 1) the integrand is h^(1-2s) times a smooth even function, so the
-    algebraic factor goes into a Gauss-Jacobi weight.  On (1, h_cut)
+    algebraic factor goes into a Gauss-Jacobi weight; the weighted kernel
+    values there are computed once per p (``_near_table``).  On (1, h_cut)
     composite Gauss-Legendre panels of width 1/max(4, xi) resolve the decay
     and the oscillation, and the closed-form exponential tail covers
     h > h_cut.
     """
-    s = p.s
     h_cut = 45.0 / p.sigma
-    nodes, weights = jacobi_unit_rule(1.0 - 2.0 * s, 64)
-    smooth = nodes ** (1.0 + 2.0 * s) * kernel_base(p, nodes)
-    osc = 2.0 * np.sin(0.5 * xi * nodes) ** 2 / (nodes * nodes)
-    inner = float(weights @ (osc * smooth))
+    nodes, table = _near_table(p)
+    inner = float(table @ (2.0 * np.sin(0.5 * xi * nodes) ** 2 / (nodes * nodes)))
     count = math.ceil((h_cut - 1.0) * max(4.0, xi))
     h, w = panel_rule(1.0, h_cut, count)
     outer = float(w @ ((1.0 - np.cos(xi * h)) * kernel_base(p, h)))
@@ -218,10 +227,16 @@ def kernel_multiplier(spec, xi):
 def periodized_kernel(spec, period, xi):
     """Lattice sum K_L(xi) = sum_j K(xi - j L) of the calibrated kernel.
 
-    Shells are added until an exponential bound on the remainder drops below
-    1e-15 of the running total at every entry.  xi may be any finite
-    non-lattice real, scalar or array (a scalar gives a float); the result is
-    L-periodic and symmetric about L/2 by construction.
+    With xc = dist(xi, L Z) <= L/2, shell j holds K(j L - xc) and K(j L + xc).
+    K(h) e^(sigma h) decreases for h > 0, so both are at most
+    K(xc) e^(-sigma (j-1) L), and the shells past shell J add at most
+    2.1 K(J L - xc) / (e^(sigma L) - 1).  J is the least count at which that
+    bound drops below 1e-15 of K(xc), fixed before any evaluation and capped
+    at 400; the 2J+1 terms come from one ``kernel_base`` call, and every entry
+    is then checked against the remainder bound on its own last term.
+
+    xi may be any finite non-lattice real, scalar or array (a scalar gives a
+    float); the result is L-periodic and symmetric about L/2 by construction.
     """
     period = float(period)
     if not period > 0.0 or not math.isfinite(period):
@@ -236,16 +251,18 @@ def periodized_kernel(spec, period, xi):
             f"periodized kernel diverges on the period lattice (xi = {xi})"
         )
     p = spec.params
-    norm = spec.normalization
-    # K(h) e^(lam h) decreases toward its limit, so the last shell's left
-    # term bounds the geometric remainder of both sides from above.
-    remainder_ratio = 2.0 * 1.05 / math.expm1(p.sigma * period)
-    total = norm * kernel_base(p, xc)
-    for j in range(1, _PERIODIZE_MAX_SHELLS + 1):
-        left = norm * kernel_base(p, j * period - xc)
-        total = total + left + norm * kernel_base(p, j * period + xc)
-        if np.all(remainder_ratio * left < _PERIODIZE_REL_TOL * total):
-            return float(total) if xs.ndim == 0 else total
-    raise NonConvergenceError(
-        f"periodized kernel did not converge within {_PERIODIZE_MAX_SHELLS} shells"
-    )
+    decay = p.sigma * period
+    # log of 2.1 / (e^(sigma L) - 1), the remainder bound over the last left
+    # term, in a form that does not overflow on long periods
+    log_ratio = math.log(2.1) - decay - math.log(-math.expm1(-decay))
+    needed = math.ceil((log_ratio - math.log(_PERIODIZE_REL_TOL)) / decay)
+    shells = min(_PERIODIZE_MAX_SHELLS, 1 + max(0, needed))
+    lattice = period * np.arange(1.0, shells + 1.0)
+    h = np.concatenate([xc[None], np.subtract.outer(lattice, xc), np.add.outer(lattice, xc)])
+    terms = spec.normalization * kernel_base(p, h)
+    total = terms.sum(axis=0)
+    if not np.all(math.exp(log_ratio) * terms[shells] < _PERIODIZE_REL_TOL * total):
+        raise NonConvergenceError(
+            f"periodized kernel did not converge within {_PERIODIZE_MAX_SHELLS} shells"
+        )
+    return float(total) if xs.ndim == 0 else total

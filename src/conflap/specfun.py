@@ -4,10 +4,10 @@ Two functions are needed beyond the stdlib: the squared modulus
 ``|Gamma(x+iy)|^2`` along vertical lines in the complex plane, and the Gauss
 hypergeometric function on ``[0, 1]``.  They are thin validated wrappers
 over ``scipy.special``: the wrappers raise ParameterError on poles and
-out-of-domain input instead of returning inf or NaN.  The two quadrature
-rules shared by the cylinder and line routines (a Gauss-Jacobi rule on the
-unit interval and composite Gauss-Legendre panels) live here too, so each
-rule exists once.
+out-of-domain input instead of returning inf or NaN.  The quadrature
+rules shared by the sphere, cylinder and line routines (a Gauss-Jacobi rule
+on the unit interval, the Gauss-Legendre rule on (-1, 1) and composite
+Gauss-Legendre panels) live here too, so each rule exists once.
 """
 
 import math
@@ -17,8 +17,6 @@ import numpy as np
 from scipy import special
 
 from .errors import ParameterError
-
-_GAUSS_LEGENDRE_12 = np.polynomial.legendre.leggauss(12)
 
 
 def _require_finite(**values):
@@ -90,6 +88,18 @@ def jacobi_unit_rule(beta, size):
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
+
+
+@lru_cache(maxsize=32)
+def legendre_rule(size):
+    """Gauss-Legendre nodes and weights on (-1, 1), as read-only arrays."""
+    nodes, weights = np.polynomial.legendre.leggauss(size)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+_GAUSS_LEGENDRE_12 = legendre_rule(12)
 
 
 def panel_rule(lo, hi, count):

@@ -2,14 +2,16 @@
 and its duality with the symbol."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from conflap.errors import ParameterError, SingularityError
+from conflap.errors import NonConvergenceError, ParameterError, SingularityError
 from conflap.params import FracParams
 from conflap.cylinder import (
+    _near_table,
     KERNEL_MULTIPLIER_XI_MAX,
     calibrate_kernel,
     cyl_curvature,
@@ -288,6 +290,50 @@ def test_periodized_kernel_symmetry_and_periodicity():
         periodized_kernel(spec, L, 2.0 * L)
 
 
+def _direct_lattice_sum(spec, period, xi):
+    # every term down to e^(-45) of the largest, summed without rounding
+    shells = int(45.0 / (spec.params.sigma * period)) + 2
+    return math.fsum(cyl_kernel(spec, xi - period * np.arange(-shells, shells + 1)))
+
+
+@pytest.mark.parametrize("n, s, decay", [(2, 0.05, 0.0848), (3, 0.5, 0.0784), (5, 0.95, 0.0671)])
+def test_periodized_kernel_at_the_shortest_periods(n, s, decay):
+    # sigma L just above the least value the 400-shell cap admits at
+    # xi = L/2, the entry farthest from the lattice
+    p = FracParams(n, s)
+    spec = calibrate_kernel(p)
+    period = decay / p.sigma
+    for xi in (0.5 * period, 0.1 * period):
+        got = periodized_kernel(spec, period, xi)
+        assert math.isclose(got, _direct_lattice_sum(spec, period, xi), rel_tol=1e-13)
+
+
+def test_periodized_kernel_refuses_periods_past_the_shell_cap():
+    p = FracParams(3, 0.5)
+    period = 0.05 / p.sigma
+    with pytest.raises(NonConvergenceError, match="400 shells"):
+        periodized_kernel(calibrate_kernel(p), period, 0.5 * period)
+
+
+def test_periodized_kernel_array_matches_scalar_calls():
+    spec = calibrate_kernel(FracParams(4, 0.3))
+    L = 2.5
+    xi = np.array([0.01, 0.4, 1.25, 2.2, -0.7, 9.1, 1e-6])
+    table = periodized_kernel(spec, L, xi)
+    scalars = np.array([periodized_kernel(spec, L, x) for x in xi])
+    assert np.allclose(table, scalars, rtol=1e-15, atol=0.0)
+    assert np.array_equal(periodized_kernel(spec, L, xi.reshape(7, 1))[:, 0], table)
+
+
+def test_periodized_kernel_over_long_periods():
+    # only the central term is left above the float64 range of the others
+    spec = calibrate_kernel(FracParams(3, 0.5))
+    for period in (400.0, 1e6):
+        assert math.isclose(
+            periodized_kernel(spec, period, 1.0), cyl_kernel(spec, 1.0), rel_tol=1e-15
+        )
+
+
 def test_periodized_kernel_rejects_non_finite_xi():
     # caught before np.mod, which warns on inf and NaN and would report a
     # lattice divergence instead
@@ -299,3 +345,39 @@ def test_periodized_kernel_rejects_non_finite_xi():
                 periodized_kernel(spec, 5.0, xi)
         with pytest.raises(SingularityError, match=r"xi = \[1.e\+300\]"):
             periodized_kernel(spec, 5.0, np.array([1e300]))
+
+
+def _clear_library_caches():
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("conflap."):
+            continue
+        for obj in vars(module).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+
+
+def test_kernel_tables_survive_clearing_the_caches():
+    # the cached near-field table and quadrature rules give the same numbers
+    # when rebuilt from an empty cache, as in a fresh process
+    def values():
+        out = []
+        for n, s in ((2, 0.05), (3, 0.5), (5, 0.95)):
+            p = FracParams(n, s)
+            spec = calibrate_kernel(p)
+            out += spec.calibration["residuals"]
+            out += [kernel_multiplier(spec, xi) for xi in (0.3, 1.5, 40.0)]
+        return out
+
+    before = values()
+    _clear_library_caches()
+    assert _near_table.cache_info().currsize == 0
+    assert values() == before
+    assert values() == before
+
+
+def test_near_table_is_read_only():
+    nodes, table = _near_table(FracParams(3, 0.5))
+    for array in (nodes, table):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from conflap.errors import ParameterError
 from conflap.specfun import (
     hyp2f1,
+    jacobi_unit_rule,
+    legendre_rule,
     log_gamma,
     log_gamma_abs2,
 )
@@ -200,3 +202,13 @@ def test_euler_transformation_property(a, b, c, z):
     lhs = (1.0 - z) ** t * hyp2f1(c - a, c - b, c, z)
     rhs = hyp2f1(a, b, c, z)
     assert math.isclose(lhs, rhs, rel_tol=1e-9, abs_tol=1e-12)
+
+
+def test_cached_rules_are_read_only():
+    # every caller shares the cached arrays, so none may write to them
+    assert legendre_rule(48) is legendre_rule(48)
+    for nodes, weights in (legendre_rule(48), jacobi_unit_rule(0.3, 16)):
+        for array in (nodes, weights):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0

@@ -60,6 +60,21 @@ def test_only_cylinder_and_specfun_call_gamma_logs():
     assert callers - {"specfun.py"} == {"cylinder.py"}
 
 
+def test_only_specfun_calls_leggauss():
+    # the Gauss-Legendre rule has one owner, specfun.legendre_rule, which
+    # caches it; every other module takes its nodes and weights from there
+    callers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            else:
+                names = {node.attr} if isinstance(node, ast.Attribute) else set()
+            if "leggauss" in names:
+                callers.add(path.name)
+    assert callers == {"specfun.py"}
+
+
 def _loaded_by(module, statements="import conflap.cli"):
     """'True' or 'False': whether ``statements`` in a fresh process load ``module``."""
     code = f"import sys\n{statements}\nprint({module!r} in sys.modules)"
