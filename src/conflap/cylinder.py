@@ -24,6 +24,8 @@ from .specfun import hyp2f1, jacobi_unit_rule, log_gamma, panel_rule
 
 _PERIODIZE_REL_TOL = 1e-15
 _PERIODIZE_MAX_SHELLS = 400
+#: about the most (2J+1) x entries kernel values ``periodized_kernel`` holds at once
+_PERIODIZE_BLOCK = 2**16
 #: largest |xi| ``kernel_multiplier`` accepts: the 64-node Jacobi rule on
 #: (0, 1) resolves 1 - cos(xi h) to about 1e-9 up to here, and not past it
 KERNEL_MULTIPLIER_XI_MAX = 200.0
@@ -129,10 +131,12 @@ def kernel_base(p, h):
         raise ParameterError(f"kernel profile needs finite h > 0, got {h}")
     s, n = p.s, p.n
     # sinh, cosh and sech^2 through e^(-2h); near h = 1e308 the products
-    # below overflow to -inf, which the exponential takes to a profile of 0
+    # below overflow to -inf, which the exponential takes to a profile of 0.
+    # Below h ~ 3e-9 sech^2 h rounds above 1; the series converges at z = 1,
+    # since c - a - b = s + 1/2 > 0
     with np.errstate(over="ignore"):
         decay = np.exp(-2.0 * hs)
-        z = 4.0 * decay / (1.0 + decay) ** 2
+        z = np.minimum(4.0 * decay / (1.0 + decay) ** 2, 1.0)
         hyp = hyp2f1((n - 2.0 * s - 2.0) / 4.0, (n - 2.0 * s) / 4.0, 0.5 * n, z)
         log_sinh = hs - math.log(2.0) + np.log(-np.expm1(-2.0 * hs))
         log_cosh = hs - math.log(2.0) + np.log1p(decay)
@@ -143,13 +147,23 @@ def kernel_base(p, h):
     return float(out) if hs.ndim == 0 else out
 
 
-@lru_cache(maxsize=64)  # every kernel_multiplier call at p reuses it
-def _near_table(p):
-    """Nodes of the 64-node Gauss-Jacobi rule for h^(1-2s) on (0, 1) and the
-    products weights * h^(1+2s) K0(h) there, as read-only arrays; neither
-    depends on xi."""
-    nodes, weights = jacobi_unit_rule(1.0 - 2.0 * p.s, 64)
-    table = weights * nodes ** (1.0 + 2.0 * p.s) * kernel_base(p, nodes)
+@lru_cache(maxsize=64)  # every kernel_multiplier call at (p, density) reuses it
+def _difference_table(p, density):
+    """Nodes and weighted kernel values of the quadrature for
+    int_0^h_cut (1 - cos(xi h)) K0(h) dh, as read-only arrays.
+
+    On (0, 1) the integrand is h^(1-2s) times a smooth even function of h,
+    so the 64-node Gauss-Jacobi rule for that weight takes weights *
+    h^(2s-1) K0(h); on (1, h_cut) composite Gauss-Legendre panels of width
+    1/density take weights * K0(h).  Neither depends on xi.
+    """
+    near, near_weights = jacobi_unit_rule(1.0 - 2.0 * p.s, 64)
+    h_cut = 45.0 / p.sigma
+    far, far_weights = panel_rule(1.0, h_cut, math.ceil((h_cut - 1.0) * density))
+    nodes = np.concatenate([near, far])
+    weights = np.concatenate([near_weights * near ** (2.0 * p.s - 1.0), far_weights])
+    table = weights * kernel_base(p, nodes)
+    nodes.flags.writeable = False
     table.flags.writeable = False
     return nodes, table
 
@@ -157,25 +171,23 @@ def _near_table(p):
 def _difference_integral(p, xi):
     """int_R (1 - cos(xi h)) K0(h) dh for the unnormalized profile.
 
-    On (0, 1) the integrand is h^(1-2s) times a smooth even function, so the
-    algebraic factor goes into a Gauss-Jacobi weight; the weighted kernel
-    values there are computed once per p (``_near_table``).  On (1, h_cut)
-    composite Gauss-Legendre panels of width 1/max(4, xi) resolve the decay
-    and the oscillation, and the closed-form exponential tail covers
-    h > h_cut.
+    One table per (p, density) (``_difference_table``) covers h < h_cut =
+    45/sigma, and the closed-form exponential tail covers h > h_cut.  The
+    panels on (1, h_cut) have width 1/density, with density 4 up to xi = 16
+    and doubling with each doubling of xi past 16, so each 12-point panel
+    spans at most 4 radians of cos(xi h) and every xi <= 16 at p reads the
+    same table.
     """
+    density = 4 if xi <= 16.0 else 4 * 2 ** math.ceil(math.log2(xi / 16.0))
+    nodes, table = _difference_table(p, density)
+    body = float(table @ (2.0 * np.sin(0.5 * xi * nodes) ** 2))
     h_cut = 45.0 / p.sigma
-    nodes, table = _near_table(p)
-    inner = float(table @ (2.0 * np.sin(0.5 * xi * nodes) ** 2 / (nodes * nodes)))
-    count = math.ceil((h_cut - 1.0) * max(4.0, xi))
-    h, w = panel_rule(1.0, h_cut, count)
-    outer = float(w @ ((1.0 - np.cos(xi * h)) * kernel_base(p, h)))
     lam = p.sigma
     amp = 2.0 ** (p.s + 0.5 * p.n)
     decay = math.exp(-lam * h_cut)
     osc = complex(lam, -xi)
     tail = amp * (decay / lam - (np.exp(complex(-lam, xi) * h_cut) / osc).real)
-    return 2.0 * (inner + outer + tail)
+    return 2.0 * (body + tail)
 
 
 def calibrate_kernel(p):
@@ -202,7 +214,7 @@ def cyl_kernel(spec, xi):
     Accepts scalar or array xi; a scalar gives a float.
     """
     h = np.abs(np.asarray(xi, dtype=float))
-    if np.any(h == 0.0):
+    if (h == 0.0).any():
         raise SingularityError("cylinder kernel diverges at zero separation")
     return spec.normalization * kernel_base(spec.params, h)
 
@@ -232,8 +244,11 @@ def periodized_kernel(spec, period, xi):
     K(xc) e^(-sigma (j-1) L), and the shells past shell J add at most
     2.1 K(J L - xc) / (e^(sigma L) - 1).  J is the least count at which that
     bound drops below 1e-15 of K(xc), fixed before any evaluation and capped
-    at 400; the 2J+1 terms come from one ``kernel_base`` call, and every entry
-    is then checked against the remainder bound on its own last term.
+    at 400.  The entries go in equal blocks of about _PERIODIZE_BLOCK / (2J+1)
+    or fewer, each block's 2J+1 terms come from one ``kernel_base`` call and
+    are summed over the shell axis in the same order as one whole table would
+    be, and every entry is then checked against the remainder bound on its
+    own last term.
 
     xi may be any finite non-lattice real, scalar or array (a scalar gives a
     float); the result is L-periodic and symmetric about L/2 by construction.
@@ -246,7 +261,7 @@ def periodized_kernel(spec, period, xi):
         raise ParameterError(f"periodized kernel needs finite xi, got {xi}")
     x = np.mod(xs, period)
     xc = np.minimum(x, period - x)
-    if not np.all(xc > 1e-9 * period):
+    if not (xc > 1e-9 * period).all():
         raise SingularityError(
             f"periodized kernel diverges on the period lattice (xi = {xi})"
         )
@@ -258,11 +273,23 @@ def periodized_kernel(spec, period, xi):
     needed = math.ceil((log_ratio - math.log(_PERIODIZE_REL_TOL)) / decay)
     shells = min(_PERIODIZE_MAX_SHELLS, 1 + max(0, needed))
     lattice = period * np.arange(1.0, shells + 1.0)
-    h = np.concatenate([xc[None], np.subtract.outer(lattice, xc), np.add.outer(lattice, xc)])
-    terms = spec.normalization * kernel_base(p, h)
-    total = terms.sum(axis=0)
-    if not np.all(math.exp(log_ratio) * terms[shells] < _PERIODIZE_REL_TOL * total):
-        raise NonConvergenceError(
-            f"periodized kernel did not converge within {_PERIODIZE_MAX_SHELLS} shells"
+    entries = xc.reshape(-1)
+    total = np.empty(entries.size)
+    # equal blocks, so that no block of a longer call holds a single entry:
+    # numpy sums a lone column pairwise and a wider block row by row
+    blocks = max(1, math.ceil(entries.size * (2 * shells + 1) / _PERIODIZE_BLOCK))
+    edges = [entries.size * k // blocks for k in range(blocks + 1)]
+    for lo, hi in zip(edges, edges[1:]):
+        block = entries[lo:hi]
+        h = np.concatenate(
+            [block[None], np.subtract.outer(lattice, block), np.add.outer(lattice, block)]
         )
+        terms = spec.normalization * kernel_base(p, h)
+        sums = terms.sum(axis=0)
+        if not (math.exp(log_ratio) * terms[shells] < _PERIODIZE_REL_TOL * sums).all():
+            raise NonConvergenceError(
+                f"periodized kernel did not converge within {_PERIODIZE_MAX_SHELLS} shells"
+            )
+        total[lo:hi] = sums
+    total = total.reshape(xs.shape)
     return float(total) if xs.ndim == 0 else total

@@ -44,9 +44,9 @@ def log_gamma_abs2(x, y):
     """
     _require_finite(x=x)
     ys = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(ys)):
+    if not np.isfinite(ys).all():
         raise ParameterError(f"y must be finite, got {y!r}")
-    if _is_nonpositive_int(x) and np.any(ys == 0.0):
+    if _is_nonpositive_int(x) and (ys == 0.0).any():
         raise ParameterError(f"Gamma has a pole at z = {x!r}")
     out = 2.0 * special.loggamma(x + 1j * ys).real
     return float(out) if ys.ndim == 0 else out
@@ -63,14 +63,15 @@ def hyp2f1(a, b, c, z):
     """
     _require_finite(a=a, b=b, c=c)
     zs = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(zs)):
-        raise ParameterError("z must be finite")
+    # one test passes finite z in [0, 1]; NaN and inf fail it too
+    if not ((zs >= 0.0) & (zs <= 1.0)).all():
+        if not np.isfinite(zs).all():
+            raise ParameterError("z must be finite")
+        raise ParameterError(f"hyp2f1 implemented for z in [0, 1], got {z!r}")
     if _is_nonpositive_int(c):
         raise ParameterError(f"2F1 undefined for c a non-positive integer, got {c!r}")
-    if not np.all((zs >= 0.0) & (zs <= 1.0)):
-        raise ParameterError(f"hyp2f1 implemented for z in [0, 1], got {z!r}")
     terminating = _is_nonpositive_int(a) or _is_nonpositive_int(b)
-    if not terminating and c - a - b <= 0.0 and np.any(zs == 1.0):
+    if not terminating and c - a - b <= 0.0 and (zs == 1.0).any():
         raise ParameterError(f"2F1 diverges at z = 1 for c-a-b = {c - a - b!r} <= 0")
     out = special.hyp2f1(a, b, c, zs)
     return float(out) if zs.ndim == 0 else out

@@ -11,6 +11,7 @@ checked against each other.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import legvander
@@ -228,12 +229,21 @@ def _circle_multipliers(spec, size):
     return sphere_curvature(p) + lam + m2 * err1 + (m2 - m2**2) / 6.0 * err2
 
 
-def _legendre_coefficients(values, nodes_weights):
-    t, w = nodes_weights
-    r = t.size
-    vand = legvander(t, r - 1)
+@lru_cache(maxsize=8)  # r x r floats each, so fewer entries than legendre_rule
+def _legendre_vandermonde(r):
+    """P_0 .. P_(r-1) at the r Gauss-Legendre nodes, as a read-only array."""
+    vand = legvander(legendre_rule(r)[0], r - 1)
+    vand.flags.writeable = False
+    return vand
+
+
+def _legendre_coefficients(values):
+    """Legendre coefficients of samples at the Gauss-Legendre nodes, and the
+    Vandermonde that maps them back."""
+    r = values.size
+    vand = _legendre_vandermonde(r)
     scale = (2.0 * np.arange(r) + 1.0) / 2.0
-    return scale * (vand.T @ (w * values)), vand
+    return scale * (vand.T @ (legendre_rule(r)[1] * values)), vand
 
 
 def _s2_multipliers(spec, max_degree):
@@ -278,7 +288,7 @@ def singular_integral_apply(spec, values):
         r = values.size
         if r < 4:
             raise ParameterError("need at least 4 Gauss-Legendre samples")
-        coeffs, vand = _legendre_coefficients(values, legendre_rule(r))
+        coeffs, vand = _legendre_coefficients(values)
         return vand @ (coeffs * _s2_multipliers(spec, r - 1))
     raise ParameterError(f"singular-integral route implemented for n in {{1, 2}}, got {p.n}")
 
@@ -314,8 +324,8 @@ def yamabe_quotient_sphere(p, values):
         mass = 2.0 * math.pi * float(np.mean(values**two_star))
     elif p.n == 2:
         r = values.size
-        t, w = legendre_rule(r)
-        coeffs, _ = _legendre_coefficients(values, (t, w))
+        _, w = legendre_rule(r)
+        coeffs, _ = _legendre_coefficients(values)
         degrees = np.arange(r)
         mult = sphere_symbol(p, degrees)
         energy = float(np.sum(coeffs**2 * mult * 4.0 * math.pi / (2.0 * degrees + 1.0)))

@@ -3,6 +3,7 @@ and its duality with the symbol."""
 
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from conflap.errors import NonConvergenceError, ParameterError, SingularityError
 from conflap.params import FracParams
 from conflap.cylinder import (
-    _near_table,
+    _difference_table,
     KERNEL_MULTIPLIER_XI_MAX,
     calibrate_kernel,
     cyl_curvature,
@@ -23,7 +24,13 @@ from conflap.cylinder import (
     periodized_kernel,
     theta0,
 )
-from conflap.sphere import frac_lap_constant, vol_sphere
+from conflap.sphere import (
+    _legendre_vandermonde,
+    calibrate_sphere_kernel,
+    frac_lap_constant,
+    singular_integral_apply,
+    vol_sphere,
+)
 
 # ((n, s, m, xi), Theta^m_s(xi)), mpmath mp.dps=40
 SYMBOL_TABLE = [
@@ -357,8 +364,9 @@ def _clear_library_caches():
 
 
 def test_kernel_tables_survive_clearing_the_caches():
-    # the cached near-field table and quadrature rules give the same numbers
-    # when rebuilt from an empty cache, as in a fresh process
+    # the cached difference tables, Legendre Vandermondes and quadrature
+    # rules give the same numbers when rebuilt from an empty cache, as in a
+    # fresh process
     def values():
         out = []
         for n, s in ((2, 0.05), (3, 0.5), (5, 0.95)):
@@ -366,18 +374,81 @@ def test_kernel_tables_survive_clearing_the_caches():
             spec = calibrate_kernel(p)
             out += spec.calibration["residuals"]
             out += [kernel_multiplier(spec, xi) for xi in (0.3, 1.5, 40.0)]
+            zonal = np.cos(np.arange(24.0))
+            out += list(singular_integral_apply(calibrate_sphere_kernel(FracParams(2, s)), zonal))
         return out
 
     before = values()
     _clear_library_caches()
-    assert _near_table.cache_info().currsize == 0
+    assert _difference_table.cache_info().currsize == 0
+    assert _legendre_vandermonde.cache_info().currsize == 0
     assert values() == before
     assert values() == before
 
 
-def test_near_table_is_read_only():
-    nodes, table = _near_table(FracParams(3, 0.5))
+def test_difference_table_is_read_only():
+    nodes, table = _difference_table(FracParams(3, 0.5), 4)
     for array in (nodes, table):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0.0
+
+
+@pytest.mark.parametrize("xi", [16.0, 16.5, 40.0, 200.0])
+def test_kernel_multiplier_across_the_panel_densities(xi):
+    # xi = 16 is the last point of the density-4 table, 16.5 the first of the
+    # density-8 one; 40 and 200 read the density-16 and density-64 tables
+    for n, s in ((2, 0.05), (3, 0.5), (5, 0.95)):
+        p = FracParams(n, s)
+        rhs = theta0(p, xi)
+        assert abs(kernel_multiplier(calibrate_kernel(p), xi) / rhs - 1.0) < 1e-8, (n, s)
+
+
+def test_multipliers_up_to_xi_16_share_one_table():
+    p = FracParams(4, 0.3)
+    _difference_table.cache_clear()
+    spec = calibrate_kernel(p)
+    for xi in (0.01, 0.5, 3.0, 9.9, 16.0):
+        kernel_multiplier(spec, xi)
+    assert _difference_table.cache_info().currsize == 1
+    kernel_multiplier(spec, 16.5)
+    assert _difference_table.cache_info().currsize == 2
+
+
+@pytest.mark.parametrize("n, s", [(3, 0.5), (2, 0.05), (5, 0.95), (2, 0.99), (4, 0.5)])
+def test_kernel_profile_at_tiny_separations(n, s):
+    # sech^2 h rounds to 1 below h ~ 3e-9, where h^(1+2s) K0(h) is Gauss's
+    # 2F1(a, b; n/2; 1) = G(n/2) G(s+1/2) / (G((n+2s+2)/4) G((n+2s)/4))
+    p = FracParams(n, s)
+    limit = math.exp(
+        math.lgamma(0.5 * n) + math.lgamma(s + 0.5)
+        - math.lgamma(0.25 * (n + 2.0 * s + 2.0)) - math.lgamma(0.25 * (n + 2.0 * s))
+    )
+    for h in (1e-9, 1e-11, 1e-13, 1e-15):
+        assert abs(h ** (1.0 + 2.0 * s) * kernel_base(p, h) / limit - 1.0) < 1e-13, h
+    # the least separation periodized_kernel accepts is 1e-9 L
+    spec = calibrate_kernel(p)
+    got = periodized_kernel(spec, 1.0, 2e-9)
+    assert math.isclose(got, _direct_lattice_sum(spec, 1.0, 2e-9), rel_tol=1e-13)
+
+
+def test_periodized_kernel_memory_is_bounded_by_blocks():
+    # at the 400-shell cap a 2047-entry call would hold an 801 x 2047 table;
+    # in blocks it stays at a few MB, and each entry's shell sum runs in the
+    # same order, so the blocks add up as one table would
+    p = FracParams(5, 0.95)
+    spec = calibrate_kernel(p)
+    period = 0.0671 / p.sigma
+    xi = period * np.arange(1, 2048) / 2048
+    tracemalloc.start()
+    try:
+        table = periodized_kernel(spec, period, xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    for k in (0, 700, 2046):
+        assert table[k] == periodized_kernel(spec, period, xi[[k, k - 1]])[0]
+    # 82 entries take two blocks; a block of one entry would be summed
+    # pairwise by numpy, apart from the row-by-row sum of wider blocks
+    assert np.array_equal(periodized_kernel(spec, period, xi[:82]), table[:82])

@@ -173,17 +173,27 @@ def test_hyp2f1_terminating_is_polynomial():
 
 
 def test_hyp2f1_domain_errors():
-    with pytest.raises(ParameterError):
-        hyp2f1(0.5, 0.5, 1.5, -0.1)
-    with pytest.raises(ParameterError):
-        hyp2f1(0.5, 0.5, 1.5, 1.1)
-    with pytest.raises(ParameterError):
-        hyp2f1(0.5, 0.5, 0.0, 0.5)
-    with pytest.raises(ParameterError):
-        hyp2f1(0.5, 0.5, -2.0, 0.5)
-    # divergent at z = 1 when c - a - b <= 0
-    with pytest.raises(ParameterError):
-        hyp2f1(1.0, 1.0, 1.5, 1.0)
+    # one range test passes good z; after it fails, NaN and inf still get the
+    # finiteness message and finite z outside [0, 1] the range message
+    faults = [
+        ((0.5, 0.5, 1.5, -0.1), r"z in \[0, 1\]"),
+        ((0.5, 0.5, 1.5, 1.1), r"z in \[0, 1\]"),
+        ((0.5, 0.5, 1.5, np.array([0.5, np.nextafter(1.0, 2.0)])), r"z in \[0, 1\]"),
+        ((0.5, 0.5, 1.5, np.nan), "z must be finite"),
+        ((0.5, 0.5, 1.5, np.array([0.5, -np.inf])), "z must be finite"),
+        ((np.nan, 0.5, 1.5, 0.5), "a must be finite"),
+        ((0.5, 0.5, np.inf, 0.5), "c must be finite"),
+        ((0.5, 0.5, 0.0, 0.5), "c a non-positive integer"),
+        ((0.5, 0.5, -2.0, 0.5), "c a non-positive integer"),
+        # divergent at z = 1 when c - a - b <= 0
+        ((1.0, 1.0, 1.5, 1.0), "diverges at z = 1"),
+        ((1.0, 1.0, 1.5, np.array([0.2, 1.0])), "diverges at z = 1"),
+    ]
+    for args, message in faults:
+        with pytest.raises(ParameterError, match=message):
+            hyp2f1(*args)
+    # a terminating series has no fault at z = 1
+    assert hyp2f1(-2.0, 1.0, 1.5, 1.0) == pytest.approx(1.0 - 4.0 / 3.0 + 8.0 / 15.0)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

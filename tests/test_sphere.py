@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from conflap.errors import ParameterError, SingularityError
 from conflap.params import FracParams, KernelSpec
+from conflap.specfun import legendre_rule
 from conflap.sphere import (
     ModeSpectrum,
+    _legendre_vandermonde,
     apply_sphere,
     apply_sphere_grid,
     calibrate_sphere_kernel,
@@ -330,3 +332,13 @@ def test_constants_minimize_circle_quotient(a1, a3, s):
     u = 1.0 + a1 * np.cos(theta) + a3 * np.sin(3 * theta)
     base = yamabe_quotient_sphere(p, np.ones(128))
     assert yamabe_quotient_sphere(p, u) >= base * (1.0 - 1e-10)
+
+
+def test_legendre_vandermonde_is_cached_and_read_only():
+    # every S^2 apply and quotient at size r shares one P_j(t_i) table
+    vand = _legendre_vandermonde(24)
+    assert vand is _legendre_vandermonde(24)
+    assert np.array_equal(vand, np.polynomial.legendre.legvander(legendre_rule(24)[0], 23))
+    assert not vand.flags.writeable
+    with pytest.raises(ValueError):
+        vand[0, 0] = 0.0

@@ -1,6 +1,7 @@
 """Checks on the repository's tooling against the library's public names."""
 
 import ast
+import importlib
 import inspect
 import subprocess
 import sys
@@ -73,6 +74,19 @@ def test_only_specfun_calls_leggauss():
             if "leggauss" in names:
                 callers.add(path.name)
     assert callers == {"specfun.py"}
+
+
+def test_every_library_cache_is_bounded():
+    # cached tables grow with their keys (a density-64 kernel table is about
+    # 0.5 MB), so an unbounded functools cache would let RSS grow without end
+    caches = {}
+    for path in PACKAGE.glob("*.py"):
+        module = importlib.import_module(f"conflap.{path.stem}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
+                caches[f"{path.stem}.{name}"] = value.cache_parameters()["maxsize"]
+    assert {"cylinder._difference_table", "sphere._legendre_vandermonde"} <= set(caches)
+    assert sorted(name for name, size in caches.items() if size is None) == []
 
 
 def _loaded_by(module, statements="import conflap.cli"):
