@@ -9,6 +9,7 @@ sech-type limit profiles as the period grows.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -21,12 +22,13 @@ from .sphere import sphere_curvature
 _RESIDUAL_CAP = 1e-10
 #: a profile is nonconstant when max - min exceeds this fraction of its max
 _FLAT_SPREAD = 1e-3
-#: cap on the relative tolerance of each Newton step's GMRES solve: 1e-5 and
-#: looser lose the tower start at (2, 0.9896, 4.5385 L0), q about 191, which
-#: takes 58 Newton steps at 1e-6 and 1e-7; near L0, (2, 0.937, 1.073 L0) and
-#: (2, 0.965, 1.080 L0) solve from the seed in 3 steps at any cap up to 1e-3
+#: cap on the relative tolerance of each Newton step's GMRES solve: with
+#: 1/theta alone, 1e-5 and looser lost the tower start at (2, 0.9896,
+#: 4.5385 L0), q about 191, which takes 58 Newton steps at 1e-6 and 1e-7
+#: (the two-level step also solves it at 1e-5); near L0, (2, 0.937, 1.073 L0)
+#: and (2, 0.965, 1.080 L0) solve from the seed in 3 steps at any cap up to 1e-3
 _FORCING_CAP = 1e-7
-#: cap on the Krylov steps of one Newton step; over the 5277 Newton steps of
+#: cap on the Krylov steps of one Newton step; over the 5276 Newton steps of
 #: the seed 0-7 benchmark sweep draws at N = 512 the most any took was 28
 _KRYLOV_STEPS = 240
 #: reach of the Lyapunov-Schmidt seed in q eps: v^q is about exp(q eps cos),
@@ -38,6 +40,15 @@ _KRYLOV_STEPS = 240
 _SEED_REACH = 3.0
 #: cap on the Newton steps of one solve
 _NEWTON_STEPS = 60
+#: even cosine modes of the coarse block of the two-level preconditioner,
+#: at most N/2
+_COARSE_MODES = 32
+#: the coarse block is used only where |res|_inf is at most this: from the
+#: tower start at (2, 0.9629, 1.6555 L0), residual 7.5e9, it took 13974
+#: Krylov steps against 147, and at (2, 0.9896, 4.5385 L0) and (2, 0.9882,
+#: 5.1741 L0) the line search stalled
+_COARSE_GATE = 1.0
+_EPS = np.finfo(float).eps
 
 
 def _apply_symbol(values, theta):
@@ -47,10 +58,17 @@ def _apply_symbol(values, theta):
     return np.fft.irfft(np.fft.rfft(values - mean) * theta, values.size) + theta[0] * mean
 
 
+@lru_cache(maxsize=32)  # a solve, its energy and its residual check share one
+def _symbol_table(p, period, size):
+    """Read-only zero-mode symbol on the frequencies of an N-node grid of one period."""
+    theta = cyl_symbol(p, 0, GridFunction(period, np.ones(size)).frequencies)
+    theta.flags.writeable = False
+    return theta
+
+
 def apply_Ls_periodic(p, f):
     """Apply the nonlocal operator to a periodic profile through its modes."""
-    theta = cyl_symbol(p, 0, f.frequencies)
-    return GridFunction(f.length, _apply_symbol(f.values, theta))
+    return GridFunction(f.length, _apply_symbol(f.values, _symbol_table(p, f.length, f.size)))
 
 
 def delaunay_residual(p, f):
@@ -144,10 +162,9 @@ def _gmres(matvec, b, rtol, atol, steps):
     target = max(atol, rtol * beta)
     if beta <= target:  # x = 0 already meets the target, as for b = 0
         return np.zeros_like(b), 0
-    basis = np.empty((steps + 1, b.size))
+    basis = np.empty((min(steps, 8) + 1, b.size))  # doubled as steps are taken
     basis[0] = b / beta
-    upper = np.empty((steps, steps))  # solve_triangular reads only the upper triangle
-    rotations, rhs = [], [beta]
+    columns, rotations, rhs = [], [], [beta]
     for k in range(steps):
         w = matvec(basis[k])
         scale = math.sqrt(w @ w)  # np.linalg.norm's own formula, without its overhead
@@ -166,28 +183,83 @@ def _gmres(matvec, b, rtol, atol, steps):
         c, s = column[k] / r, norm / r
         rotations.append((c, s))
         column[k] = r
-        upper[: k + 1, k] = column[: k + 1]
+        columns.append(column)
         rhs[k:] = c * rhs[k], -s * rhs[k]
-        if abs(rhs[k + 1]) <= target or norm <= np.finfo(float).eps * scale:
+        if abs(rhs[k + 1]) <= target or norm <= _EPS * scale:
             break
+        if k + 1 == len(basis):
+            basis = np.concatenate([basis, np.empty((min(k + 1, steps - k), b.size))])
         basis[k + 1] = w / norm
     m = len(rotations)
-    return solve_triangular(upper[:m, :m], rhs[:m], check_finite=False) @ basis[:m], m
+    upper = np.zeros((m, m))
+    for k, column in enumerate(columns):
+        upper[: k + 1, k] = column
+    return solve_triangular(upper, rhs[:m], check_finite=False) @ basis[:m], m
+
+
+@lru_cache(maxsize=8)
+def _cosine_lift(size, modes):
+    """Nodes k = 0 .. N/2 of the even profiles whose real-FFT spectrum is one
+    of the lowest ``modes`` <= N/2 cosine modes, as read-only columns."""
+    nodes = np.outer(np.arange(size // 2 + 1), np.arange(modes)) % size
+    lift = np.cos(2.0 * math.pi / size * nodes) * np.where(np.arange(modes), 2.0, 1.0) / size
+    lift.flags.writeable = False
+    return lift
+
+
+def _coarse_inverse(theta, slope, size):
+    """Inverse of the Galerkin block of L - slope on the lowest K even cosine
+    modes, K = min(_COARSE_MODES, N/2), or None where the block is singular.
+
+    For even v, (slope v)^_a = sum over b of (S_|a-b| + S_(a+b)) v^_b / N,
+    halved at b = 0, with S the real-FFT spectrum of slope; a + b may pass
+    N/2, where S_j = S_(N-j)."""
+    modes = min(_COARSE_MODES, size // 2)
+    spectrum = np.fft.rfft(_even(slope)).real
+    spectrum = np.concatenate([spectrum, spectrum[-2:0:-1]])
+    a = np.arange(modes)
+    block = (spectrum[abs(a[:, None] - a)] + spectrum[a[:, None] + a]) / size
+    block[:, 0] *= 0.5
+    try:
+        return np.linalg.inv(np.diag(theta[:modes]) - block)
+    except np.linalg.LinAlgError:
+        return None
 
 
 def _krylov_step(theta, slope, res, tol):
     """Solution of (L - slope) step = -res on the even unknowns, and its Krylov
-    count: ``_gmres`` on I - slope L^(-1), right-preconditioned by 1/theta,
-    with forcing term min(_FORCING_CAP, |res|_inf) and absolute floor 1e-2 tol."""
+    count: ``_gmres`` on (L - slope) P^(-1), with forcing term
+    min(_FORCING_CAP, |res|_inf) and absolute floor 1e-2 tol.
 
-    def inverse(y):  # 1/theta damps, so no exact mean is needed as in _apply_symbol
-        return np.fft.irfft(np.fft.rfft(_even(y)) / theta, 2 * y.size - 2)[: y.size]
+    The right preconditioner P is two-level where |res|_inf <= _COARSE_GATE:
+    the exact inverse of the Galerkin block of L - slope on the lowest K even
+    cosine modes (``_coarse_inverse``), where slope is comparable to theta,
+    and 1/theta above them.  Then L P^(-1) z differs from z only on those
+    modes, by the K-column lift of theta x^ - z^, so a Krylov step still
+    costs one rfft and one irfft.  Elsewhere, or where the block is
+    singular, P is L and P^(-1) is 1/theta on every mode."""
+    norm = float(np.max(np.abs(res)))
+    size = 2 * res.size - 2
+    coarse = _coarse_inverse(theta, slope, size) if norm <= _COARSE_GATE else None
 
-    y, count = _gmres(
-        lambda y: y - slope * inverse(y), -res,
-        min(_FORCING_CAP, float(np.max(np.abs(res)))), 1e-2 * tol, _KRYLOV_STEPS,
-    )
-    return inverse(y), count
+    def precondition(z):  # the spectrum of z, and P^(-1) z as spectrum and nodes;
+        # 1/theta damps, so no exact mean is needed as in _apply_symbol
+        spectrum = np.fft.rfft(_even(z))
+        x = spectrum / theta
+        if coarse is not None:
+            x[: len(coarse)] = coarse @ spectrum[: len(coarse)].real
+        return spectrum, x, np.fft.irfft(x, size)[: z.size]
+
+    def matvec(z):
+        spectrum, x, nodes = precondition(z)
+        out = z - slope * nodes
+        if coarse is not None:
+            k = len(coarse)
+            out += _cosine_lift(size, k) @ (theta[:k] * x[:k].real - spectrum[:k].real)
+        return out
+
+    y, count = _gmres(matvec, -res, min(_FORCING_CAP, norm), 1e-2 * tol, _KRYLOV_STEPS)
+    return precondition(y)[2], count
 
 
 def solve_delaunay(p, period, size=512, tol=1e-11):
@@ -207,7 +279,12 @@ def solve_delaunay(p, period, size=512, tol=1e-11):
     every start tried.
     The unknowns are w_k = v(k dx), k = 0 .. N/2, so the translation mode
     v' stays out of the Jacobian, which ``_krylov_step`` applies
-    matrix-free in an unrestarted GMRES preconditioned by 1/theta.
+    matrix-free in an unrestarted GMRES.  Its right preconditioner is
+    two-level once |res|_inf <= 1: the exact inverse of the Jacobian's
+    Galerkin block on the lowest K = 32 even cosine modes and 1/theta
+    above them; before that, 1/theta on every mode.  theta is one cached
+    table per (p, L, N), which the energy and ``delaunay_residual`` on
+    the result's grid read again.
     Newton stops below ``tol`` or the residual's round-off floor
     eps max(theta) (max w - min w), unless ``tol`` is under eps c max(w)^q;
     trial steps that are not positive are halved.  The result peaks at
@@ -223,14 +300,15 @@ def solve_delaunay(p, period, size=512, tol=1e-11):
     q = p.q
     curvature = cyl_curvature(p)
     grid = GridFunction(period, np.ones(size))
-    theta = cyl_symbol(p, 0, grid.frequencies)
+    theta = _symbol_table(p, grid.length, size)
+    # eps max(theta), the round-off that theta lends each unit of max w - min w
+    amplification = _EPS * float(theta.max())
     half = size // 2
     starts = _auto_starts(p, period, theta[1] < curvature * q, grid.dx * np.arange(half + 1))
 
     def residual_of(w):
         return _apply_symbol(_even(w), theta)[: half + 1] - curvature * w**q
 
-    eps = np.finfo(float).eps
     newton_steps = krylov_steps = 0
     first = None
     for w, start in starts:
@@ -240,7 +318,7 @@ def solve_delaunay(p, period, size=512, tol=1e-11):
         for _ in range(_NEWTON_STEPS):
             # a tol under eps c max(w)^q, the unit round-off of the terms,
             # cannot be met at any N and stays as given
-            floor = eps * theta.max() * np.ptp(w) if tol > eps * curvature * w.max() ** q else 0
+            floor = amplification * np.ptp(w) if tol > _EPS * curvature * w.max() ** q else 0
             if norm < max(tol, min(floor, _RESIDUAL_CAP)):
                 failure = None
                 break

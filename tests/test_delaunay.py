@@ -29,10 +29,13 @@ from conflap.delaunay import (
     limit_amplitude,
     solve_delaunay,
     _branch_expansion,
+    _coarse_inverse,
+    _cosine_lift,
     _critical_mass,
     _even,
     _gmres,
     _krylov_step,
+    _symbol_table,
     _tower_values,
 )
 from conflap.errors import NewtonDivergenceError, NonConvergenceError, ParameterError
@@ -323,6 +326,56 @@ class TestSolveDelaunay:
         assert 1 <= a.newton_steps <= a.krylov_steps
         assert (a.newton_steps, a.krylov_steps) == (b.newton_steps, b.krylov_steps)
 
+    def test_two_level_step_takes_few_krylov_steps(self):
+        # 1/theta alone left GMRES about 9 steps per Newton step here (4
+        # Newton, 37 Krylov); the coarse block resolves the low modes
+        sol = solve_delaunay(FracParams(3, 0.5), 1.3 * PERIOD_THRESHOLD_3_HALF, size=512)
+        assert sol.nonconstant
+        assert 1 <= sol.newton_steps
+        assert sol.krylov_steps <= 2 * sol.newton_steps
+
+    @pytest.mark.parametrize(
+        "s, ratio, krylov_cap",
+        [
+            (0.9895676889732803, 4.53854190425027, None),
+            (0.9881651716615538, 5.174122691185946, None),
+            (0.9628582364662658, 1.655511978837582, 400),
+        ],
+    )
+    def test_coarse_block_waits_for_a_small_residual(self, s, ratio, krylov_cap):
+        # benchmark sweep draws at n = 2 from seeds 1, 6 and 7, solved from
+        # the tower: with the coarse block from the first Newton step, where
+        # the residual reaches 7.5e9, the first two stall in the line search
+        # and the third takes about 14000 Krylov steps
+        p = FracParams(2, s)
+        sol = solve_delaunay(p, ratio * bifurcation_period(p), size=512)
+        assert sol.nonconstant
+        assert sol.residual_norm < 1e-10
+        if krylov_cap is not None:
+            assert sol.krylov_steps <= krylov_cap
+
+    def test_one_symbol_table_per_grid(self, monkeypatch):
+        # the solve, its energy and a residual check on its grid read one table
+        calls = []
+
+        def counting_symbol(p, m, xi):
+            calls.append(np.ndim(xi))
+            return cyl_symbol(p, m, xi)
+
+        monkeypatch.setattr(delaunay, "cyl_symbol", counting_symbol)
+        _symbol_table.cache_clear()
+        p = FracParams(3, 0.5)
+        sol = solve_delaunay(p, 1.3 * PERIOD_THRESHOLD_3_HALF, size=256)
+        grid = sol.grid()
+        assert functional_FL(p, grid) == sol.energy
+        delaunay_residual(p, grid)
+        assert sum(1 for ndim in calls if ndim) == 1
+        table = _symbol_table(p, grid.length, grid.size)
+        assert np.array_equal(table, cyl_symbol(p, 0, grid.frequencies))
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+
     def test_stops_at_round_off_floor(self):
         # near s = 1 the FFT residual's floor eps max(theta) (max - min)
         # grows like N^(2s) and passes tol = 1e-11; Newton stops there
@@ -444,6 +497,16 @@ class TestGmres:
         assert np.all(np.isfinite(x))
         assert np.linalg.norm(b - np.roll(x, 1)) <= np.linalg.norm(b) + 1e-14
 
+    @pytest.mark.parametrize("cap", [1, 8, 9, 17, 40])
+    def test_basis_grows_to_any_step_cap(self, cap):
+        # the Arnoldi basis starts at 9 rows and doubles; a cap on either
+        # side of each doubling takes every step it allows
+        b = np.zeros(50)
+        b[0] = 1.0
+        x, count = _gmres(lambda y: np.roll(y, 1), b, 1e-10, 0.0, cap)
+        assert count == cap
+        assert np.all(np.isfinite(x))
+
 
 class TestKrylovAgainstDense:
     """The dense folded Jacobian and LU solve as the oracle of the Krylov step."""
@@ -484,6 +547,64 @@ class TestKrylovAgainstDense:
         assert count >= 1
         assert np.max(np.abs(step - dense)) < 1e-9
 
+    def test_far_start_step_matches_dense_solve(self):
+        # three times the tower: the residual is above the gate, so the
+        # step is preconditioned by 1/theta alone, to GMRES's relative 1e-7
+        w = 3.0 * self.start
+        res = self.residual(w)
+        assert np.max(np.abs(res)) > delaunay._COARSE_GATE
+        slope = cyl_curvature(self.p) * self.p.q * w ** (self.p.q - 1.0)
+        step, count = _krylov_step(self.theta, slope, res, 1e-11)
+        dense = np.linalg.solve(self.dense_jacobian(w), -res)
+        assert count >= 1
+        assert np.max(np.abs(step - dense)) < 1e-6 * np.max(np.abs(dense))
+
+    def test_coarse_step_matches_dense_solve(self, monkeypatch):
+        # one dense Newton step from the tower: near the branch, where the
+        # two-level step must build its coarse block and agree with LU
+        w = self.start + np.linalg.solve(self.dense_jacobian(self.start), -self.residual(self.start))
+        res = self.residual(w)
+        assert 1e-8 < np.max(np.abs(res)) <= delaunay._COARSE_GATE
+        blocks = []
+
+        def recording_inverse(theta, slope, size):
+            blocks.append(_coarse_inverse(theta, slope, size))
+            return blocks[-1]
+
+        monkeypatch.setattr(delaunay, "_coarse_inverse", recording_inverse)
+        slope = cyl_curvature(self.p) * self.p.q * w ** (self.p.q - 1.0)
+        step, count = _krylov_step(self.theta, slope, res, 1e-11)
+        dense = np.linalg.solve(self.dense_jacobian(w), -res)
+        assert len(blocks) == 1 and blocks[0] is not None
+        assert 1 <= count <= 2
+        assert np.max(np.abs(step - dense)) < 1e-9
+
+    def test_coarse_block_is_galerkin_block_of_dense_jacobian(self):
+        # the dense Jacobian on each low cosine mode, read back on the low
+        # modes; at N = 64 the K = 32 modes reach a + b > N/2
+        w = self.start
+        slope = cyl_curvature(self.p) * self.p.q * w ** (self.p.q - 1.0)
+        modes = min(delaunay._COARSE_MODES, self.SIZE // 2)
+        lift = _cosine_lift(self.SIZE, modes)
+        galerkin = np.fft.rfft(_even(self.dense_jacobian(w) @ lift).T).real.T[:modes]
+        inverse = _coarse_inverse(self.theta, slope, self.SIZE)
+        assert inverse.shape == (modes, modes)
+        assert np.max(np.abs(inverse @ galerkin - np.eye(modes))) < 1e-10
+
+    def test_cosine_lift_columns_are_unit_modes(self):
+        modes = min(delaunay._COARSE_MODES, self.SIZE // 2)
+        lift = _cosine_lift(self.SIZE, modes)
+        unit = np.eye(self.SIZE // 2 + 1)[:modes]
+        expected = np.fft.irfft(unit, self.SIZE)[:, : self.SIZE // 2 + 1].T
+        assert np.max(np.abs(lift - expected)) < 1e-15
+        assert not lift.flags.writeable
+
+    def test_singular_coarse_block_is_refused(self):
+        # theta_0 = 0 and no slope: the block is diag(theta) with a zero;
+        # None sends _krylov_step to the plain 1/theta step
+        theta = np.arange(self.SIZE // 2 + 1, dtype=float)
+        assert _coarse_inverse(theta, np.zeros(self.SIZE // 2 + 1), self.SIZE) is None
+
     def test_converged_profile_matches_dense_newton(self):
         w = self.start
         for _ in range(30):
@@ -495,6 +616,13 @@ class TestKrylovAgainstDense:
         sol = solve_delaunay(self.p, self.period, size=self.SIZE)
         assert sol.nonconstant
         assert np.max(np.abs(sol.values - dense)) < 1e-10
+
+
+class TestKrylovAgainstDenseFine(TestKrylovAgainstDense):
+    """The same oracle at N = 128, where K = 32 stays below N/2, so the coarse
+    block and 1/theta each act on their own modes."""
+
+    SIZE = 128
 
 
 class TestEnergy:
