@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dgetrf, dgetri, dtrtrs
 
 from .cylinder import _bifurcation_root, cyl_curvature, cyl_symbol, periodized_kernel
 from .errors import NewtonDivergenceError, ParameterError
@@ -22,24 +22,28 @@ from .sphere import sphere_curvature
 _RESIDUAL_CAP = 1e-10
 #: a profile is nonconstant when max - min exceeds this fraction of its max
 _FLAT_SPREAD = 1e-3
-#: cap on the relative tolerance of each Newton step's GMRES solve: with
-#: 1/theta alone, 1e-5 and looser lost the tower start at (2, 0.9896,
-#: 4.5385 L0), q about 191, which takes 58 Newton steps at 1e-6 and 1e-7
-#: (the two-level step also solves it at 1e-5); near L0, (2, 0.937, 1.073 L0)
-#: and (2, 0.965, 1.080 L0) solve from the seed in 3 steps at any cap up to 1e-3
+#: cap on the relative tolerance of each Newton step's GMRES solve: 1e-5 and
+#: looser lose the solve at (2, 0.9896, 4.5385 L0), q about 191, under 1/theta
+#: alone and under the two-level step; from the tower it takes 58 Newton steps
+#: at 1e-6 and 1e-7; near L0, (2, 0.937, 1.073 L0) and (2, 0.965, 1.080 L0)
+#: solve from the seed in 3 steps at any cap up to 1e-3
 _FORCING_CAP = 1e-7
-#: cap on the Krylov steps of one Newton step; over the 5276 Newton steps of
-#: the seed 0-7 benchmark sweep draws at N = 512 the most any took was 28
+#: cap on the Krylov steps of one Newton step; over the 5157 Newton and 9279
+#: Krylov steps of the seed 0-7 benchmark sweep draws at N = 512 the most one
+#: Newton step took was 28
 _KRYLOV_STEPS = 240
 #: reach of the Lyapunov-Schmidt seed in q eps: v^q is about exp(q eps cos),
 #: so the expansion holds while q eps, not eps, is small; past it the seed
 #: is tried only after the tower.  Over the 1960 solves of the seed 0-7
 #: benchmark sweep draws at N = 512, reach 3 leaves 1 failure and none off
-#: the bump, the solved points taking 5157 Newton steps; 2, 2.5 and 3.5
-#: leave the same in 5466, 5392 and 5163, and 4 fails 24
+#: the bump, the solved points taking 5157 Newton and 9279 Krylov steps; 2,
+#: 2.5 and 3.5 leave the same in 5462/11040, 5391/10599 and 5163/9073, and 4
+#: fails 24
 _SEED_REACH = 3.0
 #: cap on the Newton steps of one solve
 _NEWTON_STEPS = 60
+#: the line search's trial step lengths
+_HALVINGS = tuple(0.5**k for k in range(20))
 #: even cosine modes of the coarse block of the two-level preconditioner,
 #: at most N/2
 _COARSE_MODES = 32
@@ -54,7 +58,7 @@ _EPS = np.finfo(float).eps
 def _apply_symbol(values, theta):
     """irfft(rfft(v) theta) with the mean applied exactly, so the FFT round-off
     that theta amplifies scales with the oscillation of v, not its size."""
-    mean = float(np.mean(values))
+    mean = values.sum() / values.size  # np.mean's sum and divide, without its overhead
     return np.fft.irfft(np.fft.rfft(values - mean) * theta, values.size) + theta[0] * mean
 
 
@@ -155,18 +159,21 @@ def _even(w):  # the even profile on the nodes k dx, k = 0 .. N-1, from k = 0 ..
 
 
 def _gmres(matvec, b, rtol, atol, steps):
-    """Unrestarted GMRES from x = 0 (Saad & Schultz 1986): x with the Givens
-    estimate of |b - A x| at most max(atol, rtol |b|), else the least-squares
-    best after ``steps`` Arnoldi steps, and the number of steps taken."""
+    """Unrestarted right-preconditioned GMRES from x = 0 (Saad & Schultz 1986),
+    flexible form (Saad 1993): ``matvec(v)`` returns A P^(-1) v and P^(-1) v,
+    and x = sum y_k P^(-1) v_k over the Arnoldi vectors v_k, y by LAPACK's
+    dtrtrs.  Returns x with the Givens estimate of |b - A x| at most max(atol,
+    rtol |b|), else the least-squares best after ``steps`` steps, and the count."""
     beta = float(np.linalg.norm(b))
     target = max(atol, rtol * beta)
     if beta <= target:  # x = 0 already meets the target, as for b = 0
         return np.zeros_like(b), 0
     basis = np.empty((min(steps, 8) + 1, b.size))  # doubled as steps are taken
+    images = np.empty_like(basis)  # P^(-1) of each basis row
     basis[0] = b / beta
     columns, rotations, rhs = [], [], [beta]
     for k in range(steps):
-        w = matvec(basis[k])
+        w, images[k] = matvec(basis[k])
         scale = math.sqrt(w @ w)  # np.linalg.norm's own formula, without its overhead
         h = basis[: k + 1] @ w  # classical Gram-Schmidt, done twice
         w = w - h @ basis[: k + 1]
@@ -188,13 +195,15 @@ def _gmres(matvec, b, rtol, atol, steps):
         if abs(rhs[k + 1]) <= target or norm <= _EPS * scale:
             break
         if k + 1 == len(basis):
-            basis = np.concatenate([basis, np.empty((min(k + 1, steps - k), b.size))])
+            more = np.empty((min(k + 1, steps - k), b.size))
+            basis, images = np.concatenate([basis, more]), np.concatenate([images, more])
         basis[k + 1] = w / norm
     m = len(rotations)
-    upper = np.zeros((m, m))
+    upper = np.zeros((m, m), order="F")  # LAPACK's layout, so dtrtrs copies nothing
     for k, column in enumerate(columns):
         upper[: k + 1, k] = column
-    return solve_triangular(upper, rhs[:m], check_finite=False) @ basis[:m], m
+    # m = 0 where A is singular on b itself; LAPACK takes no 0 x 0 system
+    return (dtrtrs(upper, np.array(rhs[:m]))[0] if m else np.zeros(0)) @ images[:m], m
 
 
 @lru_cache(maxsize=8)
@@ -207,9 +216,18 @@ def _cosine_lift(size, modes):
     return lift
 
 
+@lru_cache(maxsize=8)
+def _coarse_indices(modes):
+    """The index arrays |a - b| and a + b of a modes x modes block, read-only."""
+    a = np.arange(modes)
+    index = np.stack([abs(a[:, None] - a), a[:, None] + a])
+    index.flags.writeable = False
+    return index
+
+
 def _coarse_inverse(theta, slope, size):
     """Inverse of the Galerkin block of L - slope on the lowest K even cosine
-    modes, K = min(_COARSE_MODES, N/2), or None where the block is singular.
+    modes, K = min(_COARSE_MODES, N/2), by dgetrf and dgetri, or None where singular.
 
     For even v, (slope v)^_a = sum over b of (S_|a-b| + S_(a+b)) v^_b / N,
     halved at b = 0, with S the real-FFT spectrum of slope; a + b may pass
@@ -217,49 +235,45 @@ def _coarse_inverse(theta, slope, size):
     modes = min(_COARSE_MODES, size // 2)
     spectrum = np.fft.rfft(_even(slope)).real
     spectrum = np.concatenate([spectrum, spectrum[-2:0:-1]])
-    a = np.arange(modes)
-    block = (spectrum[abs(a[:, None] - a)] + spectrum[a[:, None] + a]) / size
+    difference, total = _coarse_indices(modes)
+    block = (spectrum[difference] + spectrum[total]) / -size
     block[:, 0] *= 0.5
-    try:
-        return np.linalg.inv(np.diag(theta[:modes]) - block)
-    except np.linalg.LinAlgError:
-        return None
+    block.flat[:: modes + 1] += theta[:modes]
+    lu, pivots, info = dgetrf(block, overwrite_a=True)
+    return None if info > 0 else dgetri(lu, pivots, overwrite_lu=True)[0]
 
 
 def _krylov_step(theta, slope, res, tol):
     """Solution of (L - slope) step = -res on the even unknowns, and its Krylov
-    count: ``_gmres`` on (L - slope) P^(-1), with forcing term
-    min(_FORCING_CAP, |res|_inf) and absolute floor 1e-2 tol.
+    count: flexible ``_gmres`` on (L - slope) P^(-1), forcing term
+    min(_FORCING_CAP, |res|_inf), absolute floor 1e-2 tol; the step sums the
+    P^(-1) v_k its matvec formed, so no P^(-1) is applied after GMRES.
 
     The right preconditioner P is two-level where |res|_inf <= _COARSE_GATE:
     the exact inverse of the Galerkin block of L - slope on the lowest K even
     cosine modes (``_coarse_inverse``), where slope is comparable to theta,
     and 1/theta above them.  Then L P^(-1) z differs from z only on those
-    modes, by the K-column lift of theta x^ - z^, so a Krylov step still
-    costs one rfft and one irfft.  Elsewhere, or where the block is
-    singular, P is L and P^(-1) is 1/theta on every mode."""
+    modes, by the K-column lift of theta x^ - z^: one rfft and one irfft per
+    Krylov step.  Elsewhere, or where the block is singular, P^(-1) is 1/theta."""
     norm = float(np.max(np.abs(res)))
     size = 2 * res.size - 2
     coarse = _coarse_inverse(theta, slope, size) if norm <= _COARSE_GATE else None
+    if coarse is not None:
+        k, lift = len(coarse), _cosine_lift(size, len(coarse))
 
-    def precondition(z):  # the spectrum of z, and P^(-1) z as spectrum and nodes;
-        # 1/theta damps, so no exact mean is needed as in _apply_symbol
+    def matvec(z):  # (L - slope) P^(-1) z and P^(-1) z; 1/theta damps, so
+        # no exact mean is needed as in _apply_symbol
         spectrum = np.fft.rfft(_even(z))
         x = spectrum / theta
         if coarse is not None:
-            x[: len(coarse)] = coarse @ spectrum[: len(coarse)].real
-        return spectrum, x, np.fft.irfft(x, size)[: z.size]
-
-    def matvec(z):
-        spectrum, x, nodes = precondition(z)
+            x[:k] = coarse @ spectrum[:k].real
+        nodes = np.fft.irfft(x, size)[: z.size]
         out = z - slope * nodes
         if coarse is not None:
-            k = len(coarse)
-            out += _cosine_lift(size, k) @ (theta[:k] * x[:k].real - spectrum[:k].real)
-        return out
+            out += lift @ (theta[:k] * x[:k].real - spectrum[:k].real)
+        return out, nodes
 
-    y, count = _gmres(matvec, -res, min(_FORCING_CAP, norm), 1e-2 * tol, _KRYLOV_STEPS)
-    return precondition(y)[2], count
+    return _gmres(matvec, -res, min(_FORCING_CAP, norm), 1e-2 * tol, _KRYLOV_STEPS)
 
 
 def solve_delaunay(p, period, size=512, tol=1e-11):
@@ -278,13 +292,13 @@ def solve_delaunay(p, period, size=512, tol=1e-11):
     "seed" or "tower"); the step counts of a result or an error cover
     every start tried.
     The unknowns are w_k = v(k dx), k = 0 .. N/2, so the translation mode
-    v' stays out of the Jacobian, which ``_krylov_step`` applies
-    matrix-free in an unrestarted GMRES.  Its right preconditioner is
-    two-level once |res|_inf <= 1: the exact inverse of the Jacobian's
-    Galerkin block on the lowest K = 32 even cosine modes and 1/theta
-    above them; before that, 1/theta on every mode.  theta is one cached
-    table per (p, L, N), which the energy and ``delaunay_residual`` on
-    the result's grid read again.
+    v' stays out of the Jacobian, which ``_krylov_step`` applies matrix-free
+    in an unrestarted flexible GMRES: the step sums the preconditioned Arnoldi
+    vectors.  The right preconditioner is two-level once |res|_inf <= 1: the
+    Jacobian's Galerkin block on the lowest K = 32 even cosine modes, inverted
+    by LAPACK, and 1/theta above; before that, 1/theta on every mode.
+    theta is one cached table per (p, L, N), which the energy and
+    ``delaunay_residual`` on the result's grid read again.
     Newton stops below ``tol`` or the residual's round-off floor
     eps max(theta) (max w - min w), unless ``tol`` is under eps c max(w)^q;
     trial steps that are not positive are halved.  The result peaks at
@@ -324,7 +338,7 @@ def solve_delaunay(p, period, size=512, tol=1e-11):
                 break
             step, count = _krylov_step(theta, curvature * q * w ** (q - 1.0), res, tol)
             krylov_steps += count
-            for scale in 0.5 ** np.arange(20):
+            for scale in _HALVINGS:
                 trial = w + scale * step
                 if np.all(trial > 0.0):
                     trial_res = residual_of(trial)

@@ -452,6 +452,11 @@ class TestBranchAmplitude:
                 branch_amplitude(FracParams(n, s), 10.0)
 
 
+def _unpreconditioned(apply):
+    """A ``_gmres`` matvec for P = I: it returns A z and z itself."""
+    return lambda z: (apply(z), z)
+
+
 @pytest.mark.filterwarnings("error")
 class TestGmres:
     """The in-module GMRES on small dense systems, against np.linalg.solve."""
@@ -465,24 +470,32 @@ class TestGmres:
         assert np.array_equal(x, np.zeros(7))
 
     def test_zero_operator_stops_before_a_singular_step(self):
-        x, count = _gmres(np.zeros_like, np.ones(7), 1e-10, 0.0, 10)
+        x, count = _gmres(_unpreconditioned(np.zeros_like), np.ones(7), 1e-10, 0.0, 10)
         assert count == 0
         assert np.array_equal(x, np.zeros(7))
 
     def test_identity_breaks_down_after_one_step(self):
         # A v = v leaves nothing to orthogonalize: |w| = 0 ends the basis;
-        # the matvec returns its argument, which must not be overwritten
+        # the matvec returns its argument twice, which must not be
+        # overwritten, and the step is a new array, not one of them
         b = np.random.default_rng(1).standard_normal(40)
-        x, count = _gmres(lambda y: y, b, 1e-14, 0.0, 10)
+        outputs = []
+
+        def matvec(y):
+            outputs.append(y)
+            return y, y
+
+        x, count = _gmres(matvec, b, 1e-14, 0.0, 10)
         assert count == 1
         assert np.max(np.abs(x - b)) < 1e-14
+        assert not any(np.shares_memory(x, out) for out in outputs)
 
     def test_random_nonsymmetric_system_matches_dense_solve(self):
         size = 300
         rng = np.random.default_rng(0)
         matrix = np.eye(size) + 0.5 * rng.standard_normal((size, size)) / math.sqrt(size)
         b = rng.standard_normal(size)
-        x, count = _gmres(lambda y: matrix @ y, b, 1e-14, 0.0, size)
+        x, count = _gmres(_unpreconditioned(lambda y: matrix @ y), b, 1e-14, 0.0, size)
         assert count < size
         assert np.max(np.abs(x - np.linalg.solve(matrix, b))) < 1e-10
 
@@ -492,7 +505,7 @@ class TestGmres:
         size, cap = 50, 20
         b = np.zeros(size)
         b[0] = 1.0
-        x, count = _gmres(lambda y: np.roll(y, 1), b, 1e-10, 0.0, cap)
+        x, count = _gmres(_unpreconditioned(lambda y: np.roll(y, 1)), b, 1e-10, 0.0, cap)
         assert count == cap
         assert np.all(np.isfinite(x))
         assert np.linalg.norm(b - np.roll(x, 1)) <= np.linalg.norm(b) + 1e-14
@@ -503,7 +516,7 @@ class TestGmres:
         # side of each doubling takes every step it allows
         b = np.zeros(50)
         b[0] = 1.0
-        x, count = _gmres(lambda y: np.roll(y, 1), b, 1e-10, 0.0, cap)
+        x, count = _gmres(_unpreconditioned(lambda y: np.roll(y, 1)), b, 1e-10, 0.0, cap)
         assert count == cap
         assert np.all(np.isfinite(x))
 
@@ -535,36 +548,47 @@ class TestKrylovAgainstDense:
             column[(nodes[:, None] - nodes) % size] + column[(nodes[:, None] + nodes) % size]
         )
         operator[:, [0, half]] *= 0.5
-        p = self.p
-        return operator - np.diag(cyl_curvature(p) * p.q * w ** (p.q - 1.0))
+        return operator - np.diag(self.slope(w))
+
+    def gated_profile(self, above):
+        # three times the tower puts |res|_inf above the coarse gate; one
+        # dense Newton step from the tower puts it below
+        if above:
+            w = 3.0 * self.start
+        else:
+            w = self.start + np.linalg.solve(
+                self.dense_jacobian(self.start), -self.residual(self.start)
+            )
+        norm = np.max(np.abs(self.residual(w)))
+        assert (norm > delaunay._COARSE_GATE) if above else (1e-8 < norm <= delaunay._COARSE_GATE)
+        return w
+
+    def slope(self, w):
+        return cyl_curvature(self.p) * self.p.q * w ** (self.p.q - 1.0)
 
     def test_one_step_matches_dense_solve(self):
         w = self.start
         res = self.residual(w)
-        slope = cyl_curvature(self.p) * self.p.q * w ** (self.p.q - 1.0)
-        step, count = _krylov_step(self.theta, slope, res, 1e-11)
+        step, count = _krylov_step(self.theta, self.slope(w), res, 1e-11)
         dense = np.linalg.solve(self.dense_jacobian(w), -res)
         assert count >= 1
         assert np.max(np.abs(step - dense)) < 1e-9
 
     def test_far_start_step_matches_dense_solve(self):
-        # three times the tower: the residual is above the gate, so the
-        # step is preconditioned by 1/theta alone, to GMRES's relative 1e-7
-        w = 3.0 * self.start
+        # above the gate the step is preconditioned by 1/theta alone, to
+        # GMRES's relative 1e-7
+        w = self.gated_profile(above=True)
         res = self.residual(w)
-        assert np.max(np.abs(res)) > delaunay._COARSE_GATE
-        slope = cyl_curvature(self.p) * self.p.q * w ** (self.p.q - 1.0)
-        step, count = _krylov_step(self.theta, slope, res, 1e-11)
+        step, count = _krylov_step(self.theta, self.slope(w), res, 1e-11)
         dense = np.linalg.solve(self.dense_jacobian(w), -res)
         assert count >= 1
         assert np.max(np.abs(step - dense)) < 1e-6 * np.max(np.abs(dense))
 
     def test_coarse_step_matches_dense_solve(self, monkeypatch):
-        # one dense Newton step from the tower: near the branch, where the
-        # two-level step must build its coarse block and agree with LU
-        w = self.start + np.linalg.solve(self.dense_jacobian(self.start), -self.residual(self.start))
+        # below the gate, near the branch, the two-level step must build its
+        # coarse block and agree with LU
+        w = self.gated_profile(above=False)
         res = self.residual(w)
-        assert 1e-8 < np.max(np.abs(res)) <= delaunay._COARSE_GATE
         blocks = []
 
         def recording_inverse(theta, slope, size):
@@ -572,18 +596,55 @@ class TestKrylovAgainstDense:
             return blocks[-1]
 
         monkeypatch.setattr(delaunay, "_coarse_inverse", recording_inverse)
-        slope = cyl_curvature(self.p) * self.p.q * w ** (self.p.q - 1.0)
-        step, count = _krylov_step(self.theta, slope, res, 1e-11)
+        step, count = _krylov_step(self.theta, self.slope(w), res, 1e-11)
         dense = np.linalg.solve(self.dense_jacobian(w), -res)
         assert len(blocks) == 1 and blocks[0] is not None
         assert 1 <= count <= 2
         assert np.max(np.abs(step - dense)) < 1e-9
 
+    @pytest.mark.parametrize("above", [True, False])
+    def test_flexible_step_matches_one_last_preconditioning(self, above, monkeypatch):
+        # the step assembled from the kept P^(-1) v_k against the route that
+        # applies P^(-1) once more, to V y, after GMRES
+        w = self.gated_profile(above)
+        gmres, dtrtrs = delaunay._gmres, delaunay.dtrtrs
+        matvecs, vectors, solutions = [], [], []
+
+        def recording_gmres(matvec, *args):
+            matvecs.append(matvec)
+            return gmres(lambda z: vectors.append(z.copy()) or matvec(z), *args)
+
+        def recording_dtrtrs(*args):
+            solutions.append(dtrtrs(*args))
+            return solutions[-1]
+
+        monkeypatch.setattr(delaunay, "_gmres", recording_gmres)
+        monkeypatch.setattr(delaunay, "dtrtrs", recording_dtrtrs)
+        step, count = _krylov_step(self.theta, self.slope(w), self.residual(w), 1e-11)
+        y = solutions[0][0]
+        assert len(matvecs) == len(solutions) == 1 and y.size == count >= 1
+        route = matvecs[0](y @ np.array(vectors[:count]))[1]
+        assert np.max(np.abs(step - route)) <= 1e-12 * np.max(np.abs(route))
+
+    @pytest.mark.parametrize("above", [True, False])
+    def test_transforms_per_krylov_step(self, above, monkeypatch):
+        # two transforms per Krylov step, plus the slope's rfft for the
+        # coarse block below the gate, and none after GMRES
+        w = self.gated_profile(above)
+        slope, res = self.slope(w), self.residual(w)
+        rfft, irfft = np.fft.rfft, np.fft.irfft
+        calls = []
+        monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: calls.append(1) or rfft(*a, **k))
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: calls.append(1) or irfft(*a, **k))
+        step, count = _krylov_step(self.theta, slope, res, 1e-11)
+        assert count >= 1
+        assert len(calls) == 2 * count + (0 if above else 1)
+
     def test_coarse_block_is_galerkin_block_of_dense_jacobian(self):
         # the dense Jacobian on each low cosine mode, read back on the low
         # modes; at N = 64 the K = 32 modes reach a + b > N/2
         w = self.start
-        slope = cyl_curvature(self.p) * self.p.q * w ** (self.p.q - 1.0)
+        slope = self.slope(w)
         modes = min(delaunay._COARSE_MODES, self.SIZE // 2)
         lift = _cosine_lift(self.SIZE, modes)
         galerkin = np.fft.rfft(_even(self.dense_jacobian(w) @ lift).T).real.T[:modes]
