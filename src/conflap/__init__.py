@@ -20,10 +20,8 @@ from .cylinder import (
 )
 from .delaunay import (
     DelaunaySolution,
-    apply_Ls_periodic,
     asymptotic_profile,
     bifurcation_period,
-    branch_amplitude,
     bubble_tower_defect,
     continue_branch,
     delaunay_residual,
@@ -42,20 +40,14 @@ from .errors import (
     TaperError,
 )
 from .euclidean import (
-    Bubble,
-    bubble_eval,
     commutator_check,
-    cosine_taper,
     covariance_bridge,
     frac_lap_integral,
     frac_lap_spectral,
-    line_quotient,
 )
 from .extension import (
-    ExtensionSolution,
     d_s_const,
     d_star_const,
-    energy_of_extension,
     solve_extension_mode,
     weighted_volume_coefficient,
 )
@@ -70,13 +62,11 @@ from .sphere import (
     factored_symbol,
     frac_lap_constant,
     gjms_symbol,
-    mode_eigenvalue,
     singular_integral_apply,
     sphere_curvature,
     sphere_kernel,
     sphere_symbol,
     vol_sphere,
-    yamabe_quotient_sphere,
 )
 
 __version__ = "0.1.0"

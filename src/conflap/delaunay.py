@@ -70,7 +70,7 @@ def _symbol_table(p, period, size):
     return theta
 
 
-def apply_Ls_periodic(p, f):
+def _apply_Ls_periodic(p, f):
     """Apply the nonlocal operator to a periodic profile through its modes."""
     return GridFunction(f.length, _apply_symbol(f.values, _symbol_table(p, f.length, f.size)))
 
@@ -79,7 +79,7 @@ def delaunay_residual(p, f):
     """Pointwise defect L v - c_(n,s) v^q of the curvature equation."""
     if np.any(f.values <= 0.0):
         raise ParameterError("the curvature-equation defect needs v > 0")
-    applied = apply_Ls_periodic(p, f).values
+    applied = _apply_Ls_periodic(p, f).values
     return applied - cyl_curvature(p) * f.values ** p.q
 
 
@@ -106,20 +106,6 @@ def _branch_expansion(p, period):
     drift = -0.25 * q + 0.5 * a2 + 0.125 * (q - 2.0)
     eps2 = slope * (2.0 * math.pi / period - xi0) / ((q - 1.0) * drift)
     return eps2, a2, 2.0 * math.pi / xi0
-
-
-def branch_amplitude(p, period):
-    """Amplitude eps of the bump branch's first mode at a period past L0,
-    from the second-order Lyapunov-Schmidt expansion: the branch profile
-    is 1 + eps cos(2 pi t / L) + O(eps^2), eps of order sqrt(L - L0)."""
-    eps2, _, period0 = _branch_expansion(p, period)
-    if not period > period0:
-        raise ParameterError(
-            f"period {period!r} is not past the bifurcation period {period0!r}"
-        )
-    if not eps2 > 0.0:
-        raise ParameterError(f"the branch at n = {p.n}, s = {p.s} is not supercritical")
-    return math.sqrt(eps2)
 
 
 @dataclass(frozen=True)
@@ -407,7 +393,7 @@ def functional_FL(p, f):
     c_(n,s) L^(1 - 2/2*).  Nonconstant minimizers beat the constant exactly
     when the period exceeds the bifurcation period.
     """
-    quadratic = f.dx * float(f.values @ apply_Ls_periodic(p, f).values)
+    quadratic = f.dx * float(f.values @ _apply_Ls_periodic(p, f).values)
     return quadratic / _critical_mass(p, f)
 
 

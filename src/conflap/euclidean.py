@@ -11,7 +11,6 @@ pushes the operator forward to the round circle.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
@@ -32,7 +31,7 @@ _PANEL_RULE = panel_rule(0.0, 1.0, 1)
 _SUPPORT_TOL = 1e-10
 #: half-width of the window |x| <= cap where the bridge compares both sides
 _COMPARE_CAP = 4.0
-#: share of the samples on each side over which ``cosine_taper`` rolls off
+#: share of the samples on each side over which ``_cosine_taper`` rolls off
 _TAPER_FRACTION = 0.1
 
 #: cubic Lagrange basis on offsets {-1, 0, 1, 2}, coefficients in tau^k
@@ -46,7 +45,7 @@ _CUBIC_BASIS = np.array(
 )
 
 
-def cosine_taper(size):
+def _cosine_taper(size):
     """Window that is 1 in the core and rolls off to 0 over the outer
     ``_TAPER_FRACTION`` of samples on each side with a smooth half-cosine."""
     ramp = max(2, int(round(size * _TAPER_FRACTION)))
@@ -130,47 +129,6 @@ def frac_lap_integral(p, f):
     # convolution counting the d = 0 weight once
     out = values * (2.0 * weights.sum() - weights[0] + 2.0 * tail) - correlated
     return GridFunction(f.length, frac_lap_constant(p) * out)
-
-
-@dataclass(frozen=True)
-class Bubble:
-    """Algebraic extremal profile C (mu / (|x - x0|^2 + mu^2))^((n-2s)/2)."""
-
-    amplitude: float
-    width: float
-    center: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.width) and self.width > 0.0):
-            raise ParameterError(f"bubble width must be positive, got {self.width!r}")
-        if not math.isfinite(self.amplitude) or self.amplitude == 0.0:
-            raise ParameterError(
-                f"bubble amplitude must be finite and nonzero, got {self.amplitude!r}"
-            )
-
-
-def bubble_eval(p, bubble, x):
-    """Evaluate a bubble profile; needs s < n/2 so the exponent is positive."""
-    p.require_subcritical("the bubble profile")
-    r2 = (np.asarray(x, dtype=float) - bubble.center) ** 2
-    out = bubble.amplitude * (bubble.width / (r2 + bubble.width**2)) ** (
-        0.5 * (p.n - 2.0 * p.s)
-    )
-    return float(out) if np.isscalar(x) else out
-
-
-def line_quotient(p, f):
-    """Trace Rayleigh quotient int u (-Delta)^s u / (int u^(2*))^(2/2*).
-
-    Numerator through the spectral route (input must be tapered), denominator
-    by the periodic trapezoid rule.  Scale-invariant by construction.
-    """
-    two_star = p.two_star
-    w = frac_lap_spectral(p, f)
-    h = f.dx
-    num = h * float(f.values @ w.values)
-    den = h * float(np.sum(np.abs(f.values) ** two_star))
-    return num / den ** (2.0 / two_star)
 
 
 # ----------------------------------------------------------------------
@@ -353,7 +311,7 @@ def covariance_bridge(p, spectrum, half_width=2000.0, size=1 << 17):
     factor = 0.5 * (1.0 + x**2)
     # sum_m c_m cos(m alpha) = sum_m c_m T_m(cos alpha)
     flat = factor ** (s - 0.5) * chebval(np.cos(alpha), reduced)
-    tapered = GridFunction(2.0 * half_width, flat * cosine_taper(size))
+    tapered = GridFunction(2.0 * half_width, flat * _cosine_taper(size))
     # after the pole split the profile decays like |x|^(2s-3); what the taper
     # removes feeds back into the comparison window at the 1e-8 level, well
     # inside the relaxed edge tolerance

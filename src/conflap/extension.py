@@ -56,9 +56,7 @@ class ExtensionSolution:
     """Solution record for one tangential frequency.
 
     ``mesh`` and ``values`` include the boundary node y = 0 with U = 1;
-    ``dtn`` is the fitted weighted Neumann trace and ``boundary_flux`` the
-    raw discrete interface flux c_(1/2) (U_1 - U_0) entering the energy
-    identity.
+    ``dtn`` is the fitted weighted Neumann trace.
     """
 
     s: float
@@ -66,7 +64,6 @@ class ExtensionSolution:
     mesh: np.ndarray
     values: np.ndarray
     dtn: float
-    boundary_flux: float
 
     def __post_init__(self):
         for name in ("mesh", "values"):
@@ -86,8 +83,8 @@ def _unit_mode(s, mesh_size):
     """The xi = 1 problem on the mesh t_k = 30 (k / K)^max(2, 1/s), carried
     as log t so that t^(2s) does not underflow for small s, with the exact
     flux couplings 2s / (t_(k+1)^(2s) - t_k^(2s)) and the closure U' = -U.
-    Returns the mesh, the values, the couplings, mass and closure weights of
-    the quadratic form, and the amplitude A of U = U_reg + A t^(2s) (1 + ...).
+    Returns the mesh, the values and the amplitude A of
+    U = U_reg + A t^(2s) (1 + ...).
     """
     grading = max(2.0, 1.0 / s)
     log_t = math.log(_T_MAX) + grading * np.log(np.arange(1, mesh_size + 1) / mesh_size)
@@ -114,9 +111,9 @@ def _unit_mode(s, mesh_size):
     regular = 1.0 + tf**2 / (4.0 * (1.0 - s)) + tf**4 / (32.0 * (1.0 - s) * (2.0 - s))
     branch = t_2s[fit] * (1.0 + tf**2 / (4.0 * (1.0 + s)))
     amplitude = float(branch @ (values[1:][fit] - regular) / (branch @ branch))
-    for shared in (t, values, flux, mass):  # every caller gets these arrays
+    for shared in (t, values):  # every caller gets these arrays
         shared.flags.writeable = False
-    return t, values, flux, mass, closure, amplitude
+    return t, values, amplitude
 
 
 def _frequency_scale(s, xi):
@@ -140,12 +137,12 @@ def solve_extension_mode(p, xi, mesh_size=600):
     (s, mesh_size) at xi = 1 and cached.  The mesh is graded toward t = 0,
     where U = U_reg + A t^(2s) (1 + ...); U(0) = 1 fixes the regular
     Frobenius part 1 + t^2/(4(1-s)) + t^4/(32(1-s)(2-s)), and A is fitted on
-    the nodes t <= 0.05.  Each frequency takes the mesh t / |xi|, the trace
-    d_s A |xi|^(2s) and the interface flux times |xi|^(2s): exact rescalings
-    of the discrete system.  So agreement with |xi|^(2s) at xi != 1 is a
-    scaling identity; the scheme's accuracy shows across s at xi = 1 and
-    under mesh refinement.  xi = 0 gives U = 1 on the single node y = 0.
-    Where |xi|^(2s) or 30/|xi| leaves the normal floats, ParameterError.
+    the nodes t <= 0.05.  Each frequency takes the mesh t / |xi| and the
+    trace d_s A |xi|^(2s): exact rescalings of the discrete system.  So
+    agreement with |xi|^(2s) at xi != 1 is a scaling identity; the scheme's
+    accuracy shows across s at xi = 1 and under mesh refinement.  xi = 0
+    gives U = 1 on the single node y = 0.  Where |xi|^(2s) or 30/|xi| leaves
+    the normal floats, ParameterError.
     """
     s = p.s
     require_unit_order(s, "the extension")
@@ -155,29 +152,10 @@ def solve_extension_mode(p, xi, mesh_size=600):
     if mesh_size < 32:
         raise ParameterError(f"mesh_size must be at least 32, got {mesh_size}")
     if xi == 0.0:
-        return ExtensionSolution(
-            s=s, xi=0.0, mesh=np.zeros(1), values=np.ones(1), dtn=0.0, boundary_flux=0.0
-        )
+        return ExtensionSolution(s=s, xi=0.0, mesh=np.zeros(1), values=np.ones(1), dtn=0.0)
     scale = _frequency_scale(s, xi)
-    t, values, flux, _, _, amplitude = _unit_mode(s, mesh_size)
+    t, values, amplitude = _unit_mode(s, mesh_size)
     return ExtensionSolution(
-        s=s, xi=xi, mesh=t / xi, values=values, dtn=d_s_const(s) * amplitude * scale,
-        boundary_flux=float(flux[0] * (values[1] - 1.0)) * scale,
+        s=s, xi=xi, mesh=t / xi, values=values, dtn=d_s_const(s) * amplitude * scale
     )
 
-
-def energy_of_extension(sol):
-    """Weighted Dirichlet energy of the discrete extension: |xi|^(2s) times
-
-        sum c (Delta U)^2 + sum w U^2 + t_K^a U_K^2
-
-    on the mesh in t, which by summation against the discrete equations
-    collapses to the boundary term -c_(1/2) (U_1 - U_0); with the trace
-    weight it satisfies energy = dtn_flux / d*_s > 0.
-    """
-    if sol.xi == 0.0:
-        return 0.0
-    _, _, flux, mass, closure, _ = _unit_mode(sol.s, sol.values.size - 1)
-    u = sol.values
-    energy = float(flux @ np.diff(u) ** 2 + mass @ u[1:] ** 2) + closure * u[-1] ** 2
-    return energy * _frequency_scale(sol.s, sol.xi)

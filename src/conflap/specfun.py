@@ -30,11 +30,15 @@ def _is_nonpositive_int(v):
 
 
 def log_gamma(x):
-    """Natural log of Gamma(x) for real x > 0."""
+    """Natural log of Gamma(x) for real x > 0; ParameterError above about
+    2.5e305, where it overflows."""
     _require_finite(x=x)
     if x <= 0.0:
         raise ParameterError(f"log_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise ParameterError(f"log Gamma overflows at x = {x!r}") from None
 
 
 def log_gamma_abs2(x, y):

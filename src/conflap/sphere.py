@@ -40,7 +40,7 @@ def _check_mode(m):
     return degrees
 
 
-def mode_eigenvalue(n, m):
+def _mode_eigenvalue(n, m):
     """Laplace-Beltrami eigenvalue m (m + n - 1) of degree-m harmonics on S^n."""
     m = _check_mode(m)
     out = m * (m + n - 1.0)
@@ -69,7 +69,7 @@ def sphere_curvature(p):
 
 def conformal_laplacian_eigenvalue(n, m):
     """Eigenvalue of -Delta + n(n-2)/4 on degree-m harmonics."""
-    return mode_eigenvalue(n, m) + 0.25 * n * (n - 2)
+    return _mode_eigenvalue(n, m) + 0.25 * n * (n - 2)
 
 
 def gjms_symbol(n, k, m):
@@ -80,7 +80,7 @@ def gjms_symbol(n, k, m):
     """
     if not isinstance(k, int) or k < 1:
         raise ParameterError(f"order k must be an int >= 1, got {k!r}")
-    mu = mode_eigenvalue(n, m)
+    mu = _mode_eigenvalue(n, m)
     out = 1.0
     for j in range(1, k + 1):
         out *= mu + (0.5 * n + j - 1) * (0.5 * n - j)
@@ -110,9 +110,13 @@ def factored_symbol(p0, k, m):
 
 
 def vol_sphere(n):
-    """Volume of the unit round S^n."""
+    """Volume of the unit round S^n; ParameterError from n = 343, where
+    Gamma((n+1)/2) overflows."""
     require_dimension(n)
-    return 2.0 * math.pi ** (0.5 * (n + 1)) / math.exp(log_gamma(0.5 * (n + 1)))
+    try:
+        return 2.0 * math.pi ** (0.5 * (n + 1)) / math.exp(log_gamma(0.5 * (n + 1)))
+    except OverflowError:
+        raise ParameterError(f"vol(S^n) overflows in its Gamma factor at n = {n}") from None
 
 
 @dataclass(frozen=True)
@@ -158,11 +162,15 @@ def frac_lap_constant(p):
     The normalization of (-Delta)^s u(x) = C_(n,s) PV int (u(x) - u(y))
     |x - y|^(-n-2s) dy on R^n (Di Nezza, Palatucci & Valdinoci 2012).  The
     sphere and cylinder kernels pull back |x - y|^(-n-2s), so their
-    normalizations are this constant too.
+    normalizations are this constant too.  ParameterError where Gamma(n/2 + s)
+    or pi^(n/2) overflows, for n above about 342.
     """
     require_unit_order(p.s, "the singular-kernel representation")
     log_ratio = log_gamma(0.5 * p.n + p.s) - log_gamma(1.0 - p.s)
-    return p.s * 4.0**p.s * math.exp(log_ratio) / math.pi ** (0.5 * p.n)
+    try:
+        return p.s * 4.0**p.s * math.exp(log_ratio) / math.pi ** (0.5 * p.n)
+    except OverflowError:
+        raise ParameterError(f"C_(n,s) overflows at n = {p.n}, s = {p.s}") from None
 
 
 def calibrate_sphere_kernel(p):
@@ -298,38 +306,8 @@ def apply_sphere_grid(p, values):
     if p.n != 1:
         raise ParameterError("grid application is for n = 1; use apply_sphere otherwise")
     values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size < 2:
-        raise ParameterError("values must be a 1-d array with at least 2 samples")
+    if values.ndim != 1 or values.size < 2 or not np.all(np.isfinite(values)):
+        raise ParameterError("values must be a finite 1-d array with at least 2 samples")
     spec = np.fft.rfft(values)
     return np.fft.irfft(spec * sphere_symbol(p, np.arange(spec.size)), values.size)
 
-
-def yamabe_quotient_sphere(p, values):
-    """Rayleigh quotient int u P_s u / (int u^(2*))^(2/2*) on S^1 or S^2.
-
-    Positive input only; the numerator goes through the spectral multipliers
-    and the denominator through the grid's native quadrature (trapezoid on
-    S^1, Gauss-Legendre weights on S^2).  Constants realize the round
-    sphere's value Q_s vol(S^n)^(2s/n).
-    """
-    two_star = p.two_star
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or not np.all(np.isfinite(values)):
-        raise ParameterError("values must be a finite 1-d array")
-    if np.any(values <= 0.0):
-        raise ParameterError("the quotient is defined for positive u only")
-    if p.n == 1:
-        applied = apply_sphere_grid(p, values)
-        energy = 2.0 * math.pi / values.size * float(values @ applied)
-        mass = 2.0 * math.pi * float(np.mean(values**two_star))
-    elif p.n == 2:
-        r = values.size
-        _, w = legendre_rule(r)
-        coeffs, _ = _legendre_coefficients(values)
-        degrees = np.arange(r)
-        mult = sphere_symbol(p, degrees)
-        energy = float(np.sum(coeffs**2 * mult * 4.0 * math.pi / (2.0 * degrees + 1.0)))
-        mass = 2.0 * math.pi * float(np.sum(w * values**two_star))
-    else:
-        raise ParameterError(f"quotient implemented for n in {{1, 2}}, got {p.n}")
-    return energy / mass ** (2.0 / two_star)

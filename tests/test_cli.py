@@ -59,6 +59,13 @@ class TestCurvature:
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_overflowing_sphere_volume_is_input_error(self, capsys):
+        # Gamma((n+1)/2) in vol(S^n) leaves the floats from n = 343
+        code, out, err = run(capsys, ["curvature", "--n", "343", "--s", "0.3"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "overflows" in err
+
 
 class TestSymbol:
     def test_sphere_defaults_to_eleven_modes(self, capsys):
@@ -148,6 +155,13 @@ class TestKernel:
         assert out == ""
         assert err.startswith("error:") and "finite h" in err
         assert caught == []
+
+    def test_overflowing_integral_constant_is_input_error(self, capsys):
+        # Gamma(n/2 + s) in C_(n,s) leaves the floats at n = 343, s = 0.3
+        code, out, err = run(capsys, ["kernel", "cylinder", "--n", "343", "--s", "0.3"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "overflows" in err
 
     def test_mixed_flags_rejected(self, capsys):
         code, _, err = run(

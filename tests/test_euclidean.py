@@ -9,14 +9,11 @@ from hypothesis import strategies as st
 
 from conflap.errors import ParameterError, SupportError, TaperError
 from conflap.euclidean import (
-    Bubble,
-    bubble_eval,
     commutator_check,
-    cosine_taper,
     covariance_bridge,
     frac_lap_integral,
     frac_lap_spectral,
-    line_quotient,
+    _cosine_taper,
     _difference_weights,
     _factor_power_flat_lap,
     _lattice_sum,
@@ -87,7 +84,7 @@ class TestLineGridFunction:
 
 
 def test_cosine_taper_shape():
-    w = cosine_taper(256)
+    w = _cosine_taper(256)
     assert w[0] == 0.0
     assert np.all(w[100:156] == 1.0)
     assert np.all(np.diff(w[:26]) > 0.0)
@@ -183,43 +180,6 @@ class TestIntegralRoute:
         f = GridFunction(8.0, np.zeros(64))
         with pytest.raises(ParameterError):
             frac_lap_integral(FracParams(1, 1.5), f)
-
-
-class TestBubble:
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            Bubble(1.0, 0.0)
-        with pytest.raises(ParameterError):
-            Bubble(0.0, 1.0)
-
-    def test_peak_and_decay(self):
-        p = FracParams(1, 0.3)
-        b = Bubble(2.0, 1.5, 0.5)
-        assert bubble_eval(p, b, 0.5) == pytest.approx(2.0 * 1.5**-0.2)
-        # far field falls off like |x|^(-(n-2s))
-        ratio = bubble_eval(p, b, 4.0e5) / bubble_eval(p, b, 2.0e5)
-        assert ratio == pytest.approx(2.0 ** -(1.0 - 0.6), rel=1e-4)
-
-    def test_supercritical_rejected(self):
-        with pytest.raises(ParameterError):
-            bubble_eval(FracParams(1, 0.6), Bubble(1.0, 1.0), 0.0)
-
-
-class TestLineQuotient:
-    def test_scale_invariance(self):
-        p = FracParams(1, 0.3)
-        size = 1024
-        x1 = grid(20.0, size)
-        base = np.exp(-0.5 * x1**2) * (1.0 + 0.2 * np.cos(x1))
-        q1 = line_quotient(p, GridFunction(40.0, base))
-        mu = 2.0
-        x2 = grid(mu * 20.0, size)
-        scaled = mu ** (-0.5 * (1.0 - 2.0 * p.s)) * np.exp(
-            -0.5 * (x2 / mu) ** 2
-        ) * (1.0 + 0.2 * np.cos(x2 / mu))
-        q2 = line_quotient(p, GridFunction(mu * 40.0, scaled))
-        assert q2 == pytest.approx(q1, rel=5e-13)
-        assert q1 > 0.0
 
 
 class TestCommutator:

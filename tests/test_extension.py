@@ -12,7 +12,6 @@ from conflap.errors import ParameterError
 from conflap.extension import (
     d_s_const,
     d_star_const,
-    energy_of_extension,
     solve_extension_mode,
     weighted_volume_coefficient,
 )
@@ -123,7 +122,6 @@ class TestExtensionMode:
         sol = solve_extension_mode(FracParams(3, 0.3), 0.0)
         assert sol.dtn == 0.0
         assert np.all(sol.values == 1.0)
-        assert energy_of_extension(sol) == 0.0
 
     def test_validation(self):
         p = FracParams(3, 0.3)
@@ -151,25 +149,6 @@ class TestExtensionMode:
         sol = solve_extension_mode(FracParams(3, 0.4), 1.0)
         with pytest.raises(ValueError):
             sol.values[0] = 2.0
-
-
-class TestExtensionEnergy:
-    def test_collapses_to_boundary_flux(self):
-        # summing the quadratic form against the discrete equations leaves
-        # only the interface term, an exact identity of the scheme
-        for s, xi in ((0.2, 0.7), (0.5, 1.0), (0.8, 3.0)):
-            sol = solve_extension_mode(FracParams(3, s), xi)
-            energy = energy_of_extension(sol)
-            assert energy > 0.0
-            assert energy == pytest.approx(-sol.boundary_flux, rel=1e-9)
-
-    def test_weighted_flux_approximates_multiplier(self):
-        # the raw interface flux carries the smooth-branch contamination,
-        # so the match is much looser than through the fitted trace
-        for s, xi in ((0.2, 0.7), (0.5, 1.0), (0.8, 3.0)):
-            sol = solve_extension_mode(FracParams(3, s), xi)
-            scaled = -d_star_const(s) * sol.boundary_flux
-            assert scaled == pytest.approx(xi ** (2.0 * s), rel=5e-2)
 
 
 def test_weighted_volume_coefficient():

@@ -75,6 +75,11 @@ def test_log_gamma_domain():
     for bad in (0.0, -1.0, -0.5, math.inf, math.nan):
         with pytest.raises(ParameterError):
             log_gamma(bad)
+    # math.lgamma overflows above about 2.5e305
+    assert log_gamma(2e305) < math.inf
+    for big in (3e305, 1e308):
+        with pytest.raises(ParameterError, match="overflows"):
+            log_gamma(big)
     for x, y, name in ((1.0, math.inf, "y"), (math.inf, 1.0, "x"), (1.0, math.nan, "y")):
         with pytest.raises(ParameterError, match=f"^{name} must be finite"):
             log_gamma_abs2(x, y)

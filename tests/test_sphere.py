@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conflap.errors import ParameterError, SingularityError
 from conflap.params import FracParams, KernelSpec
@@ -13,6 +11,7 @@ from conflap.specfun import legendre_rule
 from conflap.sphere import (
     ModeSpectrum,
     _legendre_vandermonde,
+    _mode_eigenvalue,
     apply_sphere,
     apply_sphere_grid,
     calibrate_sphere_kernel,
@@ -20,13 +19,11 @@ from conflap.sphere import (
     factored_symbol,
     frac_lap_constant,
     gjms_symbol,
-    mode_eigenvalue,
     singular_integral_apply,
     sphere_curvature,
     sphere_kernel,
     sphere_symbol,
     vol_sphere,
-    yamabe_quotient_sphere,
 )
 
 # ((n, s, m), Gamma(m+n/2+s)/Gamma(m+n/2-s)), mpmath mp.dps=40
@@ -106,7 +103,7 @@ def test_symbol_on_degree_arrays():
     for bad in (np.array([0, -1]), np.array([0.0, 1.0]), True):
         with pytest.raises(ParameterError):
             sphere_symbol(p, bad)
-    assert np.array_equal(mode_eigenvalue(3, np.arange(4)), [0.0, 3.0, 8.0, 15.0])
+    assert np.array_equal(_mode_eigenvalue(3, np.arange(4)), [0.0, 3.0, 8.0, 15.0])
 
 
 def test_curvature_is_zero_mode():
@@ -154,8 +151,8 @@ def test_factored_symbol_preconditions():
 
 
 def test_mode_eigenvalue():
-    assert mode_eigenvalue(2, 3) == 12.0
-    assert mode_eigenvalue(1, 4) == 16.0
+    assert _mode_eigenvalue(2, 3) == 12.0
+    assert _mode_eigenvalue(1, 4) == 16.0
     assert gjms_symbol(4, 1, 0) == conformal_laplacian_eigenvalue(4, 0)
 
 
@@ -163,6 +160,17 @@ def test_vol_sphere():
     assert math.isclose(vol_sphere(1), 2.0 * math.pi, rel_tol=1e-15)
     assert math.isclose(vol_sphere(2), 4.0 * math.pi, rel_tol=1e-15)
     assert math.isclose(vol_sphere(3), 2.0 * math.pi**2, rel_tol=1e-14)
+
+
+def test_large_dimensions_raise_parameter_error_where_gamma_overflows():
+    # Gamma((n+1)/2) and Gamma(n/2 + s) leave the floats from n = 343
+    assert 0.0 < vol_sphere(342) < math.inf
+    assert 0.0 < frac_lap_constant(FracParams(342, 0.3)) < math.inf
+    with pytest.raises(ParameterError, match="n = 343"):
+        vol_sphere(343)
+    for n in (343, 2000):
+        with pytest.raises(ParameterError, match=f"n = {n}"):
+            frac_lap_constant(FracParams(n, 0.3))
 
 
 def test_apply_sphere_multiplies_modes():
@@ -243,6 +251,14 @@ def test_circle_duality_band_limited_mix():
     assert np.max(np.abs(out - ref)) < 1e-6
 
 
+def test_grid_route_refuses_non_finite_samples():
+    # like singular_integral_apply, rather than spreading nan over every sample
+    p = FracParams(1, 0.3)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="finite"):
+            apply_sphere_grid(p, [bad, 1.0])
+
+
 def test_circle_duality_coarse_grid():
     n = 256
     theta = 2.0 * math.pi * np.arange(n) / n
@@ -290,52 +306,8 @@ def test_kernel_routes_use_the_spec_normalization():
         assert np.allclose(twice, 2.0 * once, rtol=1e-12, atol=1e-12), n
 
 
-def test_yamabe_constant_value():
-    # constants give Q_s vol(S^n)^(2s/n)
-    for n, s in [(1, 0.3), (2, 0.5), (2, 0.25)]:
-        p = FracParams(n, s)
-        u = np.ones(64)
-        got = yamabe_quotient_sphere(p, u)
-        expected = sphere_curvature(p) * vol_sphere(n) ** (2.0 * s / n)
-        assert math.isclose(got, expected, rel_tol=1e-12), (n, s)
-
-
-def test_yamabe_scale_invariance():
-    p = FracParams(2, 0.4)
-    rng = np.random.default_rng(7)
-    from numpy.polynomial.legendre import leggauss, legvander
-
-    t, _ = leggauss(40)
-    u = 1.0 + 0.3 * legvander(t, 4) @ rng.normal(size=5) * 0.1
-    u = np.abs(u) + 0.5
-    q1 = yamabe_quotient_sphere(p, u)
-    q2 = yamabe_quotient_sphere(p, 3.7 * u)
-    assert math.isclose(q1, q2, rel_tol=1e-12)
-
-
-def test_yamabe_rejects_nonpositive():
-    p = FracParams(1, 0.3)
-    with pytest.raises(ParameterError):
-        yamabe_quotient_sphere(p, np.zeros(32))
-
-
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(
-    a1=st.floats(min_value=-0.2, max_value=0.2),
-    a3=st.floats(min_value=-0.2, max_value=0.2),
-    s=st.floats(min_value=0.15, max_value=0.45),
-)
-def test_constants_minimize_circle_quotient(a1, a3, s):
-    # on the sphere the Rayleigh quotient is minimized by constants
-    p = FracParams(1, s)
-    theta = 2.0 * math.pi * np.arange(128) / 128
-    u = 1.0 + a1 * np.cos(theta) + a3 * np.sin(3 * theta)
-    base = yamabe_quotient_sphere(p, np.ones(128))
-    assert yamabe_quotient_sphere(p, u) >= base * (1.0 - 1e-10)
-
-
 def test_legendre_vandermonde_is_cached_and_read_only():
-    # every S^2 apply and quotient at size r shares one P_j(t_i) table
+    # every S^2 kernel-route apply at size r shares one P_j(t_i) table
     vand = _legendre_vandermonde(24)
     assert vand is _legendre_vandermonde(24)
     assert np.array_equal(vand, np.polynomial.legendre.legvander(legendre_rule(24)[0], 23))

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,6 +45,25 @@ def test_all_lists_each_public_name_once():
     assert sorted(
         name for name in names if not getattr(conflap, name).__module__.startswith("conflap.")
     ) == []
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    # a public name earns its place with a caller in another library module,
+    # a demo or the benchmark; a helper that only its own module uses is
+    # private, and one that only tests call goes
+    init = PACKAGE / "__init__.py"
+    callers = {
+        path: path.read_text()
+        for folder in (PACKAGE, ROOT / "demos", ROOT / "bench")
+        for path in folder.glob("*.py")
+    }
+    uncalled = []
+    for name in conflap.__all__:
+        own = PACKAGE / f"{getattr(conflap, name).__module__.rpartition('.')[2]}.py"
+        word = re.compile(rf"\b{name}\b")
+        if not any(word.search(text) for path, text in callers.items() if path not in (own, init)):
+            uncalled.append(name)
+    assert uncalled == []
 
 
 def test_only_cylinder_and_specfun_call_gamma_logs():
