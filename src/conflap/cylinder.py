@@ -12,6 +12,7 @@ study of periodic solutions.
 """
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -31,6 +32,9 @@ _PERIODIZE_BLOCK = 2**16
 KERNEL_MULTIPLIER_XI_MAX = 200.0
 #: absolute tolerance of ``bifurcation_period`` on xi
 BIFURCATION_XTOL = 1e-12
+_LOG2 = math.log(2.0)
+#: largest x with a finite e^x
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def cyl_mode_parameter(n, m):
@@ -116,32 +120,57 @@ def cyl_curvature(p):
     return math.exp(2.0 * p.s * math.log(2.0) + 2.0 * lg)
 
 
+def _profile_factors(p, h, real):
+    """The two factors of the profile at h > 0, a float or an array: the log
+    of sinh(h)^(-1-2s) cosh(h)^((2-n+2s)/2), with sinh, cosh and sech^2
+    through e^(-2h), and 2F1(a, b; n/2; sech^2 h).
+
+    ``real`` takes the two log terms out of numpy scalars on the float path
+    (``float``), since a numpy scalar product warns where it overflows near
+    h = 1e308; on arrays it is ``np.asarray``, which leaves them as they are.
+    """
+    s, n = p.s, p.n
+    decay = np.exp(-2.0 * h)
+    # Below h ~ 3e-9 sech^2 h rounds above 1; the series converges at z = 1,
+    # since c - a - b = s + 1/2 > 0
+    z = np.minimum(4.0 * decay / (1.0 + decay) ** 2, 1.0)
+    hyp = hyp2f1((n - 2.0 * s - 2.0) / 4.0, (n - 2.0 * s) / 4.0, 0.5 * n, z)
+    log_sinh = h - _LOG2 + real(np.log(-np.expm1(-2.0 * h)))
+    log_cosh = h - _LOG2 + real(np.log1p(decay))
+    return (-1.0 - 2.0 * s) * log_sinh + 0.5 * (2.0 - n + 2.0 * s) * log_cosh, hyp
+
+
 def kernel_base(p, h):
     """Unnormalized axial kernel profile at separations h > 0.
 
     sinh(h)^(-1-2s) cosh(h)^((2-n+2s)/2) 2F1(a, b; n/2; sech^2 h) with
     a = (n-2s-2)/4 and b = (n-2s)/4.  Behaves like h^(-1-2s) at 0 and decays
-    like 2^(s+n/2) e^(-(n+2s)h/2).  Accepts scalar or array h; a scalar gives
-    a float.  Raises SingularityError where h is so small that the profile
+    like 2^(s+n/2) e^(-(n+2s)h/2).  Accepts scalar or array h.  A real
+    scalar (float, int or numpy float64) takes a path without the array
+    machinery and gives a float with the bits of the one-entry array's
+    value.  Raises SingularityError where h is so small that the profile
     overflows float64.
     """
     require_dimension(p.n, "the cylinder", least=2)
+    if isinstance(h, (float, int)):
+        x = float(h)
+        if not (x > 0.0 and math.isfinite(x)):
+            raise ParameterError(f"kernel profile needs finite h > 0, got {h}")
+        # near h = 1e308 the log factor is -inf in float arithmetic, which the
+        # exponential takes to a profile of 0; np.exp would warn on overflow
+        log_power, hyp = _profile_factors(p, x, float)
+        out = float(np.exp(log_power)) * hyp if log_power <= _LOG_FLOAT_MAX else math.inf
+        if not math.isfinite(out):
+            raise SingularityError(f"kernel profile overflows float64 at h = {h}")
+        return out
     hs = np.asarray(h, dtype=float)
     if not ((hs > 0.0) & np.isfinite(hs)).all():
         raise ParameterError(f"kernel profile needs finite h > 0, got {h}")
-    s, n = p.s, p.n
-    # sinh, cosh and sech^2 through e^(-2h); near h = 1e308 the products
-    # below overflow to -inf, which the exponential takes to a profile of 0.
-    # Below h ~ 3e-9 sech^2 h rounds above 1; the series converges at z = 1,
-    # since c - a - b = s + 1/2 > 0
+    # near h = 1e308 the products in the log factor overflow to -inf, which
+    # the exponential takes to a profile of 0
     with np.errstate(over="ignore"):
-        decay = np.exp(-2.0 * hs)
-        z = np.minimum(4.0 * decay / (1.0 + decay) ** 2, 1.0)
-        hyp = hyp2f1((n - 2.0 * s - 2.0) / 4.0, (n - 2.0 * s) / 4.0, 0.5 * n, z)
-        log_sinh = hs - math.log(2.0) + np.log(-np.expm1(-2.0 * hs))
-        log_cosh = hs - math.log(2.0) + np.log1p(decay)
-        log_out = (-1.0 - 2.0 * s) * log_sinh + 0.5 * (2.0 - n + 2.0 * s) * log_cosh
-        out = np.exp(log_out) * hyp
+        log_power, hyp = _profile_factors(p, hs, np.asarray)
+        out = np.exp(log_power) * hyp
     if not np.isfinite(out).all():
         raise SingularityError(f"kernel profile overflows float64 at h = {h}")
     return float(out) if hs.ndim == 0 else out
@@ -211,8 +240,14 @@ def calibrate_kernel(p):
 def cyl_kernel(spec, xi):
     """Calibrated axial kernel at separations xi != 0 (even in xi).
 
-    Accepts scalar or array xi; a scalar gives a float.
+    Accepts scalar or array xi.  A real scalar takes ``kernel_base``'s
+    float path and gives a float with the bits of the one-entry array's value.
     """
+    if isinstance(xi, (float, int)):
+        h = abs(float(xi))
+        if h == 0.0:
+            raise SingularityError("cylinder kernel diverges at zero separation")
+        return spec.normalization * kernel_base(spec.params, h)
     h = np.abs(np.asarray(xi, dtype=float))
     if (h == 0.0).any():
         raise SingularityError("cylinder kernel diverges at zero separation")

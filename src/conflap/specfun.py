@@ -59,26 +59,34 @@ def log_gamma_abs2(x, y):
 def hyp2f1(a, b, c, z):
     """Gauss hypergeometric function 2F1(a, b; c; z) for z in [0, 1].
 
-    The parameters are scalars; z may be a scalar (a float is returned) or an
-    array.  scipy's evaluation stays at full precision where c-a-b is an
+    The parameters are scalars; z may be a scalar or an array.  A real
+    scalar z (float, int or numpy float64) takes a path without the array
+    machinery and gives a float with the bits of the one-entry array's
+    value.  scipy's evaluation stays at full precision where c-a-b is an
     integer, as for the cylinder kernel at s = 1/2.  At z = 1 the series
     converges only for c-a-b > 0, unless a or b is a non-positive integer and
     the series terminates.
     """
-    _require_finite(a=a, b=b, c=c)
-    zs = np.asarray(z, dtype=float)
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        _require_finite(a=a, b=b, c=c)
+    if isinstance(z, (float, int)):
+        zs = float(z)
+        inside, hits_one = 0.0 <= zs <= 1.0, zs == 1.0
+    else:
+        zs = np.asarray(z, dtype=float)
+        inside, hits_one = ((zs >= 0.0) & (zs <= 1.0)).all(), (zs == 1.0).any()
     # one test passes finite z in [0, 1]; NaN and inf fail it too
-    if not ((zs >= 0.0) & (zs <= 1.0)).all():
+    if not inside:
         if not np.isfinite(zs).all():
-            raise ParameterError("z must be finite")
+            raise ParameterError(f"z must be finite, got {z!r}")
         raise ParameterError(f"hyp2f1 implemented for z in [0, 1], got {z!r}")
     if _is_nonpositive_int(c):
         raise ParameterError(f"2F1 undefined for c a non-positive integer, got {c!r}")
     terminating = _is_nonpositive_int(a) or _is_nonpositive_int(b)
-    if not terminating and c - a - b <= 0.0 and (zs == 1.0).any():
+    if not terminating and c - a - b <= 0.0 and hits_one:
         raise ParameterError(f"2F1 diverges at z = 1 for c-a-b = {c - a - b!r} <= 0")
     out = special.hyp2f1(a, b, c, zs)
-    return float(out) if zs.ndim == 0 else out
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 @lru_cache(maxsize=32)

@@ -59,12 +59,17 @@ class TestCurvature:
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
-    def test_overflowing_sphere_volume_is_input_error(self, capsys):
-        # Gamma((n+1)/2) in vol(S^n) leaves the floats from n = 343
-        code, out, err = run(capsys, ["curvature", "--n", "343", "--s", "0.3"])
+    def test_underflowing_sphere_volume_is_input_error(self, capsys):
+        # vol(S^n) leaves the normal floats from n = 438 (mpmath: 3.17e-308 at
+        # n = 437, 3.80e-309 at 438); Gamma((n+1)/2) already does at 343
+        code, out, _ = run(capsys, ["curvature", "--n", "437", "--s", "0.3"])
+        assert code == 0
+        volume = json.loads(out)["diagnostics"]["sphere_volume"]
+        assert volume == pytest.approx(3.16992778982654e-308, rel=1e-12)
+        code, out, err = run(capsys, ["curvature", "--n", "438", "--s", "0.3"])
         assert code == 1
         assert out == ""
-        assert err.startswith("error:") and "overflows" in err
+        assert err.startswith("error:") and "underflows" in err
 
 
 class TestSymbol:
@@ -157,11 +162,12 @@ class TestKernel:
         assert caught == []
 
     def test_overflowing_integral_constant_is_input_error(self, capsys):
-        # Gamma(n/2 + s) in C_(n,s) leaves the floats at n = 343, s = 0.3
-        code, out, err = run(capsys, ["kernel", "cylinder", "--n", "343", "--s", "0.3"])
+        # C_(n,s) leaves the floats at n = 439, s = 0.3 (mpmath: 1.11e308 at
+        # n = 438, 9.29e308 at 439); Gamma(n/2 + s) already does at 343
+        code, out, err = run(capsys, ["kernel", "cylinder", "--n", "439", "--s", "0.3"])
         assert code == 1
         assert out == ""
-        assert err.startswith("error:") and "overflows" in err
+        assert err.startswith("error:") and "C_(n,s) overflows" in err
 
     def test_mixed_flags_rejected(self, capsys):
         code, _, err = run(

@@ -261,7 +261,9 @@ def test_kernel_multiplier_frequency_bound():
 def test_cyl_kernel_even_and_singular():
     spec = calibrate_kernel(FracParams(3, 0.5))
     assert cyl_kernel(spec, 1.3) == cyl_kernel(spec, -1.3)
-    assert isinstance(cyl_kernel(spec, 1.3), float)
+    assert cyl_kernel(spec, np.float64(-1.3)) == cyl_kernel(spec, 1.3)
+    assert cyl_kernel(spec, -2) == cyl_kernel(spec, 2.0)
+    assert type(cyl_kernel(spec, np.float64(-1.3))) is float
     table = cyl_kernel(spec, np.array([1.0, -2.0]))
     assert np.array_equal(table, [cyl_kernel(spec, 1.0), cyl_kernel(spec, 2.0)])
     with pytest.raises(SingularityError):
@@ -273,6 +275,52 @@ def test_cyl_kernel_even_and_singular():
         warnings.simplefilter("error")
         with pytest.raises(SingularityError, match="h = 1e-300"):
             cyl_kernel(spec, 1e-300)
+
+
+# h log-spaced over the profile's range, and two separations where the log
+# profile overflows to -inf
+SCALAR_PATH_H = np.concatenate([np.geomspace(1e-8, 700.0, 97), [1e200, 1e308]])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_kernel_base_scalar_path_has_the_bits_of_a_one_entry_array(n):
+    # a real scalar takes the float path; a one-entry array is the reference,
+    # since a longer array may differ from it by an ulp through numpy's
+    # vector loops
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for s in (0.005, 0.3, 0.5, 0.995):
+            p = FracParams(n, s)
+            for h in SCALAR_PATH_H:
+                scalars = [float(h), np.float64(h)] + ([int(h)] if h >= 1.0 else [])
+                for x in scalars:
+                    value = kernel_base(p, x)
+                    reference = kernel_base(p, np.array([float(x)]))[0]
+                    assert type(value) is float, (n, s, x)
+                    assert value.hex() == reference.hex(), (n, s, x)
+
+
+def test_kernel_scalar_refusals_keep_types_and_messages():
+    p = FracParams(3, 0.5)
+    spec = calibrate_kernel(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for h in (0.0, -1.0, math.nan, math.inf):
+            for x in (h, np.float64(h), np.array(h)):
+                with pytest.raises(ParameterError) as caught:
+                    kernel_base(p, x)
+                assert str(caught.value) == f"kernel profile needs finite h > 0, got {x}"
+        for x in (0, -1):
+            with pytest.raises(ParameterError, match=f"finite h > 0, got {x}$"):
+                kernel_base(p, x)
+        for x in (0.0, np.float64(-0.0), 0, np.array(0.0)):
+            with pytest.raises(SingularityError) as caught:
+                cyl_kernel(spec, x)
+            assert str(caught.value) == "cylinder kernel diverges at zero separation"
+        for x in (1e-300, np.float64(-1e-300), np.array(1e-300)):
+            with pytest.raises(SingularityError) as caught:
+                cyl_kernel(spec, x)
+            assert str(caught.value) == "kernel profile overflows float64 at h = 1e-300"
 
 
 def test_periodized_kernel_matches_direct_sum():

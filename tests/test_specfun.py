@@ -6,6 +6,7 @@ closed-form cross-checks.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +200,37 @@ def test_hyp2f1_domain_errors():
             hyp2f1(*args)
     # a terminating series has no fault at z = 1
     assert hyp2f1(-2.0, 1.0, 1.5, 1.0) == pytest.approx(1.0 - 4.0 / 3.0 + 8.0 / 15.0)
+
+
+def test_hyp2f1_scalar_path_has_the_bits_of_a_one_entry_array():
+    # the cylinder kernel's parameters at s = 0.005, 0.5 and 0.995, over z in [0, 1]
+    zs = np.concatenate([np.linspace(0.0, 1.0, 41), [1e-300, 1.0 - 1e-12]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for n, s in ((2, 0.005), (3, 0.5), (5, 0.995)):
+            a, b, c = (n - 2.0 * s - 2.0) / 4.0, (n - 2.0 * s) / 4.0, 0.5 * n
+            for z in zs:
+                reference = hyp2f1(a, b, c, np.array([z]))[0]
+                for x in (float(z), np.float64(z)) + ((int(z),) if z in (0.0, 1.0) else ()):
+                    value = hyp2f1(a, b, c, x)
+                    assert type(value) is float
+                    assert value.hex() == reference.hex(), (n, s, x)
+
+
+def test_hyp2f1_scalar_refusals_keep_types_and_messages():
+    refusals = [
+        ((0.5, 0.5, 1.5), math.nan, "z must be finite, got {z!r}"),
+        ((0.5, 0.5, 1.5), 1.0 + 1e-9, "hyp2f1 implemented for z in [0, 1], got {z!r}"),
+        ((1.0, 1.0, 1.5), 1.0, "2F1 diverges at z = 1 for c-a-b = -0.5 <= 0"),
+        ((0.5, 0.5, -2.0), 0.5, "2F1 undefined for c a non-positive integer, got -2.0"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for params, z, message in refusals:
+            for x in (z, np.float64(z), np.array(z), np.array([z])):
+                with pytest.raises(ParameterError) as caught:
+                    hyp2f1(*params, x)
+                assert str(caught.value) == message.format(z=x)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

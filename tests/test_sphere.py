@@ -162,14 +162,31 @@ def test_vol_sphere():
     assert math.isclose(vol_sphere(3), 2.0 * math.pi**2, rel_tol=1e-14)
 
 
-def test_large_dimensions_raise_parameter_error_where_gamma_overflows():
-    # Gamma((n+1)/2) and Gamma(n/2 + s) leave the floats from n = 343
-    assert 0.0 < vol_sphere(342) < math.inf
-    assert 0.0 < frac_lap_constant(FracParams(342, 0.3)) < math.inf
-    with pytest.raises(ParameterError, match="n = 343"):
-        vol_sphere(343)
-    for n in (343, 2000):
-        with pytest.raises(ParameterError, match=f"n = {n}"):
+# (n, vol(S^n)) and (n, C_(n, 0.3)) at the top of the float range, mpmath mp.dps=40
+LARGE_VOLUME_TABLE = [
+    (342, "3.8483146933512818909e-223"),
+    (343, "5.2123070780411204821e-224"),
+    (437, "3.1699277898265397581e-308"),
+]
+LARGE_CONSTANT_TABLE = [
+    (342, "1.1540692460746021693e+222"),
+    (343, "8.5156676384406255825e+222"),
+    (438, "1.1126321905122325587e+308"),
+]
+
+
+def test_large_dimensions_raise_parameter_error_where_the_value_leaves_the_floats():
+    # Gamma((n+1)/2) and Gamma(n/2 + s) leave the floats from n = 343, but
+    # the volume stays a normal float up to n = 437 and C_(n, 0.3) up to 438
+    for n, ref in LARGE_VOLUME_TABLE:
+        assert math.isclose(vol_sphere(n), float(ref), rel_tol=1e-12), n
+    for n, ref in LARGE_CONSTANT_TABLE:
+        assert math.isclose(frac_lap_constant(FracParams(n, 0.3)), float(ref), rel_tol=1e-12), n
+    for n in (438, 2000):
+        with pytest.raises(ParameterError, match=f"underflows float64 at n = {n}"):
+            vol_sphere(n)
+    for n in (439, 2000):
+        with pytest.raises(ParameterError, match=f"overflows at n = {n}"):
             frac_lap_constant(FracParams(n, 0.3))
 
 
