@@ -37,6 +37,16 @@ _LOG2 = math.log(2.0)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
+def _require(ok, message, x, error=ParameterError):
+    """Raise ``error(message.format(x))`` unless the boolean array ``ok`` holds
+    everywhere; an array x is named by its first failing entry rather than
+    printed whole, a scalar or 0-d x as it is."""
+    if not ok.all():
+        i = int(np.argmin(ok))
+        named = x if np.ndim(x) == 0 else f"{np.asarray(x).flat[i]}, entry {i} of {np.size(x)}"
+        raise error(message.format(named))
+
+
 def cyl_mode_parameter(n, m):
     """Shift beta_m = sqrt((n/2-1)^2 + mu_m) = m + n/2 - 1 for cross-sectional
     degree m, where mu_m = m (m + n - 2) is the S^(n-1) eigenvalue."""
@@ -67,8 +77,7 @@ def cyl_symbol(p, m, xi):
     """
     a, b = _gamma_shifts(p, m)
     xs = np.asarray(xi, dtype=float)
-    if not np.isfinite(xs).all():
-        raise ParameterError(f"the cylinder symbol needs finite xi, got xi = {xi}")
+    _require(np.isfinite(xs), "the cylinder symbol needs finite xi, got xi = {}", xi)
     out = np.exp(2.0 * p.s * math.log(2.0) + _log_ratio(a, b, xs))
     return float(out) if np.isscalar(xi) else out
 
@@ -164,15 +173,13 @@ def kernel_base(p, h):
             raise SingularityError(f"kernel profile overflows float64 at h = {h}")
         return out
     hs = np.asarray(h, dtype=float)
-    if not ((hs > 0.0) & np.isfinite(hs)).all():
-        raise ParameterError(f"kernel profile needs finite h > 0, got {h}")
+    _require((hs > 0.0) & np.isfinite(hs), "kernel profile needs finite h > 0, got {}", h)
     # near h = 1e308 the products in the log factor overflow to -inf, which
     # the exponential takes to a profile of 0
     with np.errstate(over="ignore"):
         log_power, hyp = _profile_factors(p, hs, np.asarray)
         out = np.exp(log_power) * hyp
-    if not np.isfinite(out).all():
-        raise SingularityError(f"kernel profile overflows float64 at h = {h}")
+    _require(np.isfinite(out), "kernel profile overflows float64 at h = {}", h, SingularityError)
     return float(out) if hs.ndim == 0 else out
 
 
@@ -292,14 +299,11 @@ def periodized_kernel(spec, period, xi):
     if not period > 0.0 or not math.isfinite(period):
         raise ParameterError(f"period must be positive and finite, got {period!r}")
     xs = np.asarray(xi, dtype=float)
-    if not np.isfinite(xs).all():
-        raise ParameterError(f"periodized kernel needs finite xi, got {xi}")
+    _require(np.isfinite(xs), "periodized kernel needs finite xi, got {}", xi)
     x = np.mod(xs, period)
     xc = np.minimum(x, period - x)
-    if not (xc > 1e-9 * period).all():
-        raise SingularityError(
-            f"periodized kernel diverges on the period lattice (xi = {xi})"
-        )
+    message = "periodized kernel diverges on the period lattice (xi = {})"
+    _require(xc > 1e-9 * period, message, xi, SingularityError)
     p = spec.params
     decay = p.sigma * period
     # log of 2.1 / (e^(sigma L) - 1), the remainder bound over the last left

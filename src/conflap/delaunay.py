@@ -70,16 +70,11 @@ def _symbol_table(p, period, size):
     return theta
 
 
-def _apply_Ls_periodic(p, f):
-    """Apply the nonlocal operator to a periodic profile through its modes."""
-    return GridFunction(f.length, _apply_symbol(f.values, _symbol_table(p, f.length, f.size)))
-
-
 def delaunay_residual(p, f):
     """Pointwise defect L v - c_(n,s) v^q of the curvature equation."""
     if np.any(f.values <= 0.0):
         raise ParameterError("the curvature-equation defect needs v > 0")
-    applied = _apply_Ls_periodic(p, f).values
+    applied = _apply_symbol(f.values, _symbol_table(p, f.length, f.size))
     return applied - cyl_curvature(p) * f.values ** p.q
 
 
@@ -97,7 +92,7 @@ def _branch_expansion(p, period):
     a2 = c q (q - 1) / (4 (theta(2 xi0) - c q)), and the cos-component at
     order eps^3 gives eps^2 = theta'(xi0) (xi - xi0) / (c q (q - 1) D) with
     D = -q/4 + a2/2 + (q - 2)/8 (Crandall & Rabinowitz 1971).  Returns
-    eps^2, a2 and L0; eps^2 > 0 past L0 when D < 0.
+    eps^2 and a2; eps^2 > 0 past L0 when D < 0.
     """
     xi0, slope = _bifurcation_root(p)  # slope of log theta, theta'/(c q)
     q = p.q
@@ -105,7 +100,7 @@ def _branch_expansion(p, period):
     a2 = target * (q - 1.0) / (4.0 * (float(cyl_symbol(p, 0, 2.0 * xi0)) - target))
     drift = -0.25 * q + 0.5 * a2 + 0.125 * (q - 2.0)
     eps2 = slope * (2.0 * math.pi / period - xi0) / ((q - 1.0) * drift)
-    return eps2, a2, 2.0 * math.pi / xi0
+    return eps2, a2
 
 
 @dataclass(frozen=True)
@@ -262,10 +257,47 @@ def _krylov_step(theta, slope, res, tol):
     return _gmres(matvec, -res, min(_FORCING_CAP, norm), 1e-2 * tol, _KRYLOV_STEPS)
 
 
+def _newton(p, theta, w, tol):
+    """Damped Newton-Krylov from the half-grid samples w of one start: steps of
+    ``_krylov_step``, halved until the trial is positive and lowers |res|_inf,
+    until |res|_inf is below ``tol`` or the round-off floor eps max(theta)
+    (max w - min w), unless ``tol`` is under eps c max(w)^q.  Returns w,
+    |res|_inf, the failure or None, and the Newton and Krylov steps taken."""
+    q, curvature = p.q, cyl_curvature(p)
+    # eps max(theta), the round-off that theta lends each unit of max w - min w
+    amplification = _EPS * float(theta.max())
+
+    def residual_of(w):
+        res = _apply_symbol(_even(w), theta)[: w.size] - curvature * w**q
+        return res, float(np.max(np.abs(res)))
+
+    res, norm = residual_of(w)
+    krylov_steps = 0
+    for newton_steps in range(_NEWTON_STEPS):
+        # a tol under eps c max(w)^q, the unit round-off of the terms,
+        # cannot be met at any N and stays as given
+        floor = amplification * np.ptp(w) if tol > _EPS * curvature * w.max() ** q else 0
+        if norm < max(tol, min(floor, _RESIDUAL_CAP)):
+            return w, norm, None, newton_steps, krylov_steps
+        step, count = _krylov_step(theta, curvature * q * w ** (q - 1.0), res, tol)
+        krylov_steps += count
+        for scale in _HALVINGS:
+            trial = w + scale * step
+            if np.all(trial > 0.0):
+                trial_res, trial_norm = residual_of(trial)
+                if trial_norm < norm:
+                    break
+        else:
+            return w, norm, "line search stalled", newton_steps, krylov_steps
+        w, res, norm = trial, trial_res, trial_norm
+    return w, norm, "Newton did not reach tolerance", _NEWTON_STEPS, krylov_steps
+
+
 def solve_delaunay(p, period, size=512, tol=1e-11):
     """Newton-Krylov solve of L v = c_(n,s) v^q on one period.
 
-    Newton starts from
+    The start policy is apart from the iteration: every start runs the same
+    damped Newton-Krylov loop, ``_newton``.  Newton starts from
       - the constant where theta(2 pi / L) >= c_(n,s) q, at or below the
         bifurcation period L0;
       - else the Lyapunov-Schmidt seed 1 + eps cos(xi t)
@@ -278,16 +310,9 @@ def solve_delaunay(p, period, size=512, tol=1e-11):
     "seed" or "tower"); the step counts of a result or an error cover
     every start tried.
     The unknowns are w_k = v(k dx), k = 0 .. N/2, so the translation mode
-    v' stays out of the Jacobian, which ``_krylov_step`` applies matrix-free
-    in an unrestarted flexible GMRES: the step sums the preconditioned Arnoldi
-    vectors.  The right preconditioner is two-level once |res|_inf <= 1: the
-    Jacobian's Galerkin block on the lowest K = 32 even cosine modes, inverted
-    by LAPACK, and 1/theta above; before that, 1/theta on every mode.
+    v' stays out of the Jacobian, which ``_krylov_step`` applies matrix-free.
     theta is one cached table per (p, L, N), which the energy and
-    ``delaunay_residual`` on the result's grid read again.
-    Newton stops below ``tol`` or the residual's round-off floor
-    eps max(theta) (max w - min w), unless ``tol`` is under eps c max(w)^q;
-    trial steps that are not positive are halved.  The result peaks at
+    ``delaunay_residual`` on the result's grid read again.  The result peaks at
     x = 0; ``nonconstant`` (max - min > 1e-3 max) flags a constant.  A
     ``tol`` above the certificate cap 1e-10 of ``DelaunaySolution`` is
     rejected before any work.  A ``NewtonDivergenceError`` carries the last
@@ -297,52 +322,21 @@ def solve_delaunay(p, period, size=512, tol=1e-11):
         raise ParameterError(
             f"tol {tol!r} exceeds the solution residual cap {_RESIDUAL_CAP:.1e}"
         )
-    q = p.q
-    curvature = cyl_curvature(p)
     grid = GridFunction(period, np.ones(size))
     theta = _symbol_table(p, grid.length, size)
-    # eps max(theta), the round-off that theta lends each unit of max w - min w
-    amplification = _EPS * float(theta.max())
     half = size // 2
-    starts = _auto_starts(p, period, theta[1] < curvature * q, grid.dx * np.arange(half + 1))
-
-    def residual_of(w):
-        return _apply_symbol(_even(w), theta)[: half + 1] - curvature * w**q
-
-    newton_steps = krylov_steps = 0
-    first = None
-    for w, start in starts:
-        res = residual_of(w)
-        norm = float(np.max(np.abs(res)))
-        failure = "Newton did not reach tolerance"
-        for _ in range(_NEWTON_STEPS):
-            # a tol under eps c max(w)^q, the unit round-off of the terms,
-            # cannot be met at any N and stays as given
-            floor = amplification * np.ptp(w) if tol > _EPS * curvature * w.max() ** q else 0
-            if norm < max(tol, min(floor, _RESIDUAL_CAP)):
-                failure = None
-                break
-            step, count = _krylov_step(theta, curvature * q * w ** (q - 1.0), res, tol)
-            krylov_steps += count
-            for scale in _HALVINGS:
-                trial = w + scale * step
-                if np.all(trial > 0.0):
-                    trial_res = residual_of(trial)
-                    trial_norm = float(np.max(np.abs(trial_res)))
-                    if trial_norm < norm:
-                        break
-            else:
-                failure = "line search stalled"
-                break
-            w, res, norm = trial, trial_res, trial_norm
-            newton_steps += 1
+    unstable = theta[1] < cyl_curvature(p) * p.q
+    tries = []
+    for w, start in _auto_starts(p, period, unstable, grid.dx * np.arange(half + 1)):
+        w, norm, failure, newton_steps, krylov_steps = _newton(p, theta, w, tol)
+        tries.append((w, norm, failure, start, newton_steps, krylov_steps))
         nonconstant = not failure and float(np.ptp(w)) > _FLAT_SPREAD * float(w.max())
-        first = first or (w, norm, failure, start, nonconstant)
         if nonconstant:
             break
-    else:
-        # no start ended on the bump: the first start's flat solution or error stands
-        w, norm, failure, start, nonconstant = first
+    # the last try wins if it ended on the bump, else the first try's flat
+    # solution or error stands; the step counts cover every try
+    w, norm, failure, start, _, _ = tries[-1] if nonconstant else tries[0]
+    newton_steps, krylov_steps = (sum(counts) for counts in list(zip(*tries))[4:])
     if failure:
         raise NewtonDivergenceError(
             failure, last_residual=norm, newton_steps=newton_steps, krylov_steps=krylov_steps
@@ -364,7 +358,7 @@ def _auto_starts(p, period, unstable, t):
     else the tower, then the seed."""
     if not unstable:
         return [(np.ones(t.size), "constant")]
-    eps2, a2, _ = _branch_expansion(p, period)
+    eps2, a2 = _branch_expansion(p, period)
     eps = math.sqrt(max(eps2, 0.0))
     phase = 2.0 * math.pi / period * t
     w = 1.0 + eps * np.cos(phase)
@@ -393,7 +387,7 @@ def functional_FL(p, f):
     c_(n,s) L^(1 - 2/2*).  Nonconstant minimizers beat the constant exactly
     when the period exceeds the bifurcation period.
     """
-    quadratic = f.dx * float(f.values @ _apply_Ls_periodic(p, f).values)
+    quadratic = f.dx * float(f.values @ _apply_symbol(f.values, _symbol_table(p, f.length, f.size)))
     return quadratic / _critical_mass(p, f)
 
 

@@ -87,6 +87,9 @@ def _unit_mode(s, mesh_size):
     U = U_reg + A t^(2s) (1 + ...).
     """
     grading = max(2.0, 1.0 / s)
+    # past the floats, log t of the first node is -inf and the fluxes divide by 0
+    if not math.isfinite(grading * math.log(mesh_size)):
+        raise ParameterError(f"the extension mesh grading overflows at s = {s!r}")
     log_t = math.log(_T_MAX) + grading * np.log(np.arange(1, mesh_size + 1) / mesh_size)
     t = np.concatenate([[0.0], np.exp(log_t)])
     t_2s = np.exp(2.0 * s * log_t)
@@ -141,8 +144,8 @@ def solve_extension_mode(p, xi, mesh_size=600):
     trace d_s A |xi|^(2s): exact rescalings of the discrete system.  So
     agreement with |xi|^(2s) at xi != 1 is a scaling identity; the scheme's
     accuracy shows across s at xi = 1 and under mesh refinement.  xi = 0
-    gives U = 1 on the single node y = 0.  Where |xi|^(2s) or 30/|xi| leaves
-    the normal floats, ParameterError.
+    gives U = 1 on the single node y = 0.  Where |xi|^(2s), 30/|xi| or the
+    grading max(2, 1/s) log(mesh_size) leaves the floats, ParameterError.
     """
     s = p.s
     require_unit_order(s, "the extension")

@@ -161,6 +161,15 @@ class TestKernel:
         assert err.startswith("error:") and "finite h" in err
         assert caught == []
 
+    def test_kernel_overflow_error_is_one_line(self, capsys):
+        # scipy's 2F1 is inf near z = 1 at n = 344; the error names one node
+        code, out, err = run(capsys, ["kernel", "cylinder", "--n", "344", "--s", "0.3"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: kernel profile overflows float64 at h = ")
+        assert err.rstrip("\n").endswith(", entry 0 of 64")
+        assert err.count("\n") == 1
+
     def test_overflowing_integral_constant_is_input_error(self, capsys):
         # C_(n,s) leaves the floats at n = 439, s = 0.3 (mpmath: 1.11e308 at
         # n = 438, 9.29e308 at 439); Gamma(n/2 + s) already does at 343
@@ -271,6 +280,14 @@ class TestChecks:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "xi^(2s)" in err
+
+    def test_tiny_order_is_input_error(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["extension-check", "--s", "1e-320", "--xi", "2"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: the extension mesh grading overflows at s = 1e-320\n"
 
     def test_covariance_bridge_small_run(self, capsys):
         code, out, _ = run(

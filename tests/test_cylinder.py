@@ -398,8 +398,52 @@ def test_periodized_kernel_rejects_non_finite_xi():
         for xi in (np.inf, -np.inf, np.nan, np.array([1.0, np.inf])):
             with pytest.raises(ParameterError, match="finite xi"):
                 periodized_kernel(spec, 5.0, xi)
-        with pytest.raises(SingularityError, match=r"xi = \[1.e\+300\]"):
+        with pytest.raises(SingularityError, match=r"\(xi = 1e\+300, entry 0 of 1\)$"):
             periodized_kernel(spec, 5.0, np.array([1e300]))
+
+
+def test_array_refusals_name_the_first_offending_entry():
+    p = FracParams(3, 0.5)
+    spec = calibrate_kernel(p)
+    h = np.array([[1.0, 2.0], [0.0, -1.0]])
+    cases = [
+        (lambda: cyl_symbol(p, 0, [1.0, np.nan, np.inf]), ParameterError,
+         "the cylinder symbol needs finite xi, got xi = nan, entry 1 of 3"),
+        (lambda: kernel_base(p, h), ParameterError,
+         "kernel profile needs finite h > 0, got 0.0, entry 2 of 4"),
+        (lambda: kernel_base(p, np.array([1.0, 1e-300, 1e-301])), SingularityError,
+         "kernel profile overflows float64 at h = 1e-300, entry 1 of 3"),
+        (lambda: periodized_kernel(spec, 5.0, [1.0, 2.0, -np.inf]), ParameterError,
+         "periodized kernel needs finite xi, got -inf, entry 2 of 3"),
+        (lambda: periodized_kernel(spec, 5.0, np.arange(1.0, 12.0)), SingularityError,
+         "periodized kernel diverges on the period lattice (xi = 5.0, entry 4 of 11)"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, error, message in cases:
+            with pytest.raises(error) as caught:
+                call()
+            assert str(caught.value) == message
+        # the scalar and 0-d forms print the value as they did
+        for xi in (np.nan, np.array(np.nan)):
+            with pytest.raises(ParameterError) as caught:
+                cyl_symbol(p, 0, xi)
+            assert str(caught.value) == "the cylinder symbol needs finite xi, got xi = nan"
+        for xi in (10.0, np.array(10.0), np.array(10)):
+            with pytest.raises(SingularityError) as caught:
+                periodized_kernel(spec, 5.0, xi)
+            message = f"periodized kernel diverges on the period lattice (xi = {xi})"
+            assert str(caught.value) == message
+
+
+def test_calibration_refusal_at_large_n_names_one_node():
+    # scipy's 2F1 is inf near z = 1 from n = 344 on; the refusal names the
+    # first node of the 64-node table instead of printing the table
+    with pytest.raises(SingularityError) as caught:
+        calibrate_kernel(FracParams(344, 0.3))
+    assert str(caught.value).startswith("kernel profile overflows float64 at h = ")
+    assert str(caught.value).endswith(", entry 0 of 64")
+    assert "\n" not in str(caught.value)
 
 
 def _clear_library_caches():

@@ -26,7 +26,8 @@ from conflap.delaunay import (
     kernel_functional_FL,
     limit_amplitude,
     solve_delaunay,
-    _apply_Ls_periodic,
+    _apply_symbol,
+    _auto_starts,
     _branch_expansion,
     _coarse_inverse,
     _cosine_lift,
@@ -34,6 +35,7 @@ from conflap.delaunay import (
     _even,
     _gmres,
     _krylov_step,
+    _newton,
     _symbol_table,
     _tower_values,
 )
@@ -81,9 +83,9 @@ class TestApplyOperator:
         p = FracParams(3, 0.5)
         period = 7.0
         f = GridFunction(period, np.cos(4.0 * math.pi / period * np.arange(64) * period / 64))
-        applied = _apply_Ls_periodic(p, f)
+        applied = _apply_symbol(f.values, _symbol_table(p, f.length, f.size))
         expected = cyl_symbol(p, 0, 4.0 * math.pi / period) * f.values
-        assert np.max(np.abs(applied.values - expected)) < 1e-12
+        assert np.max(np.abs(applied - expected)) < 1e-12
 
     def test_constant_is_exact_solution(self):
         p = FracParams(4, 0.35)
@@ -128,12 +130,10 @@ class TestApplyOperator:
         a = rng.standard_normal(32)
         b = rng.standard_normal(32)
         period = 6.0
-        left = _apply_Ls_periodic(p, GridFunction(period, a + scale * b))
-        right = (
-            _apply_Ls_periodic(p, GridFunction(period, a)).values
-            + scale * _apply_Ls_periodic(p, GridFunction(period, b)).values
-        )
-        assert np.max(np.abs(left.values - right)) < 1e-10 * (1.0 + scale)
+        theta = _symbol_table(p, period, 32)
+        left = _apply_symbol(a + scale * b, theta)
+        right = _apply_symbol(a, theta) + scale * _apply_symbol(b, theta)
+        assert np.max(np.abs(left - right)) < 1e-10 * (1.0 + scale)
 
 
 class TestBifurcationPeriod:
@@ -413,6 +413,70 @@ class TestSolveDelaunay:
             )
 
 
+class TestNewton:
+    """``solve_delaunay`` is its start policy over one ``_newton`` per start."""
+
+    @staticmethod
+    def _tries(p, period, size=512):
+        # each start of _auto_starts through _newton, up to the first that
+        # converges, as solve_delaunay runs them on these points
+        theta = _symbol_table(p, period, size)
+        tries = []
+        unstable = theta[1] < cyl_curvature(p) * p.q
+        for w, start in _auto_starts(p, period, unstable, period / size * np.arange(size // 2 + 1)):
+            tries.append((*_newton(p, theta, w, 1e-11), start))
+            if tries[-1][2] is None:
+                break
+        return tries
+
+    @pytest.mark.parametrize(
+        "n, s, ratio, starts",
+        [
+            (3, 0.5, 0.8, ["constant"]),
+            (3, 0.5, 1.2, ["seed"]),
+            (3, 0.5, 3.0, ["tower"]),
+            # the tower try spends its 60 Newton steps and fails, then the seed solves
+            (2, 0.99, 2.0, ["tower", "seed"]),
+        ],
+    )
+    def test_starts_through_newton_reproduce_the_solve(self, n, s, ratio, starts):
+        p = FracParams(n, s)
+        period = ratio * bifurcation_period(p)
+        sol = solve_delaunay(p, period)
+        tries = self._tries(p, period)
+        assert [start for *_, start in tries] == starts
+        assert all(failure for _, _, failure, _, _, _ in tries[:-1])
+        w, norm, failure, _, _, start = tries[-1]
+        assert failure is None and start == sol.start
+        assert sum(steps for _, _, _, steps, _, _ in tries) == sol.newton_steps
+        assert sum(steps for _, _, _, _, steps, _ in tries) == sol.krylov_steps
+        assert norm == sol.residual_norm
+        # the driver puts the peak at x = 0, the middle node
+        v = _even(w)
+        assert np.array_equal(sol.values, v) or np.array_equal(sol.values, np.roll(v, 256))
+
+    def test_tower_then_seed_counts(self):
+        p = FracParams(2, 0.99)
+        tries = self._tries(p, 2.0 * bifurcation_period(p))
+        assert [steps for _, _, _, steps, _, _ in tries] == [60, 9]
+
+    @pytest.mark.parametrize(
+        "n, s, ratio", [(3, 0.5, 0.8), (3, 0.5, 1.2), (3, 0.5, 3.0), (2, 0.99, 2.0)]
+    )
+    def test_converged_start_takes_no_step(self, n, s, ratio):
+        p = FracParams(n, s)
+        period = ratio * bifurcation_period(p)
+        v = solve_delaunay(p, period).values
+        theta = _symbol_table(p, period, v.size)
+        # v is even about both x = 0 and x = L/2: either half grid samples it
+        for half in (v[: v.size // 2 + 1], np.roll(v, v.size // 2)[: v.size // 2 + 1]):
+            w, norm, failure, newton_steps, krylov_steps = _newton(p, theta, half, 1e-11)
+            assert failure is None
+            assert (newton_steps, krylov_steps) == (0, 0)
+            assert norm < 1e-10
+            assert w is half
+
+
 class TestBranchAmplitude:
     """The Lyapunov-Schmidt expansion at L0 against the solved branch."""
 
@@ -435,7 +499,7 @@ class TestBranchAmplitude:
         drifts = []
         for s in np.linspace(0.005, 0.995, 34):
             p = FracParams(n, float(s))
-            eps2, a2, _ = _branch_expansion(p, 1.1 * bifurcation_period(p))
+            eps2, a2 = _branch_expansion(p, 1.1 * bifurcation_period(p))
             drifts.append(-0.25 * p.q + 0.5 * a2 + 0.125 * (p.q - 2.0))
             assert eps2 > 0.0
         assert max(drifts) < 0.0
@@ -766,7 +830,7 @@ class TestTowerLimit:
             grid = GridFunction(period, np.ones(4096))
             t = grid.x
             shape = np.cosh(t) ** -d
-            applied = _apply_Ls_periodic(p, GridFunction(period, shape)).values
+            applied = _apply_symbol(shape, _symbol_table(p, period, shape.size))
             window = np.abs(t) <= 3.0
             expected = sphere_curvature(p) * shape[window] ** p.q
             gap = np.max(np.abs(applied[window] - expected))

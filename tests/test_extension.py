@@ -145,6 +145,23 @@ class TestExtensionMode:
             sol = solve_extension_mode(FracParams(3, 0.005), 1.0)
         assert abs(sol.dtn - 1.0) < 1e-3
 
+    @pytest.mark.parametrize("s", [1e-308, 1e-310, 5e-324])
+    def test_tiny_order_refuses_before_the_mesh(self, s):
+        # max(2, 1/s) log(mesh_size) leaves the floats: the graded mesh would
+        # put log t = -inf at its first node and divide the fluxes by zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="grading overflows"):
+                solve_extension_mode(FracParams(3, s), 2.0)
+
+    def test_tiny_order_refusal_follows_the_mesh_size(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(solve_extension_mode(FracParams(3, 5e-308), 2.0).dtn)
+            assert math.isfinite(solve_extension_mode(FracParams(3, 2e-308), 2.0, 32).dtn)
+            with pytest.raises(ParameterError, match="grading overflows"):
+                solve_extension_mode(FracParams(3, 1.5e-308), 2.0, 32)
+
     def test_solution_arrays_frozen(self):
         sol = solve_extension_mode(FracParams(3, 0.4), 1.0)
         with pytest.raises(ValueError):
