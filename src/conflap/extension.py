@@ -80,20 +80,19 @@ _FIT_WINDOW = 0.05
 
 @lru_cache(maxsize=64)
 def _unit_mode(s, mesh_size):
-    """The xi = 1 problem on the mesh t_k = 30 (k / K)^max(2, 1/s), carried
-    as log t so that t^(2s) does not underflow for small s, with the exact
-    flux couplings 2s / (t_(k+1)^(2s) - t_k^(2s)) and the closure U' = -U.
-    Returns the mesh, the values and the amplitude A of
+    """The xi = 1 problem on the mesh t_k = 30 (k / K)^g, g = min(max(2, 1/s), 4),
+    carried as log t so that the exact flux couplings
+    2s / (t_(k+1)^(2s) - t_k^(2s)) keep their digits for small s, with the
+    closure U' = -U.  Returns the mesh, the values and the amplitude A of
     U = U_reg + A t^(2s) (1 + ...).
     """
-    grading = max(2.0, 1.0 / s)
-    # past the floats, log t of the first node is -inf and the fluxes divide by 0
-    if not math.isfinite(grading * math.log(mesh_size)):
-        raise ParameterError(f"the extension mesh grading overflows at s = {s!r}")
+    # a steeper grading puts nearly every node at t ~ 0 once s is small
+    grading = min(max(2.0, 1.0 / s), 4.0)
     log_t = math.log(_T_MAX) + grading * np.log(np.arange(1, mesh_size + 1) / mesh_size)
     t = np.concatenate([[0.0], np.exp(log_t)])
     t_2s = np.exp(2.0 * s * log_t)
-    flux = 2.0 * s / np.diff(t_2s, prepend=0.0)
+    # t_(k+1)^(2s) - t_k^(2s) as t_k^(2s) expm1(2s dlog t): no cancellation at small s
+    flux = 2.0 * s / np.append(t_2s[0], t_2s[:-1] * np.expm1(2.0 * s * np.diff(log_t)))
     # cell integrals of t^(1-2s) around each interior node (and the last)
     expo = 2.0 - 2.0 * s
     edges = np.concatenate([[0.0], 0.5 * (t[:-1] + t[1:]), [t[-1]]])
@@ -144,11 +143,14 @@ def solve_extension_mode(p, xi, mesh_size=600):
     trace d_s A |xi|^(2s): exact rescalings of the discrete system.  So
     agreement with |xi|^(2s) at xi != 1 is a scaling identity; the scheme's
     accuracy shows across s at xi = 1 and under mesh refinement.  xi = 0
-    gives U = 1 on the single node y = 0.  Where |xi|^(2s), 30/|xi| or the
-    grading max(2, 1/s) log(mesh_size) leaves the floats, ParameterError.
+    gives U = 1 on the single node y = 0.  Where |xi|^(2s) or 30/|xi| leaves
+    the normal floats, or s is below them, ParameterError.
     """
     s = p.s
     require_unit_order(s, "the extension")
+    if s < sys.float_info.min:
+        # 2s expm1(2s dlog t) underflows there and the fluxes divide by 0
+        raise ParameterError(f"the extension needs s in the normal floats, got s = {s!r}")
     xi = abs(float(xi))
     if not math.isfinite(xi):
         raise ParameterError(f"frequency must be finite, got {xi!r}")

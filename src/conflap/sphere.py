@@ -15,18 +15,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import legvander
-from scipy.special import poch, roots_jacobi
+from scipy.special import beta, eval_gegenbauer, poch
 
 from .errors import ParameterError, SingularityError
 from .params import KernelSpec, require_dimension, require_unit_order
-from .specfun import legendre_rule, log_gamma
+from .specfun import jacobi_rule, log_gamma
 
 #: The S^1 moment corrections act on modes up to the grid size over this;
 #: above it they would only amplify round-off.
 _BAND_FRACTION = 3
-#: least Gauss-Jacobi size of the S^2 multipliers
-_S2_QUAD_SIZE = 40
 
 _MIN_GRID = 16
 
@@ -153,13 +150,9 @@ def apply_sphere(p, f):
     return ModeSpectrum(f.n, f.coeffs * sphere_symbol(p, np.arange(f.coeffs.size)))
 
 
-def _circle_moment(alpha):
-    """int_0^{2 pi} (1 - cos t)^alpha dt for alpha > -1/2, in closed form."""
-    return (
-        2.0 ** (alpha + 1.0)
-        * math.sqrt(math.pi)
-        * math.exp(log_gamma(alpha + 0.5) - log_gamma(alpha + 1.0))
-    )
+def _jacobi_moment(a, b):
+    """int_-1^1 (1 - t)^a (1 + t)^b dt = 2^(a+b+1) B(a+1, b+1), a, b > -1."""
+    return 2.0 ** (a + b + 1.0) * beta(a + 1.0, b + 1.0)
 
 
 def frac_lap_constant(p):
@@ -190,23 +183,18 @@ def calibrate_sphere_kernel(p):
     |z - zeta|^2 = 2 (1 - z . zeta) turns the Euclidean kernel into the
     power of 1 - z . zeta.  The record holds the relative residuals of the
     kernel route against the multipliers of degrees 1 and 2, both through
-    closed-form moments; neither is fitted, and ``residual`` is the larger.
+    closed-form Beta moments for every n; neither is fitted, and
+    ``residual`` is the larger.
     """
-    if p.n not in (1, 2):
-        raise ParameterError(f"kernel calibration implemented for n in {{1, 2}}, got {p.n}")
     kappa = frac_lap_constant(p) * 2.0 ** (-p.sigma)
     curv = sphere_curvature(p)
-    if p.n == 1:
-        moment1 = _circle_moment(0.5 - p.s)
-        # 1 - cos 2t = 4 (1 - cos t) - 2 (1 - cos t)^2
-        moments = (moment1, 4.0 * moment1 - 2.0 * _circle_moment(1.5 - p.s))
-    else:
-        # zonal kernel on S^2 in t = cos(geodesic distance), measure 2 pi dt
-        j1 = 2.0 ** (1.0 - p.s) / (1.0 - p.s)
-        j2 = 3.0 * j1 - 1.5 * 2.0 ** (2.0 - p.s) / (2.0 - p.s)
-        moments = (2.0 * math.pi * j1, 2.0 * math.pi * j2)
+    # Funk-Hecke in t = z . zeta, measure |S^(n-1)| (1 - t^2)^((n-2)/2) dt, with
+    # (1 - P_1)/(1 - t) = 1, (1 - P_2)/(1 - t) = (n + 1)(1 + t)/n and |S^0| = 2
+    area = p.n * vol_sphere(p.n + 1) / (2.0 * math.pi)
+    b = 0.5 * p.n - 1.0
+    moments = [_jacobi_moment(-p.s, b), (p.n + 1.0) / p.n * _jacobi_moment(-p.s, b + 1.0)]
     symbols = sphere_symbol(p, np.arange(1, 3))
-    residuals = (np.abs(curv + kappa * np.array(moments) - symbols) / symbols).tolist()
+    residuals = (np.abs(curv + kappa * area * np.array(moments) - symbols) / symbols).tolist()
     record = {"check_modes": [1, 2], "residuals": residuals, "residual": max(residuals)}
     return KernelSpec(p, kappa, record)
 
@@ -218,7 +206,10 @@ def sphere_kernel(spec, cos_theta):
         raise SingularityError("sphere kernel diverges on the diagonal (cos theta = 1)")
     if np.any(c < -1.0) or not np.all(np.isfinite(c)):
         raise ParameterError("cos theta must lie in [-1, 1)")
-    out = spec.normalization * (1.0 - c) ** (-spec.params.sigma)
+    with np.errstate(over="ignore"):
+        out = spec.normalization * (1.0 - c) ** (-spec.params.sigma)
+    if not np.all(np.isfinite(out)):
+        raise ParameterError(f"sphere kernel overflows float64 at n = {spec.params.n}")
     return float(out) if np.isscalar(cos_theta) else out
 
 
@@ -242,46 +233,49 @@ def _circle_multipliers(spec, size):
     m2 = np.arange(size // 2 + 1) ** 2.0
     m2[m2 > (size // _BAND_FRACTION) ** 2] = 0.0
     # closed-form moments minus their trapezoid sums
-    err1 = kappa * _circle_moment(0.5 - p.s) - h * (kernel @ one_minus_cos)
-    err2 = kappa * _circle_moment(1.5 - p.s) - h * (kernel @ one_minus_cos**2)
+    err1 = 2.0 * kappa * _jacobi_moment(-p.s, -0.5) - h * (kernel @ one_minus_cos)
+    err2 = 2.0 * kappa * _jacobi_moment(1.0 - p.s, -0.5) - h * (kernel @ one_minus_cos**2)
     lam = h * (kernel.sum() - np.fft.rfft(kernel).real)
     return sphere_curvature(p) + lam + m2 * err1 + (m2 - m2**2) / 6.0 * err2
 
 
-@lru_cache(maxsize=8)  # r x r floats each, so fewer entries than legendre_rule
-def _legendre_vandermonde(r):
-    """P_0 .. P_(r-1) at the r Gauss-Legendre nodes, as a read-only array."""
-    vand = legvander(legendre_rule(r)[0], r - 1)
-    vand.flags.writeable = False
-    return vand
+def _zonal_harmonics(n, t, degree):
+    """P_0 .. P_degree at the points t, P_m = C_m^((n-1)/2) / C_m^((n-1)/2)(1)
+    the degree-m zonal harmonic of S^n."""
+    m = np.arange(degree + 1)
+    return eval_gegenbauer(m, 0.5 * (n - 1), t[:, None]) / eval_gegenbauer(m, 0.5 * (n - 1), 1.0)
 
 
-def _legendre_coefficients(values):
-    """Legendre coefficients of samples at the Gauss-Legendre nodes, and the
-    Vandermonde that maps them back."""
-    r = values.size
-    vand = _legendre_vandermonde(r)
-    scale = (2.0 * np.arange(r) + 1.0) / 2.0
-    return scale * (vand.T @ (legendre_rule(r)[1] * values)), vand
+@lru_cache(maxsize=8)  # 2 r^2 floats each, so fewer entries than jacobi_rule
+def _zonal_table(n, r):
+    """P_0 .. P_(r-1) at the r Gauss-Gegenbauer nodes of S^n, and the map from
+    samples there to the coefficients of the P_m, as read-only arrays.
+
+    The rule is exact on P_j P_k for j + k < 2r, so its own weights project.
+    """
+    b = 0.5 * n - 1.0
+    nodes, weights = jacobi_rule(b, b, r)
+    table = _zonal_harmonics(n, nodes, r - 1)
+    weighted = weights[:, None] * table
+    projector = (weighted / (table * weighted).sum(axis=0)).T
+    for shared in (table, projector):
+        shared.flags.writeable = False
+    return table, projector
 
 
-def _s2_multipliers(spec, max_degree):
-    """Kernel-route multipliers on S^2 by Gauss-Jacobi quadrature.
+def _zonal_multipliers(spec, max_degree):
+    """Kernel-route multipliers on S^n, n >= 2, by Funk-Hecke and Gauss-Jacobi.
 
-    J_m = int (1 - P_m(t)) (1-t)^(-1-s) dt is computed with the weight
-    (1-t)^(-s) applied to the degree m-1 polynomial (1 - P_m(t))/(1 - t),
-    which the rule integrates exactly; the kernel constant is the spec's.
+    J_m = int (1 - P_m(t)) (1-t)^(-1-s) (1+t)^((n-2)/2) dt is computed with the
+    weight (1-t)^(-s) (1+t)^((n-2)/2) applied to the degree m-1 polynomial
+    (1 - P_m(t))/(1 - t), which the rule integrates exactly.  The rule has the
+    least exact size: its round-off grows with the size, 4x from 24 to 64
+    nodes at s = 0.995.  The kernel constant is the spec's.
     """
     p = spec.params
-    nq = max(_S2_QUAD_SIZE, max_degree // 2 + 4)
-    # not specfun.jacobi_unit_rule(-s, nq) mapped to (-1, 1): that is the same
-    # rule, but its (1-t)^j moments at nq = 40 are off by up to 9.8e-10
-    # relative at s = 0.995, against 1.4e-10 from roots_jacobi directly
-    tq, wq = roots_jacobi(nq, -p.s, 0.0)
-    vand = legvander(tq, max_degree)
-    ratios = (1.0 - vand) / (1.0 - tq)[:, None]
-    j = ratios.T @ wq
-    return sphere_curvature(p) + 2.0 * math.pi * spec.normalization * j
+    tq, wq = jacobi_rule(-p.s, 0.5 * p.n - 1.0, max_degree // 2 + 1)
+    ratios = (1.0 - _zonal_harmonics(p.n, tq, max_degree)) / (1.0 - tq)[:, None]
+    return sphere_curvature(p) + vol_sphere(p.n - 1) * spec.normalization * (ratios.T @ wq)
 
 
 def singular_integral_apply(spec, values):
@@ -289,27 +283,25 @@ def singular_integral_apply(spec, values):
 
     For n = 1 ``values`` are samples on the uniform grid theta_i = 2 pi i / N
     (N >= 16) and the kernel is summed as a corrected PV trapezoid rule; for
-    n = 2 they are zonal samples at the Gauss-Legendre nodes
-    t_i = cos(gamma_i), and the kernel is integrated by Gauss-Jacobi
-    quadrature.  Both sums act diagonally on the grid's modes, so either
-    route is a multiplier table applied to the modes of ``values``.
+    n >= 2 they are zonal samples at the Gauss-Gegenbauer nodes
+    t_i = cos(gamma_i) (the Gauss-Legendre nodes on S^2), and the kernel is
+    integrated by Funk-Hecke and Gauss-Jacobi quadrature.  Both sums act
+    diagonally on the grid's modes, so either route is a multiplier table
+    applied to the modes of ``values``.
     """
     p = spec.params
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or not np.all(np.isfinite(values)):
         raise ParameterError("values must be a finite 1-d array")
+    size = values.size
     if p.n == 1:
-        n = values.size
-        if n < _MIN_GRID:
-            raise ParameterError(f"need at least {_MIN_GRID} circle samples, got {n}")
-        return np.fft.irfft(np.fft.rfft(values) * _circle_multipliers(spec, n), n)
-    if p.n == 2:
-        r = values.size
-        if r < 4:
-            raise ParameterError("need at least 4 Gauss-Legendre samples")
-        coeffs, vand = _legendre_coefficients(values)
-        return vand @ (coeffs * _s2_multipliers(spec, r - 1))
-    raise ParameterError(f"singular-integral route implemented for n in {{1, 2}}, got {p.n}")
+        if size < _MIN_GRID:
+            raise ParameterError(f"need at least {_MIN_GRID} circle samples, got {size}")
+        return np.fft.irfft(np.fft.rfft(values) * _circle_multipliers(spec, size), size)
+    if size < 4:
+        raise ParameterError("need at least 4 Gauss-Gegenbauer samples")
+    table, projector = _zonal_table(p.n, size)
+    return table @ (_zonal_multipliers(spec, size - 1) * (projector @ values))
 
 
 def apply_sphere_grid(p, values):

@@ -178,6 +178,13 @@ class TestKernel:
         assert out == ""
         assert err.startswith("error:") and "C_(n,s) overflows" in err
 
+    def test_sphere_kernel_in_higher_dimensions(self, capsys):
+        # one Funk-Hecke calibration serves every n
+        for n, s in (("3", "0.5"), ("7", "0.9")):
+            code, out, _ = run(capsys, ["kernel", "sphere", "--n", n, "--s", s])
+            assert code == 0
+            assert json.loads(out)["diagnostics"]["calibration"]["residual"] < 1e-13
+
     def test_mixed_flags_rejected(self, capsys):
         code, _, err = run(
             capsys,
@@ -287,7 +294,7 @@ class TestChecks:
             code, out, err = run(capsys, ["extension-check", "--s", "1e-320", "--xi", "2"])
         assert code == 1
         assert out == ""
-        assert err == "error: the extension mesh grading overflows at s = 1e-320\n"
+        assert err == "error: the extension needs s in the normal floats, got s = 1e-320\n"
 
     def test_covariance_bridge_small_run(self, capsys):
         code, out, _ = run(

@@ -25,7 +25,7 @@ from conflap.cylinder import (
     theta0,
 )
 from conflap.sphere import (
-    _legendre_vandermonde,
+    _zonal_table,
     calibrate_sphere_kernel,
     frac_lap_constant,
     singular_integral_apply,
@@ -456,7 +456,7 @@ def _clear_library_caches():
 
 
 def test_kernel_tables_survive_clearing_the_caches():
-    # the cached difference tables, Legendre Vandermondes and quadrature
+    # the cached difference tables, zonal harmonic tables and quadrature
     # rules give the same numbers when rebuilt from an empty cache, as in a
     # fresh process
     def values():
@@ -467,13 +467,13 @@ def test_kernel_tables_survive_clearing_the_caches():
             out += spec.calibration["residuals"]
             out += [kernel_multiplier(spec, xi) for xi in (0.3, 1.5, 40.0)]
             zonal = np.cos(np.arange(24.0))
-            out += list(singular_integral_apply(calibrate_sphere_kernel(FracParams(2, s)), zonal))
+            out += list(singular_integral_apply(calibrate_sphere_kernel(p), zonal))
         return out
 
     before = values()
     _clear_library_caches()
     assert _difference_table.cache_info().currsize == 0
-    assert _legendre_vandermonde.cache_info().currsize == 0
+    assert _zonal_table.cache_info().currsize == 0
     assert values() == before
     assert values() == before
 

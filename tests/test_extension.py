@@ -92,14 +92,13 @@ class TestExtensionMode:
 
     def test_profile_matches_bessel_closed_form(self):
         # U(t) = 2^(1-s) / Gamma(s) t^s K_s(t) solves the problem at xi = 1;
-        # kv overflows below the normal floats, where s = 0.005 has nodes
+        # kv is infinite at the boundary node t = 0, which is left out
         for s, tol in ((0.005, 5e-4), (0.05, 1e-4), (0.2, 1e-4), (0.5, 1e-4),
                        (0.8, 1e-4), (0.95, 1e-4), (0.995, 1e-4)):
             sol = solve_extension_mode(FracParams(3, s), 1.0)
-            normal = sol.mesh >= sys.float_info.min
-            t = sol.mesh[normal]
+            t = sol.mesh[1:]
             exact = 2.0 ** (1.0 - s) / gamma(s) * t**s * kv(s, t)
-            assert np.max(np.abs(sol.values[normal] - exact)) < tol, s
+            assert np.max(np.abs(sol.values[1:] - exact)) < tol, s
 
     def test_refinement_reduces_error(self):
         for s, xi in ((0.3, 1.0), (0.8, 2.0)):
@@ -138,29 +137,33 @@ class TestExtensionMode:
             solve_extension_mode(FracParams(3, 1.2), 1.0)
 
     def test_small_order_solves_on_log_mesh(self):
-        # at s = 0.005 the grading 1/s = 200 takes the first nodes below the
-        # floats; carried as log t, their t^(2s) stays distinct
+        # carried as log t, the couplings 2s / (t_(k+1)^(2s) - t_k^(2s)) keep
+        # their digits at s = 0.005, where t^(2s) is close to 1 at every node
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = solve_extension_mode(FracParams(3, 0.005), 1.0)
         assert abs(sol.dtn - 1.0) < 1e-3
 
+    @pytest.mark.parametrize("s", [1e-300, 1e-6, 1e-4, 1e-3])
+    def test_tiny_order_keeps_the_trace(self, s):
+        # the grading is capped at 4 and the couplings formed with expm1, so
+        # the error does not grow as s -> 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for xi in (0.5, 2.0):
+                dtn = solve_extension_mode(FracParams(3, s), xi).dtn
+                assert abs(dtn / xi ** (2.0 * s) - 1.0) < 1e-6, (s, xi)
+
     @pytest.mark.parametrize("s", [1e-308, 1e-310, 5e-324])
     def test_tiny_order_refuses_before_the_mesh(self, s):
-        # max(2, 1/s) log(mesh_size) leaves the floats: the graded mesh would
-        # put log t = -inf at its first node and divide the fluxes by zero
+        # below the normal floats 2s expm1(2s dlog t) underflows and the
+        # fluxes would divide by zero, whatever the mesh size
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ParameterError, match="grading overflows"):
-                solve_extension_mode(FracParams(3, s), 2.0)
-
-    def test_tiny_order_refusal_follows_the_mesh_size(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert math.isfinite(solve_extension_mode(FracParams(3, 5e-308), 2.0).dtn)
-            assert math.isfinite(solve_extension_mode(FracParams(3, 2e-308), 2.0, 32).dtn)
-            with pytest.raises(ParameterError, match="grading overflows"):
-                solve_extension_mode(FracParams(3, 1.5e-308), 2.0, 32)
+            for mesh_size in (32, 600):
+                with pytest.raises(ParameterError, match="normal floats"):
+                    solve_extension_mode(FracParams(3, s), 2.0, mesh_size)
+        assert math.isfinite(solve_extension_mode(FracParams(3, 2.3e-308), 2.0, 32).dtn)
 
     def test_solution_arrays_frozen(self):
         sol = solve_extension_mode(FracParams(3, 0.4), 1.0)

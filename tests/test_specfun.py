@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conflap.errors import ParameterError
 from conflap.specfun import (
     hyp2f1,
+    jacobi_rule,
     jacobi_unit_rule,
     legendre_rule,
     log_gamma,
@@ -254,8 +255,18 @@ def test_euler_transformation_property(a, b, c, z):
 def test_cached_rules_are_read_only():
     # every caller shares the cached arrays, so none may write to them
     assert legendre_rule(48) is legendre_rule(48)
-    for nodes, weights in (legendre_rule(48), jacobi_unit_rule(0.3, 16)):
+    assert jacobi_rule(-0.5, 1.5, 24) is jacobi_rule(-0.5, 1.5, 24)
+    rules = (legendre_rule(48), jacobi_unit_rule(0.3, 16), jacobi_rule(-0.5, 1.5, 24))
+    for nodes, weights in rules:
         for array in (nodes, weights):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
+
+
+def test_unit_rule_maps_the_jacobi_rule():
+    # the (0, 1) rule is the (-1, 1) rule with alpha = 0, mapped: t = (x + 1)/2
+    x, w = jacobi_rule(0.0, 0.3, 16)
+    nodes, weights = jacobi_unit_rule(0.3, 16)
+    assert np.array_equal(nodes, (x + 1.0) / 2.0)
+    assert np.array_equal(weights, w * 2.0**-1.3)

@@ -1,17 +1,20 @@
 """Sphere-operator tests: symbol values, factorizations, kernel duality."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conflap.errors import ParameterError, SingularityError
 from conflap.params import FracParams, KernelSpec
-from conflap.specfun import legendre_rule
+from conflap.specfun import jacobi_rule
 from conflap.sphere import (
     ModeSpectrum,
-    _legendre_vandermonde,
     _mode_eigenvalue,
+    _zonal_harmonics,
+    _zonal_multipliers,
+    _zonal_table,
     apply_sphere,
     apply_sphere_grid,
     calibrate_sphere_kernel,
@@ -211,7 +214,7 @@ def test_mode_spectrum_validation():
 
 
 def test_kernel_calibration_record():
-    for n in (1, 2):
+    for n in (1, 2, 3, 5, 10):
         for s in (0.2, 0.5, 0.8):
             p = FracParams(n, s)
             spec = calibrate_sphere_kernel(p)
@@ -219,16 +222,15 @@ def test_kernel_calibration_record():
             record = spec.calibration
             assert record["check_modes"] == [1, 2]
             assert record["residual"] == max(record["residuals"])
-            # both checks are closed-form moments, so only round-off remains:
-            # the degree-1 one confirms kappa, the degree-2 one the power law
-            assert record["residual"] < 1e-13
+            # both checks are closed-form Beta moments, so only round-off
+            # remains: the degree-1 one confirms kappa, the degree-2 one the
+            # power law
+            assert record["residual"] < 1e-13, (n, s)
 
 
 def test_kernel_calibration_range():
     with pytest.raises(ParameterError):
         calibrate_sphere_kernel(FracParams(1, 1.0))
-    with pytest.raises(ParameterError):
-        calibrate_sphere_kernel(FracParams(3, 0.5))
 
 
 def test_sphere_kernel_values_and_singularity():
@@ -240,6 +242,13 @@ def test_sphere_kernel_values_and_singularity():
         sphere_kernel(spec, 1.0)
     with pytest.raises(ParameterError):
         sphere_kernel(spec, -1.2)
+    # on S^315 kappa (1 - 0.9)^(-(n+2s)/2) leaves the floats: refused, no warning
+    spec = calibrate_sphere_kernel(FracParams(315, 0.3))
+    assert math.isfinite(sphere_kernel(spec, 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="overflows float64 at n = 315"):
+            sphere_kernel(spec, [0.5, 0.9])
 
 
 def test_circle_duality_single_modes():
@@ -305,13 +314,33 @@ def test_s2_duality():
             assert err < 1e-10, (s, m, err)
 
 
-def test_kernel_routes_use_the_spec_normalization():
-    # the kernel term scales with the spec's constant on S^1 and on S^2 alike
-    from numpy.polynomial.legendre import leggauss
+def test_zonal_duality_for_every_dimension():
+    # Funk-Hecke multipliers and the zonal apply at the Gauss-Gegenbauer
+    # nodes against the symbol on S^n; measured: multipliers <= 2.4e-12,
+    # applies <= 2.6e-10 (at m = 0 and s = 0.995, where Q_s is small)
+    r = 48
+    for n in (3, 4, 5, 7, 10):
+        b = 0.5 * n - 1.0
+        table = _zonal_harmonics(n, np.asarray(jacobi_rule(b, b, r)[0]), r - 1)
+        for s in (0.1, 0.5, 0.9, 0.995):
+            p = FracParams(n, s)
+            spec = calibrate_sphere_kernel(p)
+            symbols = sphere_symbol(p, np.arange(41))
+            multipliers = _zonal_multipliers(spec, r - 1)[:41]
+            assert np.max(np.abs(multipliers - symbols) / symbols) < 1e-11, (n, s)
+            for m in range(41):
+                u = table[:, m]
+                out = singular_integral_apply(spec, u)
+                err = np.max(np.abs(out - symbols[m] * u)) / symbols[m]
+                assert err < 1e-9, (n, s, m, err)
 
+
+def test_kernel_routes_use_the_spec_normalization():
+    # the kernel term scales with the spec's constant on S^1, S^2 and S^3 alike
     grids = {
         1: np.cos(2.0 * math.pi * np.arange(64) / 64) + 0.5,
-        2: 1.0 + leggauss(16)[0] ** 3,
+        2: 1.0 + jacobi_rule(0.0, 0.0, 16)[0] ** 3,
+        3: 1.0 + jacobi_rule(0.5, 0.5, 16)[0] ** 3,
     }
     for n, u in grids.items():
         p = FracParams(n, 0.4)
@@ -323,11 +352,15 @@ def test_kernel_routes_use_the_spec_normalization():
         assert np.allclose(twice, 2.0 * once, rtol=1e-12, atol=1e-12), n
 
 
-def test_legendre_vandermonde_is_cached_and_read_only():
-    # every S^2 kernel-route apply at size r shares one P_j(t_i) table
-    vand = _legendre_vandermonde(24)
-    assert vand is _legendre_vandermonde(24)
-    assert np.array_equal(vand, np.polynomial.legendre.legvander(legendre_rule(24)[0], 23))
-    assert not vand.flags.writeable
-    with pytest.raises(ValueError):
-        vand[0, 0] = 0.0
+def test_zonal_table_is_cached_and_read_only():
+    # every kernel-route apply on S^n at size r shares one P_j(t_i) table and
+    # its projector; on S^2 the table is the Legendre Vandermonde
+    table, projector = _zonal_table(2, 24)
+    assert _zonal_table(2, 24)[0] is table
+    nodes = jacobi_rule(0.0, 0.0, 24)[0]
+    assert np.allclose(table, np.polynomial.legendre.legvander(nodes, 23), rtol=0.0, atol=1e-13)
+    assert np.allclose(projector @ table, np.eye(24), rtol=0.0, atol=1e-13)
+    for array in (table, projector, _zonal_table(5, 24)[0]):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0

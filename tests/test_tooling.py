@@ -96,6 +96,21 @@ def test_only_specfun_calls_leggauss():
     assert callers == {"specfun.py"}
 
 
+def test_only_specfun_calls_roots_jacobi():
+    # the Gauss-Jacobi rule has one owner, specfun.jacobi_rule, which caches
+    # it; the unit-interval rule and the sphere's quadratures come from there
+    callers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            else:
+                names = {node.attr} if isinstance(node, ast.Attribute) else set()
+            if "roots_jacobi" in names:
+                callers.add(path.name)
+    assert callers == {"specfun.py"}
+
+
 def test_every_library_cache_is_bounded():
     # cached tables grow with their keys (a density-64 kernel table is about
     # 0.5 MB), so an unbounded functools cache would let RSS grow without end
@@ -105,7 +120,7 @@ def test_every_library_cache_is_bounded():
         for name, value in vars(module).items():
             if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
                 caches[f"{path.stem}.{name}"] = value.cache_parameters()["maxsize"]
-    assert {"cylinder._difference_table", "sphere._legendre_vandermonde"} <= set(caches)
+    assert {"cylinder._difference_table", "sphere._zonal_table", "specfun.jacobi_rule"} <= set(caches)
     assert sorted(name for name, size in caches.items() if size is None) == []
 
 
