@@ -19,8 +19,8 @@ import numpy as np
 from scipy.special import loggamma, psi
 
 from .errors import NonConvergenceError, ParameterError, SingularityError
-from .params import KernelSpec, require_dimension
-from .sphere import _check_mode, frac_lap_constant, vol_sphere
+from .params import KernelSpec, mode_degrees, read_only, require, require_dimension
+from .sphere import frac_lap_constant, vol_sphere
 from .specfun import hyp2f1, jacobi_unit_rule, log_gamma, panel_rule
 
 _PERIODIZE_REL_TOL = 1e-15
@@ -37,20 +37,10 @@ _LOG2 = math.log(2.0)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-def _require(ok, message, x, error=ParameterError):
-    """Raise ``error(message.format(x))`` unless the boolean array ``ok`` holds
-    everywhere; an array x is named by its first failing entry rather than
-    printed whole, a scalar or 0-d x as it is."""
-    if not ok.all():
-        i = int(np.argmin(ok))
-        named = x if np.ndim(x) == 0 else f"{np.asarray(x).flat[i]}, entry {i} of {np.size(x)}"
-        raise error(message.format(named))
-
-
 def cyl_mode_parameter(n, m):
     """Shift beta_m = sqrt((n/2-1)^2 + mu_m) = m + n/2 - 1 for cross-sectional
     degree m, where mu_m = m (m + n - 2) is the S^(n-1) eigenvalue."""
-    if _check_mode(m).ndim:
+    if mode_degrees(m).ndim:
         raise ParameterError(f"the cylinder takes one mode degree, got {m!r}")
     return int(m) + 0.5 * n - 1.0
 
@@ -77,7 +67,7 @@ def cyl_symbol(p, m, xi):
     """
     a, b = _gamma_shifts(p, m)
     xs = np.asarray(xi, dtype=float)
-    _require(np.isfinite(xs), "the cylinder symbol needs finite xi, got xi = {}", xi)
+    require(np.isfinite(xs), "the cylinder symbol needs finite xi, got xi = {}", xi)
     out = np.exp(2.0 * p.s * math.log(2.0) + _log_ratio(a, b, xs))
     return float(out) if np.isscalar(xi) else out
 
@@ -173,13 +163,13 @@ def kernel_base(p, h):
             raise SingularityError(f"kernel profile overflows float64 at h = {h}")
         return out
     hs = np.asarray(h, dtype=float)
-    _require((hs > 0.0) & np.isfinite(hs), "kernel profile needs finite h > 0, got {}", h)
+    require((hs > 0.0) & np.isfinite(hs), "kernel profile needs finite h > 0, got {}", h)
     # near h = 1e308 the products in the log factor overflow to -inf, which
     # the exponential takes to a profile of 0
     with np.errstate(over="ignore"):
         log_power, hyp = _profile_factors(p, hs, np.asarray)
         out = np.exp(log_power) * hyp
-    _require(np.isfinite(out), "kernel profile overflows float64 at h = {}", h, SingularityError)
+    require(np.isfinite(out), "kernel profile overflows float64 at h = {}", h, SingularityError)
     return float(out) if hs.ndim == 0 else out
 
 
@@ -198,10 +188,7 @@ def _difference_table(p, density):
     far, far_weights = panel_rule(1.0, h_cut, math.ceil((h_cut - 1.0) * density))
     nodes = np.concatenate([near, far])
     weights = np.concatenate([near_weights * near ** (2.0 * p.s - 1.0), far_weights])
-    table = weights * kernel_base(p, nodes)
-    nodes.flags.writeable = False
-    table.flags.writeable = False
-    return nodes, table
+    return read_only(nodes), read_only(weights * kernel_base(p, nodes))
 
 
 def _difference_integral(p, xi):
@@ -299,11 +286,11 @@ def periodized_kernel(spec, period, xi):
     if not period > 0.0 or not math.isfinite(period):
         raise ParameterError(f"period must be positive and finite, got {period!r}")
     xs = np.asarray(xi, dtype=float)
-    _require(np.isfinite(xs), "periodized kernel needs finite xi, got {}", xi)
+    require(np.isfinite(xs), "periodized kernel needs finite xi, got {}", xi)
     x = np.mod(xs, period)
     xc = np.minimum(x, period - x)
     message = "periodized kernel diverges on the period lattice (xi = {})"
-    _require(xc > 1e-9 * period, message, xi, SingularityError)
+    require(xc > 1e-9 * period, message, xi, SingularityError)
     p = spec.params
     decay = p.sigma * period
     # log of 2.1 / (e^(sigma L) - 1), the remainder bound over the last left

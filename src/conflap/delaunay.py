@@ -16,7 +16,7 @@ from scipy.linalg.lapack import dgetrf, dgetri, dtrtrs
 
 from .cylinder import _bifurcation_root, cyl_curvature, cyl_symbol, periodized_kernel
 from .errors import NewtonDivergenceError, ParameterError
-from .params import FracParams, GridFunction
+from .params import FracParams, GridFunction, read_only, require
 from .sphere import sphere_curvature
 
 _RESIDUAL_CAP = 1e-10
@@ -65,15 +65,12 @@ def _apply_symbol(values, theta):
 @lru_cache(maxsize=32)  # a solve, its energy and its residual check share one
 def _symbol_table(p, period, size):
     """Read-only zero-mode symbol on the frequencies of an N-node grid of one period."""
-    theta = cyl_symbol(p, 0, GridFunction(period, np.ones(size)).frequencies)
-    theta.flags.writeable = False
-    return theta
+    return read_only(cyl_symbol(p, 0, GridFunction(period, np.ones(size)).frequencies))
 
 
 def delaunay_residual(p, f):
     """Pointwise defect L v - c_(n,s) v^q of the curvature equation."""
-    if np.any(f.values <= 0.0):
-        raise ParameterError("the curvature-equation defect needs v > 0")
+    require(f.values > 0.0, "the curvature-equation defect needs v > 0, got {}", f.values)
     applied = _apply_symbol(f.values, _symbol_table(p, f.length, f.size))
     return applied - cyl_curvature(p) * f.values ** p.q
 
@@ -125,11 +122,9 @@ class DelaunaySolution:
             raise ParameterError(
                 f"solution residual {self.residual_norm:.3e} exceeds {_RESIDUAL_CAP:.1e}"
             )
-        v = np.asarray(self.values, dtype=float).copy()
-        if not np.all(v > 0.0):
-            raise ParameterError("solution values must be positive pointwise")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        v = np.array(self.values, dtype=float)  # the record's own copy
+        require(v > 0.0, "solution values must be positive pointwise, got {}", self.values)
+        object.__setattr__(self, "values", read_only(v))
 
     def grid(self):
         return GridFunction(self.period, self.values)
@@ -193,17 +188,14 @@ def _cosine_lift(size, modes):
     of the lowest ``modes`` <= N/2 cosine modes, as read-only columns."""
     nodes = np.outer(np.arange(size // 2 + 1), np.arange(modes)) % size
     lift = np.cos(2.0 * math.pi / size * nodes) * np.where(np.arange(modes), 2.0, 1.0) / size
-    lift.flags.writeable = False
-    return lift
+    return read_only(lift)
 
 
 @lru_cache(maxsize=8)
 def _coarse_indices(modes):
     """The index arrays |a - b| and a + b of a modes x modes block, read-only."""
     a = np.arange(modes)
-    index = np.stack([abs(a[:, None] - a), a[:, None] + a])
-    index.flags.writeable = False
-    return index
+    return read_only(np.stack([abs(a[:, None] - a), a[:, None] + a]))
 
 
 def _coarse_inverse(theta, slope, size):
@@ -371,8 +363,7 @@ def _auto_starts(p, period, unstable, t):
 
 def _critical_mass(p, f):
     """Denominator (int v^(2*))^(2/2*) shared by both functional routes."""
-    if np.any(f.values <= 0.0):
-        raise ParameterError("the curvature quotient needs v > 0")
+    require(f.values > 0.0, "the curvature quotient needs v > 0, got {}", f.values)
     two_star = p.two_star
     mass = f.dx * float(np.sum(f.values**two_star))
     return mass ** (2.0 / two_star)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import ParameterError
-from .params import require_unit_order
+from .params import read_only, require_unit_order
 from .specfun import log_gamma
 
 
@@ -66,10 +66,8 @@ class ExtensionSolution:
     dtn: float
 
     def __post_init__(self):
-        for name in ("mesh", "values"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        for name in ("mesh", "values"):  # the record's own copies
+            object.__setattr__(self, name, read_only(np.array(getattr(self, name), dtype=float)))
 
 
 # the solution decays like e^(-t), so it lives on t <~ 30
@@ -113,9 +111,7 @@ def _unit_mode(s, mesh_size):
     regular = 1.0 + tf**2 / (4.0 * (1.0 - s)) + tf**4 / (32.0 * (1.0 - s) * (2.0 - s))
     branch = t_2s[fit] * (1.0 + tf**2 / (4.0 * (1.0 + s)))
     amplitude = float(branch @ (values[1:][fit] - regular) / (branch @ branch))
-    for shared in (t, values):  # every caller gets these arrays
-        shared.flags.writeable = False
-    return t, values, amplitude
+    return read_only(t), read_only(values), amplitude  # every caller gets these arrays
 
 
 def _frequency_scale(s, xi):

@@ -1,5 +1,10 @@
-"""Parameter and grid containers, and the parameter-range rules, shared by all
-geometry modules."""
+"""Parameter and grid containers, the parameter-range rules, and the two
+array conventions, shared by all geometry modules.
+
+Every module refuses a bad array through ``require``, which names the first
+failing entry rather than printing the array, and freezes a shared or
+recorded array through ``read_only``.
+"""
 
 import math
 from dataclasses import dataclass, field
@@ -11,6 +16,33 @@ from .errors import ParameterError
 # Kernels must reproduce the spectral side at their check points to this
 # relative accuracy, otherwise the kernel is rejected outright.
 CALIBRATION_RESIDUAL_CAP = 1e-8
+
+
+def require(ok, message, x, error=ParameterError):
+    """Raise ``error(message.format(x))`` unless the boolean array ``ok`` holds
+    everywhere; an array x is named by its first failing entry rather than
+    printed whole, a scalar or 0-d x as it is."""
+    if not ok.all():
+        i = int(np.argmin(ok))
+        named = x if np.ndim(x) == 0 else f"{np.asarray(x).flat[i]}, entry {i} of {np.size(x)}"
+        raise error(message.format(named))
+
+
+def read_only(array):
+    """The array, made read-only in place: a cached table every caller shares,
+    or a record's own copy."""
+    array.flags.writeable = False
+    return array
+
+
+def mode_degrees(m):
+    """A degree or an integer array of degrees, as an array; the degrees of
+    spherical harmonics are ints >= 0."""
+    degrees = np.asarray(m)
+    if degrees.dtype.kind not in "iu":
+        raise ParameterError(f"mode degree must be an int, got {m!r}")
+    require(degrees >= 0, "mode degree must be >= 0, got {}", m)
+    return degrees
 
 
 def require_dimension(n, context="dimension n", least=1, most=None):
@@ -133,17 +165,14 @@ class GridFunction:
         if not math.isfinite(length) or length <= 0.0:
             raise ParameterError(f"grid length must be positive, got {self.length!r}")
         object.__setattr__(self, "length", length)
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)  # the record's own copy
         n = v.size
         if v.ndim != 1 or n < 8 or n & (n - 1) != 0:
             raise ParameterError(
                 f"grid size must be a power of two >= 8 on a 1-d array, got shape {v.shape}"
             )
-        if not np.all(np.isfinite(v)):
-            raise ParameterError("values must be finite")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        require(np.isfinite(v), "values must be finite, got {}", self.values)
+        object.__setattr__(self, "values", read_only(v))
 
     @property
     def size(self):

@@ -18,6 +18,7 @@ import numpy as np
 from scipy import special
 
 from .errors import ParameterError
+from .params import read_only, require
 
 
 def _require_finite(**values):
@@ -49,10 +50,9 @@ def log_gamma_abs2(x, y):
     """
     _require_finite(x=x)
     ys = np.asarray(y, dtype=float)
-    if not np.isfinite(ys).all():
-        raise ParameterError(f"y must be finite, got {y!r}")
-    if _is_nonpositive_int(x) and (ys == 0.0).any():
-        raise ParameterError(f"Gamma has a pole at z = {x!r}")
+    require(np.isfinite(ys), "y must be finite, got {}", y)
+    if _is_nonpositive_int(x):
+        require(ys != 0.0, f"Gamma has a pole at z = {x!r}, got y = {{}}", y)
     out = 2.0 * special.loggamma(x + 1j * ys).real
     return float(out) if ys.ndim == 0 else out
 
@@ -78,9 +78,9 @@ def hyp2f1(a, b, c, z):
         inside, hits_one = ((zs >= 0.0) & (zs <= 1.0)).all(), (zs == 1.0).any()
     # one test passes finite z in [0, 1]; NaN and inf fail it too
     if not inside:
-        if not np.isfinite(zs).all():
-            raise ParameterError(f"z must be finite, got {z!r}")
-        raise ParameterError(f"hyp2f1 implemented for z in [0, 1], got {z!r}")
+        zs = np.asarray(zs)
+        require(np.isfinite(zs), "z must be finite, got {}", z)
+        require((zs >= 0.0) & (zs <= 1.0), "hyp2f1 implemented for z in [0, 1], got {}", z)
     if _is_nonpositive_int(c):
         raise ParameterError(f"2F1 undefined for c a non-positive integer, got {c!r}")
     terminating = _is_nonpositive_int(a) or _is_nonpositive_int(b)
@@ -88,12 +88,6 @@ def hyp2f1(a, b, c, z):
         raise ParameterError(f"2F1 diverges at z = 1 for c-a-b = {c - a - b!r} <= 0")
     out = special.hyp2f1(a, b, c, zs)
     return out if isinstance(out, np.ndarray) else float(out)
-
-
-def _read_only(array):
-    """The array, made read-only: every caller shares the cached rules."""
-    array.flags.writeable = False
-    return array
 
 
 @lru_cache(maxsize=32)
@@ -105,7 +99,7 @@ def jacobi_rule(alpha, beta, size):
     # its (1-t)^j moments are off by up to 9.8e-10 relative, against 1.4e-10
     # from roots_jacobi directly
     nodes, weights = special.roots_jacobi(size, alpha, beta)
-    return _read_only(nodes), _read_only(weights)
+    return read_only(nodes), read_only(weights)
 
 
 @lru_cache(maxsize=32)
@@ -113,14 +107,14 @@ def jacobi_unit_rule(beta, size):
     """Gauss rule for int_0^1 t^beta g(t) dt with smooth g, beta > -1, as
     read-only arrays: jacobi_rule(0, beta, size) mapped to (0, 1)."""
     x, w = jacobi_rule(0.0, beta, size)
-    return _read_only((x + 1.0) / 2.0), _read_only(w * 2.0 ** (-beta - 1.0))
+    return read_only((x + 1.0) / 2.0), read_only(w * 2.0 ** (-beta - 1.0))
 
 
 @lru_cache(maxsize=32)
 def legendre_rule(size):
     """Gauss-Legendre nodes and weights on (-1, 1), as read-only arrays."""
     nodes, weights = np.polynomial.legendre.leggauss(size)
-    return _read_only(nodes), _read_only(weights)
+    return read_only(nodes), read_only(weights)
 
 
 _GAUSS_LEGENDRE_12 = legendre_rule(12)

@@ -18,7 +18,14 @@ import numpy as np
 from scipy.special import beta, eval_gegenbauer, poch
 
 from .errors import ParameterError, SingularityError
-from .params import KernelSpec, require_dimension, require_unit_order
+from .params import (
+    KernelSpec,
+    mode_degrees,
+    read_only,
+    require,
+    require_dimension,
+    require_unit_order,
+)
 from .specfun import jacobi_rule, log_gamma
 
 #: The S^1 moment corrections act on modes up to the grid size over this;
@@ -28,19 +35,9 @@ _BAND_FRACTION = 3
 _MIN_GRID = 16
 
 
-def _check_mode(m):
-    """A degree or an integer array of degrees, as an array."""
-    degrees = np.asarray(m)
-    if degrees.dtype.kind not in "iu":
-        raise ParameterError(f"mode degree must be an int, got {m!r}")
-    if (degrees < 0).any():
-        raise ParameterError(f"mode degree must be >= 0, got {m}")
-    return degrees
-
-
 def _mode_eigenvalue(n, m):
     """Laplace-Beltrami eigenvalue m (m + n - 1) of degree-m harmonics on S^n."""
-    m = _check_mode(m)
+    m = mode_degrees(m)
     out = m * (m + n - 1.0)
     return float(out) if out.ndim == 0 else out
 
@@ -54,9 +51,8 @@ def sphere_symbol(p, m):
     negative between them.  m is an int (a float is returned) or an integer
     array of degrees.  Raises ParameterError where the ratio overflows.
     """
-    out = poch(_check_mode(m) + 0.5 * p.n - p.s, 2.0 * p.s)
-    if not np.isfinite(out).all():
-        raise ParameterError(f"sphere symbol overflows at n = {p.n}, s = {p.s}, m = {m}")
+    out = poch(mode_degrees(m) + 0.5 * p.n - p.s, 2.0 * p.s)
+    require(np.isfinite(out), f"sphere symbol overflows at n = {p.n}, s = {p.s}, m = {{}}", m)
     return float(out) if out.ndim == 0 else out
 
 
@@ -131,14 +127,11 @@ class ModeSpectrum:
 
     def __post_init__(self):
         require_dimension(self.n)
-        c = np.asarray(self.coeffs, dtype=float)
+        c = np.array(self.coeffs, dtype=float)  # the record's own copy
         if c.ndim != 1 or c.size == 0:
             raise ParameterError("coeffs must be a non-empty 1-d array")
-        if not np.all(np.isfinite(c)):
-            raise ParameterError("coeffs must be finite")
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
+        require(np.isfinite(c), "coeffs must be finite, got {}", self.coeffs)
+        object.__setattr__(self, "coeffs", read_only(c))
 
 
 def apply_sphere(p, f):
@@ -190,7 +183,7 @@ def calibrate_sphere_kernel(p):
     curv = sphere_curvature(p)
     # Funk-Hecke in t = z . zeta, measure |S^(n-1)| (1 - t^2)^((n-2)/2) dt, with
     # (1 - P_1)/(1 - t) = 1, (1 - P_2)/(1 - t) = (n + 1)(1 + t)/n and |S^0| = 2
-    area = p.n * vol_sphere(p.n + 1) / (2.0 * math.pi)
+    area = vol_sphere(p.n - 1) if p.n > 1 else 2.0
     b = 0.5 * p.n - 1.0
     moments = [_jacobi_moment(-p.s, b), (p.n + 1.0) / p.n * _jacobi_moment(-p.s, b + 1.0)]
     symbols = sphere_symbol(p, np.arange(1, 3))
@@ -202,14 +195,14 @@ def calibrate_sphere_kernel(p):
 def sphere_kernel(spec, cos_theta):
     """Kernel kappa (1 - cos theta)^(-(n+2s)/2) between points at angle theta."""
     c = np.asarray(cos_theta, dtype=float)
-    if np.any(c >= 1.0):
-        raise SingularityError("sphere kernel diverges on the diagonal (cos theta = 1)")
-    if np.any(c < -1.0) or not np.all(np.isfinite(c)):
-        raise ParameterError("cos theta must lie in [-1, 1)")
+    # cos theta >= 1, inf among them, is the diagonal; NaN and -inf are out of range
+    diverges = "sphere kernel diverges on the diagonal (cos theta = 1), got {}"
+    require(~(c >= 1.0), diverges, cos_theta, SingularityError)
+    require(c >= -1.0, "cos theta must lie in [-1, 1), got {}", cos_theta)
     with np.errstate(over="ignore"):
         out = spec.normalization * (1.0 - c) ** (-spec.params.sigma)
-    if not np.all(np.isfinite(out)):
-        raise ParameterError(f"sphere kernel overflows float64 at n = {spec.params.n}")
+    n = spec.params.n
+    require(np.isfinite(out), f"sphere kernel overflows float64 at n = {n}, got {{}}", cos_theta)
     return float(out) if np.isscalar(cos_theta) else out
 
 
@@ -258,9 +251,7 @@ def _zonal_table(n, r):
     table = _zonal_harmonics(n, nodes, r - 1)
     weighted = weights[:, None] * table
     projector = (weighted / (table * weighted).sum(axis=0)).T
-    for shared in (table, projector):
-        shared.flags.writeable = False
-    return table, projector
+    return read_only(table), read_only(projector)
 
 
 def _zonal_multipliers(spec, max_degree):
@@ -291,8 +282,10 @@ def singular_integral_apply(spec, values):
     """
     p = spec.params
     values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or not np.all(np.isfinite(values)):
-        raise ParameterError("values must be a finite 1-d array")
+    message = "values must be a finite 1-d array"
+    if values.ndim != 1:
+        raise ParameterError(message)
+    require(np.isfinite(values), message + ", got {}", values)
     size = values.size
     if p.n == 1:
         if size < _MIN_GRID:
@@ -309,8 +302,10 @@ def apply_sphere_grid(p, values):
     if p.n != 1:
         raise ParameterError("grid application is for n = 1; use apply_sphere otherwise")
     values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size < 2 or not np.all(np.isfinite(values)):
-        raise ParameterError("values must be a finite 1-d array with at least 2 samples")
+    message = "values must be a finite 1-d array with at least 2 samples"
+    if values.ndim != 1 or values.size < 2:
+        raise ParameterError(message)
+    require(np.isfinite(values), message + ", got {}", values)
     spec = np.fft.rfft(values)
     return np.fft.irfft(spec * sphere_symbol(p, np.arange(spec.size)), values.size)
 

@@ -185,6 +185,15 @@ class TestKernel:
             assert code == 0
             assert json.loads(out)["diagnostics"]["calibration"]["residual"] < 1e-13
 
+    def test_sphere_kernel_at_large_n(self, capsys):
+        # the calibration takes |S^436| directly, not from |S^438|, which underflows
+        args = ["kernel", "sphere", "--n", "437", "--s", "0.3", "--cos-theta", "-0.5"]
+        code, out, _ = run(capsys, args)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["diagnostics"]["calibration"]["residual"] < 1e-12
+        assert math.isfinite(payload["results"][0]["kernel"])
+
     def test_mixed_flags_rejected(self, capsys):
         code, _, err = run(
             capsys,

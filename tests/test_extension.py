@@ -10,6 +10,7 @@ from scipy.special import gamma, kv
 
 from conflap.errors import ParameterError
 from conflap.extension import (
+    ExtensionSolution,
     d_s_const,
     d_star_const,
     solve_extension_mode,
@@ -169,6 +170,14 @@ class TestExtensionMode:
         sol = solve_extension_mode(FracParams(3, 0.4), 1.0)
         with pytest.raises(ValueError):
             sol.values[0] = 2.0
+
+    def test_solution_copies_the_callers_arrays(self):
+        # the record freezes its own copies; the caller's arrays stay writeable
+        mesh, values = np.linspace(0.0, 1.0, 8), np.ones(8)
+        sol = ExtensionSolution(s=0.4, xi=1.0, mesh=mesh, values=values, dtn=0.0)
+        assert mesh.flags.writeable and values.flags.writeable
+        values[0] = 2.0
+        assert sol.values[0] == 1.0 and not sol.mesh.flags.writeable
 
 
 def test_weighted_volume_coefficient():

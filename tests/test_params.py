@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import conflap
-from conflap.cylinder import cyl_mode_parameter
-from conflap.errors import ParameterError
+from conflap.cylinder import cyl_mode_parameter, kernel_base
+from conflap.delaunay import _critical_mass
+from conflap.errors import ParameterError, SingularityError
 from conflap.params import FracParams, GridFunction, KernelSpec
+from conflap.specfun import hyp2f1, log_gamma_abs2
 
 _LINE = GridFunction(8.0, np.zeros(16))
 _CIRCLE = conflap.ModeSpectrum(1, [1.0, 0.5])
@@ -53,6 +55,118 @@ REFUSALS = {
 def test_range_rules_refuse_with_parameter_error(call):
     with pytest.raises(ParameterError):
         call()
+
+
+def _bad_at(size, bad, fill=0.5, index=997):
+    """``size`` entries of ``fill`` with ``bad`` at ``index``."""
+    values = np.full(size, fill)
+    values[index] = bad
+    return values
+
+
+_P = FracParams(3, 0.5)
+_SPEC = KernelSpec(_P, 1.0)
+_DEGREES = np.zeros(1000, dtype=int)
+_DEGREES[997] = -1
+_HUGE_DEGREES = np.zeros(1000, dtype=int)
+_HUGE_DEGREES[997] = 10**6
+
+# every array refusal, with one bad entry at index 997 of 1000 (of 1024 where
+# the input is a grid, whose size must be a power of two): the error type
+# and the input's size
+ARRAY_REFUSALS = {
+    "log_gamma_abs2, y = nan": (
+        lambda: log_gamma_abs2(0.5, _bad_at(1000, np.nan)), ParameterError, 1000
+    ),
+    "log_gamma_abs2, pole": (
+        lambda: log_gamma_abs2(-1.0, _bad_at(1000, 0.0)), ParameterError, 1000
+    ),
+    "hyp2f1, z = inf": (
+        lambda: hyp2f1(0.1, 0.2, 1.5, _bad_at(1000, np.inf)), ParameterError, 1000
+    ),
+    "hyp2f1, z = 1.5": (
+        lambda: hyp2f1(0.1, 0.2, 1.5, _bad_at(1000, 1.5)), ParameterError, 1000
+    ),
+    "sphere_symbol, m = -1": (
+        lambda: conflap.sphere_symbol(_P, _DEGREES), ParameterError, 1000
+    ),
+    "sphere_symbol, overflow": (
+        lambda: conflap.sphere_symbol(FracParams(3, 30.0), _HUGE_DEGREES), ParameterError, 1000
+    ),
+    "sphere_kernel, diagonal": (
+        lambda: conflap.sphere_kernel(_SPEC, _bad_at(1000, 1.0)), SingularityError, 1000
+    ),
+    "sphere_kernel, cos theta = -2": (
+        lambda: conflap.sphere_kernel(_SPEC, _bad_at(1000, -2.0)), ParameterError, 1000
+    ),
+    "sphere_kernel, overflow": (
+        lambda: conflap.sphere_kernel(KernelSpec(FracParams(400, 0.5), 1.0), _bad_at(1000, 0.99)),
+        ParameterError,
+        1000,
+    ),
+    "singular_integral_apply, nan": (
+        lambda: conflap.singular_integral_apply(
+            KernelSpec(FracParams(1, 0.5), 1.0), _bad_at(1000, np.nan)
+        ),
+        ParameterError,
+        1000,
+    ),
+    "apply_sphere_grid, nan": (
+        lambda: conflap.apply_sphere_grid(FracParams(1, 0.5), _bad_at(1000, np.nan)),
+        ParameterError,
+        1000,
+    ),
+    "ModeSpectrum, nan": (
+        lambda: conflap.ModeSpectrum(1, _bad_at(1000, np.nan)), ParameterError, 1000
+    ),
+    "GridFunction, nan": (
+        lambda: GridFunction(8.0, _bad_at(1024, np.nan)), ParameterError, 1024
+    ),
+    "delaunay_residual, v = -1": (
+        lambda: conflap.delaunay_residual(_P, GridFunction(8.0, _bad_at(1024, -1.0))),
+        ParameterError,
+        1024,
+    ),
+    "critical mass, v = 0": (
+        lambda: _critical_mass(_P, GridFunction(8.0, _bad_at(1024, 0.0))), ParameterError, 1024
+    ),
+    "DelaunaySolution, v = 0": (
+        lambda: conflap.DelaunaySolution(
+            3, 0.5, 8.0, _bad_at(1000, 0.0), 0.0, 1.0, False, 0, 0, "seed"
+        ),
+        ParameterError,
+        1000,
+    ),
+    "cyl_symbol, xi = nan": (
+        lambda: conflap.cyl_symbol(_P, 0, _bad_at(1000, np.nan)), ParameterError, 1000
+    ),
+    "kernel_base, h = 0": (
+        lambda: kernel_base(_P, _bad_at(1000, 0.0, fill=1.0)), ParameterError, 1000
+    ),
+    "kernel_base, overflow": (
+        lambda: kernel_base(FracParams(3, 0.9), _bad_at(1000, 1e-300, fill=1.0)),
+        SingularityError,
+        1000,
+    ),
+    "periodized_kernel, xi = inf": (
+        lambda: conflap.periodized_kernel(_SPEC, 2.0, _bad_at(1000, np.inf)), ParameterError, 1000
+    ),
+    "periodized_kernel, lattice": (
+        lambda: conflap.periodized_kernel(_SPEC, 2.0, _bad_at(1000, 4.0)), SingularityError, 1000
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ARRAY_REFUSALS.values(), ids=ARRAY_REFUSALS.keys())
+def test_array_refusals_name_the_first_failing_entry(case):
+    # params.require names the bad entry instead of printing the array
+    call, error, size = case
+    with pytest.raises(error) as caught:
+        call()
+    message = str(caught.value)
+    assert f"entry 997 of {size}" in message
+    assert "\n" not in message and len(message) < 200
 
 
 def test_valid_construction():

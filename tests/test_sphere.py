@@ -228,6 +228,13 @@ def test_kernel_calibration_record():
             assert record["residual"] < 1e-13, (n, s)
 
 
+def test_kernel_calibration_at_large_n():
+    # |S^(n-1)| is taken directly, so the calibration reaches n = 437, where
+    # |S^(n+1)| is below the normal floats
+    for n in (1, 2, 3, 5, 10, 100, 437):
+        assert calibrate_sphere_kernel(FracParams(n, 0.3)).calibration["residual"] < 1e-12, n
+
+
 def test_kernel_calibration_range():
     with pytest.raises(ParameterError):
         calibrate_sphere_kernel(FracParams(1, 1.0))

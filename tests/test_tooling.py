@@ -111,6 +111,20 @@ def test_only_specfun_calls_roots_jacobi():
     assert callers == {"specfun.py"}
 
 
+def test_only_params_sets_writeable():
+    # params.read_only is the one place that freezes an array; caches and
+    # records call it instead of setting flags.writeable themselves
+    setters = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            targets = node.targets if isinstance(node, ast.Assign) else []
+            if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            if any(isinstance(t, ast.Attribute) and t.attr == "writeable" for t in targets):
+                setters.add(path.name)
+    assert setters == {"params.py"}
+
+
 def test_every_library_cache_is_bounded():
     # cached tables grow with their keys (a density-64 kernel table is about
     # 0.5 MB), so an unbounded functools cache would let RSS grow without end
