@@ -355,7 +355,7 @@ def apply_command(input_path, s, route, edge_tol):
 )
 @click.option("--mesh-size", type=int, default=600, show_default=True)
 def extension_check(orders, frequencies, mesh_size):
-    """Dirichlet-to-Neumann error table for the weighted extension."""
+    """Dirichlet-to-Neumann error table; a row past 1e-3 relative exits 2."""
     if not all(xi > 0.0 for xi in frequencies):
         raise ParameterError("frequencies must be positive for the error table")
 
@@ -375,10 +375,12 @@ def extension_check(orders, frequencies, mesh_size):
         abs(d_star_const(s) + d_s_const(s) / (2.0 * s)) for s in orders
     )
     params = {"s": list(orders), "xi": list(frequencies), "mesh_size": mesh_size}
+    target = 1e-3
     diagnostics = {
         "mesh_size": mesh_size,
         "d_star_identity_max_residual": identity,
-        "target_rel_error": 1e-3,
+        "target_rel_error": target,
+        "failures": [f"s={r['s']} xi={r['xi']}" for r in results if not r["rel_error"] < target],
     }
     return params, results, diagnostics
 
@@ -395,7 +397,7 @@ def extension_check(orders, frequencies, mesh_size):
 @click.option("--size", type=int, default=1 << 16, show_default=True)
 @click.option("--half-width", type=float, default=1000.0, show_default=True)
 def covariance_check(orders, degree, size, half_width):
-    """Stereographic bridge residuals between circle and line operators."""
+    """Circle-to-line stereographic bridge residuals; a row past 1e-3 exits 2."""
     if degree < 0:
         raise ParameterError("degree must be nonnegative")
 
@@ -422,7 +424,10 @@ def covariance_check(orders, degree, size, half_width):
         "size": size,
         "half_width": half_width,
     }
-    diagnostics = {"size": size, "half_width": half_width, "target": 1e-3}
+    target = 1e-3
+    missed = [f"s={r['s']} degree={r['degree']}" for r in results
+              if not r["mismatch_max"] < target]
+    diagnostics = {"size": size, "half_width": half_width, "target": target, "failures": missed}
     return params, results, diagnostics
 
 

@@ -16,12 +16,12 @@ import sys
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import loggamma, psi
+from scipy.special import hyp2f1, loggamma, psi
 
 from .errors import NonConvergenceError, ParameterError, SingularityError
 from .params import KernelSpec, mode_degrees, read_only, require, require_dimension
 from .sphere import frac_lap_constant, vol_sphere
-from .specfun import hyp2f1, jacobi_unit_rule, log_gamma, panel_rule
+from .specfun import jacobi_unit_rule, log_gamma, panel_rule
 
 _PERIODIZE_REL_TOL = 1e-15
 _PERIODIZE_MAX_SHELLS = 400
@@ -35,6 +35,7 @@ BIFURCATION_XTOL = 1e-12
 _LOG2 = math.log(2.0)
 #: largest x with a finite e^x
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_ZERO_SEPARATION = "cylinder kernel diverges at zero separation, got xi = {}"
 
 
 def cyl_mode_parameter(n, m):
@@ -133,6 +134,7 @@ def _profile_factors(p, h, real):
     # Below h ~ 3e-9 sech^2 h rounds above 1; the series converges at z = 1,
     # since c - a - b = s + 1/2 > 0
     z = np.minimum(4.0 * decay / (1.0 + decay) ** 2, 1.0)
+    # scipy unwrapped: c = n/2 >= 1, c-a-b > 0 and the clamped z keep it in domain
     hyp = hyp2f1((n - 2.0 * s - 2.0) / 4.0, (n - 2.0 * s) / 4.0, 0.5 * n, z)
     log_sinh = h - _LOG2 + real(np.log(-np.expm1(-2.0 * h)))
     log_cosh = h - _LOG2 + real(np.log1p(decay))
@@ -144,24 +146,11 @@ def kernel_base(p, h):
 
     sinh(h)^(-1-2s) cosh(h)^((2-n+2s)/2) 2F1(a, b; n/2; sech^2 h) with
     a = (n-2s-2)/4 and b = (n-2s)/4.  Behaves like h^(-1-2s) at 0 and decays
-    like 2^(s+n/2) e^(-(n+2s)h/2).  Accepts scalar or array h.  A real
-    scalar (float, int or numpy float64) takes a path without the array
-    machinery and gives a float with the bits of the one-entry array's
-    value.  Raises SingularityError where h is so small that the profile
-    overflows float64.
+    like 2^(s+n/2) e^(-(n+2s)h/2).  Accepts scalar or array h, evaluated as an
+    array; a scalar or 0-d h gives a float.  Raises SingularityError where h
+    is so small that the profile overflows float64.
     """
     require_dimension(p.n, "the cylinder", least=2)
-    if isinstance(h, (float, int)):
-        x = float(h)
-        if not (x > 0.0 and math.isfinite(x)):
-            raise ParameterError(f"kernel profile needs finite h > 0, got {h}")
-        # near h = 1e308 the log factor is -inf in float arithmetic, which the
-        # exponential takes to a profile of 0; np.exp would warn on overflow
-        log_power, hyp = _profile_factors(p, x, float)
-        out = float(np.exp(log_power)) * hyp if log_power <= _LOG_FLOAT_MAX else math.inf
-        if not math.isfinite(out):
-            raise SingularityError(f"kernel profile overflows float64 at h = {h}")
-        return out
     hs = np.asarray(h, dtype=float)
     require((hs > 0.0) & np.isfinite(hs), "kernel profile needs finite h > 0, got {}", h)
     # near h = 1e308 the products in the log factor overflow to -inf, which
@@ -234,18 +223,29 @@ def calibrate_kernel(p):
 def cyl_kernel(spec, xi):
     """Calibrated axial kernel at separations xi != 0 (even in xi).
 
-    Accepts scalar or array xi.  A real scalar takes ``kernel_base``'s
-    float path and gives a float with the bits of the one-entry array's value.
+    Accepts scalar or array xi.  An array goes through ``kernel_base``.  A
+    real scalar (float, int or numpy float64), as in a direct lattice sum,
+    is evaluated as a float, without the array machinery, with the same
+    refusals, and gives a float with the bits of the one-entry array's value.
     """
-    if isinstance(xi, (float, int)):
-        h = abs(float(xi))
-        if h == 0.0:
-            raise SingularityError("cylinder kernel diverges at zero separation")
-        return spec.normalization * kernel_base(spec.params, h)
-    h = np.abs(np.asarray(xi, dtype=float))
-    if (h == 0.0).any():
-        raise SingularityError("cylinder kernel diverges at zero separation")
-    return spec.normalization * kernel_base(spec.params, h)
+    p = spec.params
+    if not isinstance(xi, (float, int)):
+        h = np.abs(np.asarray(xi, dtype=float))
+        require(h != 0.0, _ZERO_SEPARATION, xi, SingularityError)
+        return spec.normalization * kernel_base(p, h)
+    h = abs(float(xi))
+    if h == 0.0:
+        raise SingularityError(_ZERO_SEPARATION.format(xi))
+    require_dimension(p.n, "the cylinder", least=2)
+    if not math.isfinite(h):
+        raise ParameterError(f"kernel profile needs finite h > 0, got {h}")
+    # near h = 1e308 the log factor is -inf in float arithmetic, which the
+    # exponential takes to a profile of 0; np.exp would warn on overflow
+    log_power, hyp = _profile_factors(p, h, float)
+    out = float(np.exp(log_power)) * float(hyp) if log_power <= _LOG_FLOAT_MAX else math.inf
+    if not math.isfinite(out):
+        raise SingularityError(f"kernel profile overflows float64 at h = {h}")
+    return spec.normalization * out
 
 
 def kernel_multiplier(spec, xi):

@@ -3,12 +3,12 @@
 Two functions are needed beyond the stdlib: the squared modulus
 ``|Gamma(x+iy)|^2`` along vertical lines in the complex plane, and the Gauss
 hypergeometric function on ``[0, 1]``.  They are thin validated wrappers
-over ``scipy.special``: the wrappers raise ParameterError on poles and
-out-of-domain input instead of returning inf or NaN.  The quadrature
-rules shared by the sphere, cylinder and line routines (the Gauss-Jacobi
-rule on (-1, 1) and its map to the unit interval, the Gauss-Legendre rule on
-(-1, 1) and composite Gauss-Legendre panels) live here too, so each rule
-exists once.
+over ``scipy.special``, one evaluation path each: the wrappers raise
+ParameterError on poles and out-of-domain input instead of returning inf or
+NaN.  The quadrature rules shared by the sphere, cylinder and line routines
+live here too, built by one generator, so each rule exists once: the
+Gauss-Jacobi rule on (-1, 1), its map to the unit interval, and composite
+panels of its alpha = beta = 0 case, the 12-point Gauss-Legendre rule.
 """
 
 import math
@@ -60,34 +60,23 @@ def log_gamma_abs2(x, y):
 def hyp2f1(a, b, c, z):
     """Gauss hypergeometric function 2F1(a, b; c; z) for z in [0, 1].
 
-    The parameters are scalars; z may be a scalar or an array.  A real
-    scalar z (float, int or numpy float64) takes a path without the array
-    machinery and gives a float with the bits of the one-entry array's
-    value.  scipy's evaluation stays at full precision where c-a-b is an
+    The parameters are scalars; z may be a scalar (a float is returned) or an
+    array.  scipy's evaluation stays at full precision where c-a-b is an
     integer, as for the cylinder kernel at s = 1/2.  At z = 1 the series
     converges only for c-a-b > 0, unless a or b is a non-positive integer and
     the series terminates.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-        _require_finite(a=a, b=b, c=c)
-    if isinstance(z, (float, int)):
-        zs = float(z)
-        inside, hits_one = 0.0 <= zs <= 1.0, zs == 1.0
-    else:
-        zs = np.asarray(z, dtype=float)
-        inside, hits_one = ((zs >= 0.0) & (zs <= 1.0)).all(), (zs == 1.0).any()
-    # one test passes finite z in [0, 1]; NaN and inf fail it too
-    if not inside:
-        zs = np.asarray(zs)
-        require(np.isfinite(zs), "z must be finite, got {}", z)
-        require((zs >= 0.0) & (zs <= 1.0), "hyp2f1 implemented for z in [0, 1], got {}", z)
+    _require_finite(a=a, b=b, c=c)
+    zs = np.asarray(z, dtype=float)
+    require(np.isfinite(zs), "z must be finite, got {}", z)
+    require((zs >= 0.0) & (zs <= 1.0), "hyp2f1 implemented for z in [0, 1], got {}", z)
     if _is_nonpositive_int(c):
         raise ParameterError(f"2F1 undefined for c a non-positive integer, got {c!r}")
     terminating = _is_nonpositive_int(a) or _is_nonpositive_int(b)
-    if not terminating and c - a - b <= 0.0 and hits_one:
+    if not terminating and c - a - b <= 0.0 and (zs == 1.0).any():
         raise ParameterError(f"2F1 diverges at z = 1 for c-a-b = {c - a - b!r} <= 0")
     out = special.hyp2f1(a, b, c, zs)
-    return out if isinstance(out, np.ndarray) else float(out)
+    return float(out) if zs.ndim == 0 else out
 
 
 @lru_cache(maxsize=32)
@@ -110,14 +99,7 @@ def jacobi_unit_rule(beta, size):
     return read_only((x + 1.0) / 2.0), read_only(w * 2.0 ** (-beta - 1.0))
 
 
-@lru_cache(maxsize=32)
-def legendre_rule(size):
-    """Gauss-Legendre nodes and weights on (-1, 1), as read-only arrays."""
-    nodes, weights = np.polynomial.legendre.leggauss(size)
-    return read_only(nodes), read_only(weights)
-
-
-_GAUSS_LEGENDRE_12 = legendre_rule(12)
+_GAUSS_LEGENDRE_12 = jacobi_rule(0.0, 0.0, 12)
 
 
 def panel_rule(lo, hi, count):

@@ -104,15 +104,13 @@ def factored_symbol(p0, k, m):
 
 
 def vol_sphere(n):
-    """Volume of the unit round S^n; ParameterError from n = 438, where it
-    drops below the normal floats."""
+    """Volume 2 pi^((n+1)/2) / Gamma((n+1)/2) of the unit round S^n, through
+    its log, since Gamma((n+1)/2) leaves the floats from n = 343 and the
+    volume only later; ParameterError from n = 438, where it drops below the
+    normal floats."""
     require_dimension(n)
     half = 0.5 * (n + 1)
-    try:
-        return 2.0 * math.pi**half / math.exp(log_gamma(half))
-    except OverflowError:
-        # Gamma((n+1)/2) leaves the floats from n = 343, the volume only later
-        volume = math.exp(math.log(2.0) + half * math.log(math.pi) - log_gamma(half))
+    volume = math.exp(math.log(2.0) + half * math.log(math.pi) - log_gamma(half))
     if volume < sys.float_info.min:
         raise ParameterError(f"vol(S^n) underflows float64 at n = {n}")
     return volume
@@ -154,16 +152,14 @@ def frac_lap_constant(p):
     The normalization of (-Delta)^s u(x) = C_(n,s) PV int (u(x) - u(y))
     |x - y|^(-n-2s) dy on R^n (Di Nezza, Palatucci & Valdinoci 2012).  The
     sphere and cylinder kernels pull back |x - y|^(-n-2s), so their
-    normalizations are this constant too.  ParameterError where the constant
-    overflows, from n = 439 at s = 0.3.
+    normalizations are this constant too.  Evaluated through its log, since
+    Gamma(n/2 + s) and pi^(n/2) leave the floats from n = 343 and C_(n,s)
+    only later; ParameterError where the constant overflows, from n = 439 at
+    s = 0.3.
     """
     require_unit_order(p.s, "the singular-kernel representation")
     log_ratio = log_gamma(0.5 * p.n + p.s) - log_gamma(1.0 - p.s)
-    try:
-        return p.s * 4.0**p.s * math.exp(log_ratio) / math.pi ** (0.5 * p.n)
-    except OverflowError:
-        # Gamma(n/2 + s) or pi^(n/2) leaves the floats from n = 343, C_(n,s) only later
-        log_c = math.log(p.s) + p.s * math.log(4.0) + log_ratio - 0.5 * p.n * math.log(math.pi)
+    log_c = math.log(p.s) + p.s * math.log(4.0) + log_ratio - 0.5 * p.n * math.log(math.pi)
     try:
         return math.exp(log_c)
     except OverflowError:

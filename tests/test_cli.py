@@ -283,7 +283,18 @@ class TestChecks:
         payload = json.loads(out)
         assert len(payload["results"]) == 12
         assert all(r["rel_error"] < 1e-3 for r in payload["results"])
+        assert payload["diagnostics"]["failures"] == []
         assert payload["diagnostics"]["d_star_identity_max_residual"] < 1e-13
+
+    def test_extension_row_missing_target_reports_then_exits_2(self, capsys):
+        # a mesh of 32 misses the stated 1e-3; the table is written first
+        args = ["extension-check", "--s", "0.5", "--xi", "1", "--mesh-size", "32"]
+        code, out, err = run(capsys, args)
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["results"][0]["rel_error"] > 1e-3
+        assert payload["diagnostics"]["failures"] == ["s=0.5 xi=1.0"]
+        assert err == "numerical failure: extension-check failures: s=0.5 xi=1.0\n"
 
     def test_overflowing_frequency_is_input_error(self, capsys):
         # one scale-free solve serves every frequency whose xi^(2s) is a
@@ -324,6 +335,19 @@ class TestChecks:
         payload = json.loads(out)
         assert len(payload["results"]) == 2
         assert all(r["mismatch_max"] < 1e-3 for r in payload["results"])
+        assert payload["diagnostics"]["failures"] == []
+
+    def test_covariance_row_missing_target_reports_then_exits_2(self, capsys):
+        # at s = 0.05 the bridge misses the stated 1e-3 at half-width 500 on
+        # degree 1, while the constant mode stays exact
+        args = ["covariance-check", "--s", "0.05", "--degree", "1", "--size", str(1 << 15),
+                "--half-width", "500"]
+        code, out, err = run(capsys, args)
+        assert code == 2
+        payload = json.loads(out)
+        assert [r["mismatch_max"] < 1e-3 for r in payload["results"]] == [True, False]
+        assert payload["diagnostics"]["failures"] == ["s=0.05 degree=1"]
+        assert err == "numerical failure: covariance-check failures: s=0.05 degree=1\n"
 
 
 class TestBifurcation:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conflap.errors import NonConvergenceError, ParameterError, SingularityError
-from conflap.params import FracParams
+from conflap.params import FracParams, KernelSpec
 from conflap.cylinder import (
     _difference_table,
     KERNEL_MULTIPLIER_XI_MAX,
@@ -283,19 +283,19 @@ SCALAR_PATH_H = np.concatenate([np.geomspace(1e-8, 700.0, 97), [1e200, 1e308]])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_kernel_base_scalar_path_has_the_bits_of_a_one_entry_array(n):
-    # a real scalar takes the float path; a one-entry array is the reference,
-    # since a longer array may differ from it by an ulp through numpy's
-    # vector loops
+def test_cyl_kernel_scalar_path_has_the_bits_of_a_one_entry_array(n):
+    # a real scalar takes cyl_kernel's float path; a one-entry array is the
+    # reference, since a longer array may differ from it by an ulp through
+    # numpy's vector loops
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for s in (0.005, 0.3, 0.5, 0.995):
-            p = FracParams(n, s)
+            spec = calibrate_kernel(FracParams(n, s))
             for h in SCALAR_PATH_H:
                 scalars = [float(h), np.float64(h)] + ([int(h)] if h >= 1.0 else [])
                 for x in scalars:
-                    value = kernel_base(p, x)
-                    reference = kernel_base(p, np.array([float(x)]))[0]
+                    value = cyl_kernel(spec, x)
+                    reference = cyl_kernel(spec, np.array([float(x)]))[0]
                     assert type(value) is float, (n, s, x)
                     assert value.hex() == reference.hex(), (n, s, x)
 
@@ -313,14 +313,25 @@ def test_kernel_scalar_refusals_keep_types_and_messages():
         for x in (0, -1):
             with pytest.raises(ParameterError, match=f"finite h > 0, got {x}$"):
                 kernel_base(p, x)
-        for x in (0.0, np.float64(-0.0), 0, np.array(0.0)):
+        for x in (math.nan, -math.inf, np.float64(math.inf)):
+            with pytest.raises(ParameterError) as caught:
+                cyl_kernel(spec, x)
+            assert str(caught.value) == f"kernel profile needs finite h > 0, got {abs(x)}"
+        for x in (0.0, np.float64(-0.0), 0, np.array(0.0), np.array([1.0, 0.0, 0.0])):
             with pytest.raises(SingularityError) as caught:
                 cyl_kernel(spec, x)
-            assert str(caught.value) == "cylinder kernel diverges at zero separation"
+            named = "0.0, entry 1 of 3" if np.ndim(x) else x
+            message = f"cylinder kernel diverges at zero separation, got xi = {named}"
+            assert str(caught.value) == message
         for x in (1e-300, np.float64(-1e-300), np.array(1e-300)):
             with pytest.raises(SingularityError) as caught:
                 cyl_kernel(spec, x)
             assert str(caught.value) == "kernel profile overflows float64 at h = 1e-300"
+        line = KernelSpec(FracParams(1, 0.5), 1.0)
+        for x in (1.0, np.float64(1.0), 1, np.array([1.0])):
+            with pytest.raises(ParameterError) as caught:
+                cyl_kernel(line, x)
+            assert str(caught.value) == "the cylinder needs n >= 2, got n = 1"
 
 
 def test_periodized_kernel_matches_direct_sum():

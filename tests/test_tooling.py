@@ -81,9 +81,9 @@ def test_only_cylinder_and_specfun_call_gamma_logs():
     assert callers - {"specfun.py"} == {"cylinder.py"}
 
 
-def test_only_specfun_calls_leggauss():
-    # the Gauss-Legendre rule has one owner, specfun.legendre_rule, which
-    # caches it; every other module takes its nodes and weights from there
+def test_no_module_calls_leggauss():
+    # every Gauss rule, Gauss-Legendre included as jacobi_rule(0, 0, size),
+    # comes from the one generator specfun.jacobi_rule
     callers = set()
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -93,7 +93,29 @@ def test_only_specfun_calls_leggauss():
                 names = {node.attr} if isinstance(node, ast.Attribute) else set()
             if "leggauss" in names:
                 callers.add(path.name)
-    assert callers == {"specfun.py"}
+    assert callers == set()
+
+
+def test_only_cyl_kernel_dispatches_on_float_or_int():
+    # cyl_kernel alone keeps a scalar fast path, for direct lattice sums;
+    # every other function in cylinder and specfun has one evaluation path
+    dispatchers = set()
+    for name in ("cylinder.py", "specfun.py"):
+        tree = ast.parse((PACKAGE / name).read_text())
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance"
+                    and len(node.args) == 2
+                    and isinstance(node.args[1], ast.Tuple)
+                    and {ast.unparse(e) for e in node.args[1].elts} == {"float", "int"}
+                ):
+                    dispatchers.add(f"{name}:{function.name}")
+    assert dispatchers == {"cylinder.py:cyl_kernel"}
 
 
 def test_only_specfun_calls_roots_jacobi():
