@@ -32,6 +32,12 @@ _PERIODIZE_BLOCK = 2**16
 KERNEL_MULTIPLIER_XI_MAX = 200.0
 #: absolute tolerance of ``bifurcation_period`` on xi
 BIFURCATION_XTOL = 1e-12
+#: largest n whose kernel profile goes through Pfaff's form.  scipy's 2F1 on
+#: its argument below -1 loses digits as c = n/2 grows: the worst error
+#: against 40-digit mpmath over h in [1e-15, 30] is 2.4e-12 at n = 28,
+#: 6.2e-12 at 32, 3.4e-11 at 40, 2.7e-6 at 100 and some hundreds at 200,
+#: where calibrate_kernel would fail; up to 28 it stays near 1e-12
+_PFAFF_MAX_N = 28
 _LOG2 = math.log(2.0)
 #: largest x with a finite e^x
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -122,20 +128,40 @@ def cyl_curvature(p):
 
 def _profile_factors(p, h, real):
     """The two factors of the profile at h > 0, a float or an array: the log
-    of sinh(h)^(-1-2s) cosh(h)^((2-n+2s)/2), with sinh, cosh and sech^2
-    through e^(-2h), and 2F1(a, b; n/2; sech^2 h).
+    of a power factor and a 2F1, with the powers of sinh h, cosh h and
+    1 - e^(-2h) carried as logs through e^(-2h).
 
-    ``real`` takes the two log terms out of numpy scalars on the float path
-    (``float``), since a numpy scalar product warns where it overflows near
-    h = 1e308; on arrays it is ``np.asarray``, which leaves them as they are.
+    Up to n = _PFAFF_MAX_N the quadratic transformation and then Pfaff's
+    (DLMF 15.8) turn the profile into
+    (2 e^(-h))^sigma (1 - e^(-2h))^(-1-s) 2F1(1+s, -s; n/2; e^(-2h) / (e^(-2h) - 1)),
+    whose argument keeps every digit and stays finite for h > 0.  Above it,
+    where scipy's 2F1 loses digits on that argument below -1 as n/2 grows,
+    the profile stays sinh(h)^(-1-2s) cosh(h)^((2-n+2s)/2) 2F1(a, b; n/2; sech^2 h),
+    with a = (n-2s-2)/4 and b = a + 1/2.  So does it at a = 0, as at
+    (3, 1/2): there that 2F1 is exactly 1, while scipy takes Pfaff's
+    2F1(1+s, -s; 1+s; z) = (1-z)^s about five times as long.
+
+    ``real`` takes e^(-2h), its gap to 1 and the log terms out of numpy
+    scalars on the float path (``float``), since a numpy scalar product or
+    quotient warns where it overflows, near h = 1e308 and below h ~ 3e-309;
+    on arrays it is ``np.asarray``, which leaves them as they are.
     """
     s, n = p.s, p.n
-    decay = np.exp(-2.0 * h)
+    a = (n - 2.0 * s - 2.0) / 4.0
+    decay = real(np.exp(-2.0 * h))
+    if n <= _PFAFF_MAX_N and a != 0.0:
+        gap = real(np.expm1(-2.0 * h))  # e^(-2h) - 1, to full relative precision
+        # scipy unwrapped: the argument is <= 0, and -inf only below
+        # h ~ 3e-309, where the power factor already overflows
+        hyp = hyp2f1(1.0 + s, -s, 0.5 * n, decay / gap)
+        return p.sigma * (_LOG2 - h) - (1.0 + s) * real(np.log(-gap)), hyp
     # Below h ~ 3e-9 sech^2 h rounds above 1; the series converges at z = 1,
     # since c - a - b = s + 1/2 > 0
     z = np.minimum(4.0 * decay / (1.0 + decay) ** 2, 1.0)
     # scipy unwrapped: c = n/2 >= 1, c-a-b > 0 and the clamped z keep it in domain
-    hyp = hyp2f1((n - 2.0 * s - 2.0) / 4.0, (n - 2.0 * s) / 4.0, 0.5 * n, z)
+    hyp = hyp2f1(a, (n - 2.0 * s) / 4.0, 0.5 * n, z)
+    # the log terms come after the 2F1: holding one more array through it
+    # made this branch about 1.6 times as slow on 14 000-entry arrays
     log_sinh = h - _LOG2 + real(np.log(-np.expm1(-2.0 * h)))
     log_cosh = h - _LOG2 + real(np.log1p(decay))
     return (-1.0 - 2.0 * s) * log_sinh + 0.5 * (2.0 - n + 2.0 * s) * log_cosh, hyp
@@ -145,10 +171,12 @@ def kernel_base(p, h):
     """Unnormalized axial kernel profile at separations h > 0.
 
     sinh(h)^(-1-2s) cosh(h)^((2-n+2s)/2) 2F1(a, b; n/2; sech^2 h) with
-    a = (n-2s-2)/4 and b = (n-2s)/4.  Behaves like h^(-1-2s) at 0 and decays
-    like 2^(s+n/2) e^(-(n+2s)h/2).  Accepts scalar or array h, evaluated as an
-    array; a scalar or 0-d h gives a float.  Raises SingularityError where h
-    is so small that the profile overflows float64.
+    a = (n-2s-2)/4 and b = (n-2s)/4, evaluated up to n = _PFAFF_MAX_N and
+    for a != 0 in Pfaff's form (``_profile_factors``), which keeps the
+    digits that 1 - sech^2 h loses near h = 0.  Behaves like h^(-1-2s) at 0
+    and decays like 2^(s+n/2) e^(-(n+2s)h/2).  Accepts scalar or array h,
+    evaluated as an array; a scalar or 0-d h gives a float.  Raises
+    SingularityError where h is so small that the profile overflows float64.
     """
     require_dimension(p.n, "the cylinder", least=2)
     hs = np.asarray(h, dtype=float)
@@ -170,13 +198,17 @@ def _difference_table(p, density):
     On (0, 1) the integrand is h^(1-2s) times a smooth even function of h,
     so the 64-node Gauss-Jacobi rule for that weight takes weights *
     h^(2s-1) K0(h); on (1, h_cut) composite Gauss-Legendre panels of width
-    1/density take weights * K0(h).  Neither depends on xi.
+    1/density take weights * K0(h).  Neither depends on xi.  From sigma = 45
+    on (n >= 90 at s = 0.3) h_cut <= 1 and there are no panels: the near
+    rule and the tail then overlap on (h_cut, 1), where K0 is below
+    e^(-45) of its amplitude.
     """
-    near, near_weights = jacobi_unit_rule(1.0 - 2.0 * p.s, 64)
+    nodes, weights = jacobi_unit_rule(1.0 - 2.0 * p.s, 64)
+    weights = weights * nodes ** (2.0 * p.s - 1.0)
     h_cut = 45.0 / p.sigma
-    far, far_weights = panel_rule(1.0, h_cut, math.ceil((h_cut - 1.0) * density))
-    nodes = np.concatenate([near, far])
-    weights = np.concatenate([near_weights * near ** (2.0 * p.s - 1.0), far_weights])
+    if h_cut > 1.0:
+        far, far_weights = panel_rule(1.0, h_cut, math.ceil((h_cut - 1.0) * density))
+        nodes, weights = np.concatenate([nodes, far]), np.concatenate([weights, far_weights])
     return read_only(nodes), read_only(weights * kernel_base(p, nodes))
 
 

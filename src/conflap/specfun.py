@@ -104,7 +104,9 @@ _GAUSS_LEGENDRE_12 = jacobi_rule(0.0, 0.0, 12)
 
 def panel_rule(lo, hi, count):
     """Composite 12-point Gauss-Legendre nodes and weights on (lo, hi),
-    split into ``count`` equal panels."""
+    split into ``count`` equal panels; ParameterError for count < 1."""
+    if count < 1:
+        raise ParameterError(f"a panel rule needs at least one panel, got {count!r}")
     glx, glw = _GAUSS_LEGENDRE_12
     edges = lo + (hi - lo) * np.arange(count + 1) / count
     half = 0.5 * np.diff(edges)

@@ -12,6 +12,7 @@ import pytest
 from conflap.errors import NonConvergenceError, ParameterError, SingularityError
 from conflap.params import FracParams, KernelSpec
 from conflap.cylinder import (
+    _PFAFF_MAX_N,
     _difference_table,
     KERNEL_MULTIPLIER_XI_MAX,
     calibrate_kernel,
@@ -62,6 +63,91 @@ KERNEL_TABLE = [
     ((2, 0.4, 3.0), "0.039766515331785479864"),
     ((5, 0.25, 1.2), "0.28284370700472814189"),
     ((3, 0.5, 25.0), "7.7149993918556711321e-22"),
+]
+
+# (n, s, bound) and ((h, unnormalized kernel profile), ...), mpmath mp.dps=40:
+# s = 1/2, where the 2F1 is degenerate (c - a - b of the sech^2 form and
+# a - b of Pfaff's are integers); the edges s = 0.005 and 0.995;
+# (20, 0.005, 1e-7), where the sech^2 form was off by 7.9e-7; and the two
+# sides of _PFAFF_MAX_N = 28, where n = 29 keeps the sech^2 form and its loss
+# near h = 0.  Each bound is three to four times the error measured with
+# scipy 1.17.
+PROFILE_EDGE_TABLE = [
+    ((2, 0.5, 2e-14), (
+        (1e-12, "9.0031631615710610577e+23"), (1e-06, "900316316158.65112596"),
+        (0.19, "25.113921659292226973"), (1.0, "0.87293725926902101902"),
+        (8.0, "0.000017378461280652187412"))),
+    ((4, 0.5, 2e-14), (
+        (1e-12, "1.2004217548761414744e+24"), (1e-06, "1200421754869.261389"),
+        (0.19, "31.851170156585511597"), (1.0, "0.6103815544182368772"),
+        (8.0, "1.1659648088174056144e-8"))),
+    ((5, 0.5, 2e-14), (
+        (1e-12, "1.5000000000000000603e+24"), (1e-06, "1499999999978.4871491"),
+        (0.19, "38.262787121046051101"), (1.0, "0.51802304181595416962"),
+        (8.0, "3.0201082471863893131e-10"))),
+    ((2, 0.005, 2e-14), (
+        (1e-12, "1313749549690.2116485"), (1e-06, "1144228.0290690618754"),
+        (0.19, "5.3056629840154769339"), (1.0, "0.85085292873983487766"),
+        (8.0, "0.00064685592499619269656"))),
+    ((2, 0.995, 2e-14), (
+        (1e-12, "7.5741736017132600983e+35"), (1e-06, "869631485065318392.99"),
+        (0.19, "143.16800313850423543"), (1.0, "0.9496642481781823633"),
+        (8.0, "4.6689057248746702082e-7"))),
+    ((3, 0.005, 2e-14), (
+        (1e-12, "1852246462527.9544249"), (1e-06, "1613238.5308037958308"),
+        (0.19, "6.8130311132104486573"), (1.0, "0.7296583641895639245"),
+        (8.0, "0.000016755007656912224553"))),
+    ((3, 0.995, 2e-14), (
+        (1e-12, "7.1510309088557254209e+35"), (1e-06, "821048203543782475.71"),
+        (0.19, "134.45122838949059602"), (1.0, "0.75026389924695484248"),
+        (8.0, "1.2093503721083756443e-8"))),
+    ((5, 0.005, 2e-14), (
+        (1e-12, "3692185639587.769173"), (1e-06, "3215755.0310613429359"),
+        (0.19, "11.252733731882593153"), (1.0, "0.53674918186319967394"),
+        (8.0, "1.1241357796533800033e-8"))),
+    ((5, 0.995, 2e-14), (
+        (1e-12, "8.5984339585439584372e+35"), (1e-06, "987232308869282328.18"),
+        (0.19, "156.60226409068694237"), (1.0, "0.51414683881632111184"),
+        (8.0, "8.1138365943109848141e-12"))),
+    ((20, 0.005, 2e-14), ((1e-07, "5910816962.5033524301"),)),
+    ((28, 0.005, 1e-11), (
+        (1e-12, "10592670358475197.172"), (1e-06, "9225722734.7882895513"),
+        (0.19, "3657.7206926457051983"), (1.0, "0.015744288607199249858"),
+        (8.0, "3.610533558682005359e-45"))),
+    ((28, 0.45, 1e-11), (
+        (1e-12, "1.2641921186756731074e+26"), (1e-06, "503283946433414.28887"),
+        (0.19, "8341.4721713449371678"), (1.0, "0.014758214815503618077"),
+        (8.0, "1.3977883049042610048e-46"))),
+    ((28, 0.995, 1e-11), (
+        (1e-12, "4.4821821216019908022e+38"), (1e-06, "5.1462336346866717098e+20"),
+        (0.19, "24572.374494804214097"), (1.0, "0.013715752728039660996"),
+        (8.0, "2.6060265760497305248e-48"))),
+    ((29, 0.005, 3e-9), (
+        (1e-12, "14977576032994832.603"), (1e-06, "13044765531.665230474"),
+        (0.19, "4703.9021555848288201"), (1.0, "0.013504856505723164045"),
+        (8.0, "9.3520852317972269113e-47"))),
+    ((29, 0.45, 1e-12), (
+        (1e-12, "1.7592902200567633913e+26"), (1e-06, "700386050243401.76795"),
+        (0.19, "10698.191987924757298"), (1.0, "0.012655943517033249273"),
+        (8.0, "3.6205827057593915912e-48"))),
+    ((29, 0.995, 2e-13), (
+        (1e-12, "6.1212220051664396122e+38"), (1e-06, "7.0281032125713727012e+20"),
+        (0.19, "31345.839332025138424"), (1.0, "0.011756071006393652746"),
+        (8.0, "6.7501886483134762989e-50"))),
+]
+
+# ((n, s), (K0(h) at h = 1e-9, 1e-11, 1e-13, 1e-15)), mpmath mp.dps=40
+TINY_SEPARATION_TABLE = [
+    ((3, 0.5), ("999999999999999875.1", "1.000000000000000121e+22",
+                "9.9999999999999993925e+25", "9.9999999999999984459e+29")),
+    ((2, 0.05), ("7702176324.0948678617", "1220712682311.8680755",
+                 "193469922014695.10289", "30662916234707269.997")),
+    ((5, 0.95), ("1.4522810354076851548e+26", "9.1632738553977848456e+31",
+                 "5.7816349385465647492e+37", "3.6479650275792437899e+43")),
+    ((2, 0.99), ("6.5867879215960038063e+26", "6.0072219810341413476e+32",
+                 "5.4786515611202162323e+38", "4.9965896087958125367e+44")),
+    ((4, 0.5), ("1200421754876141266.6", "1.2004217548761415713e+22",
+                "1.2004217548761413532e+26", "1.2004217548761412395e+30")),
 ]
 
 
@@ -156,6 +242,18 @@ def test_kernel_profile_table():
     for (n, s, h), ref in KERNEL_TABLE:
         v = kernel_base(FracParams(n, s), h)
         assert math.isclose(v, float(ref), rel_tol=1e-10), (n, s, h)
+
+
+@pytest.mark.parametrize(
+    "point, rows", PROFILE_EDGE_TABLE, ids=[f"{n}-{s}" for (n, s, _), _ in PROFILE_EDGE_TABLE]
+)
+def test_kernel_profile_against_mpmath_at_the_edges(point, rows):
+    # the table's rows at n = 28 and 29 sit on the two sides of the form switch
+    assert _PFAFF_MAX_N == 28
+    n, s, bound = point
+    p = FracParams(n, s)
+    for h, ref in rows:
+        assert abs(kernel_base(p, h) / float(ref) - 1.0) < bound, h
 
 
 def test_kernel_profile_monotone():
@@ -275,6 +373,10 @@ def test_cyl_kernel_even_and_singular():
         warnings.simplefilter("error")
         with pytest.raises(SingularityError, match="h = 1e-300"):
             cyl_kernel(spec, 1e-300)
+        # below h ~ 3e-309 the argument of Pfaff's 2F1 overflows as well
+        for x in (5e-324, np.array([5e-324, 1.0])):
+            with pytest.raises(SingularityError, match="h = 5e-324"):
+                cyl_kernel(spec, x)
 
 
 # h log-spaced over the profile's range, and two separations where the log
@@ -282,7 +384,7 @@ def test_cyl_kernel_even_and_singular():
 SCALAR_PATH_H = np.concatenate([np.geomspace(1e-8, 700.0, 97), [1e200, 1e308]])
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, _PFAFF_MAX_N, _PFAFF_MAX_N + 1])
 def test_cyl_kernel_scalar_path_has_the_bits_of_a_one_entry_array(n):
     # a real scalar takes cyl_kernel's float path; a one-entry array is the
     # reference, since a longer array may differ from it by an ulp through
@@ -457,6 +559,19 @@ def test_calibration_refusal_at_large_n_names_one_node():
     assert "\n" not in str(caught.value)
 
 
+@pytest.mark.parametrize("n", [_PFAFF_MAX_N + 1, 90, 100, 119, 343])
+def test_calibration_at_large_n(n):
+    # past _PFAFF_MAX_N the profile keeps the sech^2 form, finite on the near
+    # table up to n = 343; at s = 0.3, h_cut = 45/sigma drops below 1 from
+    # n = 90 on, and the table then takes no far panels
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = calibrate_kernel(FracParams(n, 0.3))
+    assert spec.calibration["residual"] < 1e-9
+    nodes, _ = _difference_table(spec.params, 4)
+    assert (nodes.size == 64) == (n >= 90)
+
+
 def _clear_library_caches():
     for name, module in list(sys.modules.items()):
         if not name.startswith("conflap."):
@@ -518,17 +633,17 @@ def test_multipliers_up_to_xi_16_share_one_table():
     assert _difference_table.cache_info().currsize == 2
 
 
-@pytest.mark.parametrize("n, s", [(3, 0.5), (2, 0.05), (5, 0.95), (2, 0.99), (4, 0.5)])
-def test_kernel_profile_at_tiny_separations(n, s):
-    # sech^2 h rounds to 1 below h ~ 3e-9, where h^(1+2s) K0(h) is Gauss's
-    # 2F1(a, b; n/2; 1) = G(n/2) G(s+1/2) / (G((n+2s+2)/4) G((n+2s)/4))
+@pytest.mark.parametrize(
+    "point, refs", TINY_SEPARATION_TABLE, ids=[f"{n}-{s}" for (n, s), _ in TINY_SEPARATION_TABLE]
+)
+def test_kernel_profile_at_tiny_separations(point, refs):
+    # h^(1+2s) K0(h) tends to Gauss's 2F1(a, b; n/2; 1) as h -> 0, but at
+    # (2, 0.05, 1e-9) it still sits 6.1e-12 from that limit, so the profile
+    # is compared with mpmath
+    n, s = point
     p = FracParams(n, s)
-    limit = math.exp(
-        math.lgamma(0.5 * n) + math.lgamma(s + 0.5)
-        - math.lgamma(0.25 * (n + 2.0 * s + 2.0)) - math.lgamma(0.25 * (n + 2.0 * s))
-    )
-    for h in (1e-9, 1e-11, 1e-13, 1e-15):
-        assert abs(h ** (1.0 + 2.0 * s) * kernel_base(p, h) / limit - 1.0) < 1e-13, h
+    for h, ref in zip((1e-9, 1e-11, 1e-13, 1e-15), refs):
+        assert abs(kernel_base(p, h) / float(ref) - 1.0) < 1e-13, h
     # the least separation periodized_kernel accepts is 1e-9 L
     spec = calibrate_kernel(p)
     got = periodized_kernel(spec, 1.0, 2e-9)

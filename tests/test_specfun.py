@@ -20,6 +20,7 @@ from conflap.specfun import (
     jacobi_unit_rule,
     log_gamma,
     log_gamma_abs2,
+    panel_rule,
 )
 
 # ((x, y), |Gamma(x+iy)|^2), mpmath mp.dps=40
@@ -271,3 +272,13 @@ def test_unit_rule_maps_the_jacobi_rule():
     nodes, weights = jacobi_unit_rule(0.3, 16)
     assert np.array_equal(nodes, (x + 1.0) / 2.0)
     assert np.array_equal(weights, w * 2.0**-1.3)
+
+
+def test_panel_rule_needs_a_panel():
+    nodes, weights = panel_rule(1.0, 2.0, 1)
+    assert nodes.size == 12 and math.isclose(weights.sum(), 1.0)
+    for count in (0, -1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="at least one panel"):
+                panel_rule(1.0, 0.5, count)
