@@ -32,6 +32,7 @@ from .delaunay import (
 )
 from .errors import ConflapError, ParameterError
 from .euclidean import (
+    BRIDGE_GRID,
     commutator_check,
     covariance_bridge,
     frac_lap_integral,
@@ -394,8 +395,8 @@ def extension_check(orders, frequencies, mesh_size):
     show_default=True,
     help="Check every spectrum degree 0..degree.",
 )
-@click.option("--size", type=int, default=1 << 16, show_default=True)
-@click.option("--half-width", type=float, default=1000.0, show_default=True)
+@click.option("--size", type=int, default=BRIDGE_GRID[1], show_default=True)
+@click.option("--half-width", type=float, default=BRIDGE_GRID[0], show_default=True)
 def covariance_check(orders, degree, size, half_width):
     """Circle-to-line stereographic bridge residuals; a row past 1e-3 exits 2."""
     if degree < 0:
@@ -573,12 +574,7 @@ def _selftest_records():
     report = commutator_check(p13, gauss)
     add("commutator_residual", report["residual"], 1e-4)
 
-    bridge = covariance_bridge(
-        FracParams(1, 0.5),
-        ModeSpectrum(1, np.array([1.0, 0.5, 0.25])),
-        half_width=500.0,
-        size=1 << 15,
-    )
+    bridge = covariance_bridge(FracParams(1, 0.5), ModeSpectrum(1, np.array([1.0, 0.5, 0.25])))
     add("covariance_bridge_mismatch", bridge["mismatch_max"], 1e-3)
 
     threshold = bifurcation_period(p35)

@@ -290,7 +290,11 @@ def singular_integral_apply(spec, values):
     if size < 4:
         raise ParameterError("need at least 4 Gauss-Gegenbauer samples")
     table, projector = _zonal_table(p.n, size)
-    return table @ (_zonal_multipliers(spec, size - 1) * (projector @ values))
+    multipliers = _zonal_multipliers(spec, size - 1)
+    # the mean takes Q_s exactly, so the round-off that the higher
+    # multipliers amplify scales with the oscillation of values, not its size
+    mean = projector[0] @ values
+    return table @ (multipliers * (projector @ (values - mean))) + multipliers[0] * mean
 
 
 def apply_sphere_grid(p, values):

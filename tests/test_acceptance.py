@@ -151,7 +151,7 @@ def test_c07_extension_dirichlet_to_neumann():
 
 
 def test_c08_conformal_covariance_bridge():
-    for s in (0.3, 0.5, 0.7):
+    for s in (0.05, 0.3, 0.5, 0.7, 0.99):
         p = FracParams(1, s)
         for degree in range(9):
             coeffs = np.zeros(degree + 1)

@@ -338,10 +338,10 @@ class TestChecks:
         assert payload["diagnostics"]["failures"] == []
 
     def test_covariance_row_missing_target_reports_then_exits_2(self, capsys):
-        # at s = 0.05 the bridge misses the stated 1e-3 at half-width 500 on
-        # degree 1, while the constant mode stays exact
-        args = ["covariance-check", "--s", "0.05", "--degree", "1", "--size", str(1 << 15),
-                "--half-width", "500"]
+        # 512 samples over half-width 500 under-resolve degree 1, which
+        # misses 1e-3 (6.8e-2), while the constant mode stays exact (5.4e-16)
+        args = ["covariance-check", "--s", "0.05", "--degree", "1", "--half-width", "500",
+                "--size", "512"]
         code, out, err = run(capsys, args)
         assert code == 2
         payload = json.loads(out)
@@ -469,7 +469,7 @@ class TestHarness:
             ),
             (
                 ["covariance-check"],
-                {"s": [0.3, 0.5, 0.7], "degree": 4, "size": 65536, "half_width": 1000.0},
+                {"s": [0.3, 0.5, 0.7], "degree": 4, "size": 8192, "half_width": 250.0},
             ),
             (["bifurcation", "--s", "0.5"], {"n": [3], "s": [0.5]}),
             (

@@ -13,7 +13,6 @@ from conflap.euclidean import (
     covariance_bridge,
     frac_lap_integral,
     frac_lap_spectral,
-    _cosine_taper,
     _difference_weights,
     _factor_power_flat_lap,
     _lattice_sum,
@@ -81,13 +80,6 @@ class TestLineGridFunction:
         f = GridFunction(2.0, np.zeros(8))
         with pytest.raises(ValueError):
             f.values[0] = 1.0
-
-
-def test_cosine_taper_shape():
-    w = _cosine_taper(256)
-    assert w[0] == 0.0
-    assert np.all(w[100:156] == 1.0)
-    assert np.all(np.diff(w[:26]) > 0.0)
 
 
 class TestSpectralRoute:
@@ -333,6 +325,30 @@ class TestCovarianceBridge:
         for s in (0.3, 0.7):
             report = covariance_bridge(FracParams(1, s), spectrum)
             assert report["mismatch_max"] < 1e-3
+
+    @pytest.mark.parametrize("s", [0.01, 0.05, 0.3, 0.5, 0.7, 0.99])
+    def test_single_modes_at_defaults(self, s):
+        # worst mismatch_max over degrees 0..8 at the default grid (250, 2^13),
+        # measured: 2.2e-7, 9.2e-7, 2.3e-6, 1.8e-6, 1.1e-6 and 1.9e-7
+        mismatch = [
+            covariance_bridge(FracParams(1, s), ModeSpectrum(1, np.eye(m + 1)[m]))["mismatch_max"]
+            for m in range(9)
+        ]
+        assert max(mismatch) < 1e-5, (s, mismatch)
+
+    @pytest.mark.parametrize("s", [0.05, 0.3, 0.7])
+    def test_truncation_error_falls_like_cube_of_width(self, s):
+        # at fixed dx the profile's |x|^(2s-3) tail cut off at |x| = W costs
+        # O(W^-3): measured 8.00 per doubling of W from 250 to 1000
+        spectrum = ModeSpectrum(1, np.eye(5)[4])
+        errors = [
+            covariance_bridge(FracParams(1, s), spectrum, half_width=width, size=size)[
+                "mismatch_max"
+            ]
+            for width, size in ((250.0, 1 << 13), (500.0, 1 << 14), (1000.0, 1 << 15))
+        ]
+        ratios = [errors[0] / errors[1], errors[1] / errors[2]]
+        assert all(7.0 <= r <= 9.0 for r in ratios), (s, errors)
 
     def test_rejects_bad_inputs(self):
         p = FracParams(1, 0.5)

@@ -324,7 +324,7 @@ def test_s2_duality():
 def test_zonal_duality_for_every_dimension():
     # Funk-Hecke multipliers and the zonal apply at the Gauss-Gegenbauer
     # nodes against the symbol on S^n; measured: multipliers <= 2.4e-12,
-    # applies <= 2.6e-10 (at m = 0 and s = 0.995, where Q_s is small)
+    # applies <= 5.3e-11 (at m = 1 and s = 0.995)
     r = 48
     for n in (3, 4, 5, 7, 10):
         b = 0.5 * n - 1.0
@@ -340,6 +340,24 @@ def test_zonal_duality_for_every_dimension():
                 out = singular_integral_apply(spec, u)
                 err = np.max(np.abs(out - symbols[m] * u)) / symbols[m]
                 assert err < 1e-9, (n, s, m, err)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("s", [0.5, 0.9, 0.995])
+def test_zonal_apply_takes_the_mean_exactly(n, s):
+    # P_0 gets Q_s from the mean alone, so round-off that the higher
+    # multipliers amplify cannot swamp a small Q_s; P_1 measured
+    # 1.5e-11 .. 2.8e-10
+    r = 48
+    b = 0.5 * n - 1.0
+    table = _zonal_harmonics(n, np.asarray(jacobi_rule(b, b, r)[0]), 1)
+    p = FracParams(n, s)
+    spec = calibrate_sphere_kernel(p)
+    for m, bound in ((0, 1e-14), (1, 5e-10)):
+        symbol = sphere_symbol(p, m)
+        out = singular_integral_apply(spec, table[:, m])
+        err = np.max(np.abs(out - symbol * table[:, m])) / symbol
+        assert err < bound, (n, s, m, err)
 
 
 def test_kernel_routes_use_the_spec_normalization():
