@@ -37,7 +37,6 @@ from .errors import (
     ParameterError,
     SingularityError,
     SupportError,
-    TaperError,
 )
 from .euclidean import (
     commutator_check,

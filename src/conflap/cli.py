@@ -316,22 +316,16 @@ def _line_grid(x, values):
     type=click.Choice(["spectral", "integral"]),
     default="spectral",
     show_default=True,
-    help="Fourier multiplier route or difference quadrature.",
+    help="Fourier multiplier or difference quadrature; both take the "
+    "samples as zero off the grid.",
 )
-@click.option(
-    "--edge-tol",
-    type=float,
-    default=1e-7,
-    show_default=True,
-    help="Relative boundary-band bound enforced by the spectral route.",
-)
-def apply_command(input_path, s, route, edge_tol):
+def apply_command(input_path, s, route):
     """Apply the line operator to samples from a two-column CSV file."""
     f = _line_grid(*_read_samples(input_path))
     p = FracParams(1, s)
     if route == "spectral":
-        out = frac_lap_spectral(p, f, edge_tol=edge_tol)
-        diagnostics = {"route": route, "edge_tol": edge_tol}
+        out = frac_lap_spectral(p, f)
+        diagnostics = {"route": route}
     else:
         out = frac_lap_integral(p, f)
         diagnostics = {"route": route, "integral_constant": frac_lap_constant(p)}

@@ -70,13 +70,14 @@ def cyl_symbol(p, m, xi):
 
     Equals 2^(2s) |Gamma((1 + s + beta_m)/2 + i xi/2)|^2 /
     |Gamma((1 - s + beta_m)/2 + i xi/2)|^2, positive and even in xi.
-    Accepts finite scalar or array xi.  Needs 0 < s < n/2.
+    Accepts finite scalar or array xi; a scalar or 0-d xi gives a float.
+    Needs 0 < s < n/2.
     """
     a, b = _gamma_shifts(p, m)
     xs = np.asarray(xi, dtype=float)
     require(np.isfinite(xs), "the cylinder symbol needs finite xi, got xi = {}", xi)
     out = np.exp(2.0 * p.s * math.log(2.0) + _log_ratio(a, b, xs))
-    return float(out) if np.isscalar(xi) else out
+    return float(out) if xs.ndim == 0 else out
 
 
 def theta0(p, xi):

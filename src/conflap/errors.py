@@ -13,10 +13,6 @@ class SingularityError(ConflapError, ValueError):
     """A kernel or symbol was evaluated at a singular point."""
 
 
-class TaperError(ConflapError, ValueError):
-    """Grid data fed to a spectral routine is not negligible at the edges."""
-
-
 class SupportError(ConflapError, ValueError):
     """Input violates a compact-support precondition."""
 

@@ -1,14 +1,14 @@
 """Fractional Laplacian on the line and its conformal ties to the circle.
 
-Two independent realizations of (-Delta)^s on uniform symmetric grids: a
-Fourier multiplier |xi|^(2s) for data negligible at the grid edges, and a
-product-integration quadrature of the singular difference integral with
-its closed-form constant C_(1,s), so the two routes agree as a check, not
-by a fit.  On top of those sit the commutator identity check for the
-weight (1+|x|^2)/2 and the stereographic bridge that pushes the operator
-forward to the round circle.  Both take (-Delta)^s of data that is zero
-off the grid from one continuum Fourier quadrature, whose panels are one
-grid frequency wide so that its transforms are plain FFTs.
+Two independent realizations of (-Delta)^s on uniform symmetric grids, both
+taking the samples as zero off the grid: the Fourier multiplier |xi|^(2s)
+through a continuum Fourier quadrature, whose panels are one grid frequency
+wide so that its transforms are plain FFTs, and a product-integration
+quadrature of the singular difference integral with its closed-form
+constant C_(1,s), so the two routes agree as a check, not by a fit.  On top
+of those sit the commutator identity check for the weight (1+|x|^2)/2 and
+the stereographic bridge that pushes the operator forward to the round
+circle; both take (-Delta)^s from the same continuum quadrature.
 """
 
 import math
@@ -16,7 +16,7 @@ import math
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
-from .errors import ParameterError, SupportError, TaperError
+from .errors import ParameterError, SupportError
 from .params import GridFunction, require_dimension, require_unit_order
 from .specfun import jacobi_unit_rule, panel_rule
 from .sphere import frac_lap_constant, sphere_symbol
@@ -24,7 +24,7 @@ from .sphere import frac_lap_constant, sphere_symbol
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 #: Gauss-Jacobi size for the near part of _factor_power_flat_lap
 _JACOBI_SIZE = 112
-#: Gauss-Jacobi size for the commutator check's first panel (0, 2 pi / L)
+#: Gauss-Jacobi size for the continuum quadrature's first panel (0, 2 pi / L)
 _FIRST_PANEL_SIZE = 16
 #: 12-point Gauss-Legendre rule on the unit panel (0, 1)
 _PANEL_RULE = panel_rule(0.0, 1.0, 1)
@@ -47,27 +47,12 @@ _CUBIC_BASIS = np.array(
 )
 
 
-def frac_lap_spectral(p, f, edge_tol=1e-7):
-    """(-Delta)^s on the line as the Fourier multiplier |xi|^(2s).
-
-    The data must be negligible at the grid edges (relative size below
-    ``edge_tol``), since the FFT silently periodizes; violations raise
-    TaperError rather than returning wrapped-around garbage.
-    """
+def frac_lap_spectral(p, f):
+    """(-Delta)^s on the line as the Fourier multiplier |xi|^(2s) of the
+    samples taken as zero off the grid: the continuum Fourier quadrature
+    of _continuum_frac_lap, up to the band limit pi/dx."""
     require_dimension(p.n, "the line", most=1)
-    values = f.values
-    n = values.size
-    band = max(2, n // 64)
-    scale = np.max(np.abs(values))
-    if scale > 0.0:
-        edge = max(np.max(np.abs(values[:band])), np.max(np.abs(values[-band:])))
-        if edge > edge_tol * scale:
-            raise TaperError(
-                f"edge magnitude {edge:.3e} exceeds {edge_tol:.1e} of the peak; "
-                "taper the input before the spectral route"
-            )
-    out = np.fft.irfft(np.fft.rfft(values) * f.frequencies ** (2.0 * p.s), n)
-    return GridFunction(f.length, out)
+    return GridFunction(f.length, _continuum_frac_lap(f.values, f.dx, p.s))
 
 
 def _difference_weights(size, h, s):
@@ -123,25 +108,29 @@ def frac_lap_integral(p, f):
 
 
 # ----------------------------------------------------------------------
-# commutator identity
+# continuum Fourier quadrature and the commutator identity
 # ----------------------------------------------------------------------
 
 
-def _lattice_sum(values, dx, rule, powers, first=False):
+def _grid_angles(size):
+    """w x_k = -pi + 2 pi k / N on the centred grid, with w = 2 pi / L."""
+    return math.pi * (2.0 * np.arange(size) / size - 1.0)
+
+
+def _lattice_sum(values, dx, rule, powers):
     """sum_(c, p) w_c (p + c)^lam hat(u)((p + c) w) e^(i (p + c) w x) at every
     point x of the centred grid, for each order lam in ``powers``, over the
     last axis of ``values``; shape (len(powers), ..., N).
 
     Here w = 2 pi / L, hat(u)(xi) = (2 pi)^(-1/2) int u e^(-i xi x) by the
-    trapezoid rule, and (c, w_c) are the nodes and weights of ``rule``.  The
-    band is p = 1 .. N/2 - 1, or p = 0 with ``first``.  For each node c the
-    sum is a Fourier multiplier on u e^(-i c w x): one FFT, the band times
-    (p + c)^lam, one inverse FFT.
+    trapezoid rule, (c, w_c) are the nodes and weights of ``rule``, and the
+    band is p = 1 .. N/2 - 1.  For each node c the sum is a Fourier
+    multiplier on u e^(-i c w x): one FFT, the band times (p + c)^lam, one
+    inverse FFT.
     """
     size = values.shape[-1]
-    # w x_k = -pi + 2 pi k / N on the centred grid
-    theta = math.pi * (2.0 * np.arange(size) / size - 1.0)
-    band = slice(0, 1) if first else slice(1, size // 2)
+    theta = _grid_angles(size)
+    band = slice(1, size // 2)
     sums = np.zeros((len(powers),) + values.shape, dtype=complex)
     padded = np.zeros(values.shape, dtype=complex)
     for node, weight in zip(*rule):
@@ -154,14 +143,29 @@ def _lattice_sum(values, dx, rule, powers, first=False):
     return size * dx / math.sqrt(2.0 * math.pi) * sums
 
 
+def _first_panel(values, dx, rule, powers):
+    """The bin p = 0 that _lattice_sum leaves out: sum_c w_c c^lam hat(u)(c w)
+    e^(i c w x) for each order lam in ``powers``; shape (len(powers), ..., N).
+    Per node c, hat(u)(c w) is one dense product with the phase e^(-i c w x),
+    and the sum back to the grid is a multiple of e^(i c w x)."""
+    theta = _grid_angles(values.shape[-1])
+    sums = np.zeros((len(powers),) + values.shape, dtype=complex)
+    for node, weight in zip(*rule):
+        tilt = np.exp(1j * node * theta)
+        fhat = weight * (values @ tilt.conj())
+        for out, lam in zip(sums, powers):
+            out += (node**lam * fhat)[..., None] * tilt
+    return dx / math.sqrt(2.0 * math.pi) * sums
+
+
 def _continuum_frac_lap(values, dx, s):
     """(-Delta)^s on the centred grid of data that is zero off it, over the
     last axis: sqrt(2/pi) int_0^pi/dx xi^(2s) Re(hat(u)(xi) e^(i xi x)) d xi,
     the Jacobi rule carrying (xi/w)^(2s) on the first panel (0, w)."""
     step = 2.0 * math.pi / (values.shape[-1] * dx)
     rule = jacobi_unit_rule(2.0 * s, _FIRST_PANEL_SIZE)
-    lap = _lattice_sum(values, dx, _PANEL_RULE, (2.0 * s,)) + _lattice_sum(
-        values, dx, rule, (0.0,), first=True
+    lap = _lattice_sum(values, dx, _PANEL_RULE, (2.0 * s,)) + _first_panel(
+        values, dx, rule, (0.0,)
     )
     return _SQRT_2_OVER_PI * step ** (2.0 * s + 1.0) * lap[0].real
 
@@ -175,11 +179,12 @@ def commutator_check(p, f):
     order s-1 term), sharing nothing but the transform of f.  The panels
     are one grid frequency step w = 2 pi / L wide and end at the band limit
     xi_max = pi/dx: a 16-node Gauss-Jacobi rule on (0, w) and the 12-point
-    Gauss-Legendre rule on the rest.  Each rule is one shifted-lattice sum
-    (_lattice_sum), so every panel costs one FFT per Gauss node and one
-    inverse FFT per order.  Returns a report dict with the relative l2
-    residual over the grid points with |x| <= L/4, their count, xi_max and
-    the panel count N/2.
+    Gauss-Legendre rule on the rest.  The Legendre panels are one
+    shifted-lattice sum (_lattice_sum), one FFT per Gauss node and one
+    inverse FFT per order; the first panel is a single frequency bin
+    (_first_panel), one dense product per Jacobi node.  Returns a report
+    dict with the relative l2 residual over the grid points with
+    |x| <= L/4, their count, xi_max and the panel count N/2.
 
     s = 1/2 is rejected: the second xi-derivative of |xi|^(2s) produces a
     genuine Dirac term at the origin exactly there, so the displayed identity
@@ -222,8 +227,8 @@ def commutator_check(p, f):
     step = 2.0 * math.pi / f.length
     lam = 2.0 * s - 2.0
     rule_shift = jacobi_unit_rule(lam + 1.0, _FIRST_PANEL_SIZE)
-    g, g_prime = _lattice_sum(u, f.dx, _PANEL_RULE, (lam, lam + 1.0)) + _lattice_sum(
-        u, f.dx, rule_shift, (-1.0, 0.0), first=True
+    g, g_prime = _lattice_sum(u, f.dx, _PANEL_RULE, (lam, lam + 1.0)) + _first_panel(
+        u, f.dx, rule_shift, (-1.0, 0.0)
     )
     fhat_zero = f.dx * np.sum(u) / math.sqrt(2.0 * math.pi)
     finite_part = fhat_zero * (1.0 / (lam + 1.0) - np.sum(rule_shift[1] / rule_shift[0]))

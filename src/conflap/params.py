@@ -151,8 +151,8 @@ class KernelSpec:
 class GridFunction:
     """Samples on the centred uniform grid x_j = -length/2 + j length/N.
 
-    One container for the line, where the data must be negligible near both
-    ends, and for one period of a periodic profile.  N must be a power of two
+    One container for the line, where the samples are taken as zero off the
+    grid, and for one period of a periodic profile.  N must be a power of two
     with N >= 8 so the transforms always get a clean FFT length; the right
     endpoint length/2 is excluded, matching their periodic convention.
     """

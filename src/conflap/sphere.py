@@ -199,7 +199,7 @@ def sphere_kernel(spec, cos_theta):
         out = spec.normalization * (1.0 - c) ** (-spec.params.sigma)
     n = spec.params.n
     require(np.isfinite(out), f"sphere kernel overflows float64 at n = {n}, got {{}}", cos_theta)
-    return float(out) if np.isscalar(cos_theta) else out
+    return float(out) if c.ndim == 0 else out
 
 
 def _circle_multipliers(spec, size):

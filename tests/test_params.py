@@ -169,6 +169,24 @@ def test_array_refusals_name_the_first_failing_entry(case):
     assert "\n" not in message and len(message) < 200
 
 
+# one 0-d rule: every function that takes a scalar or an array returns a
+# Python float for a 0-d array input, by ``ndim == 0``
+ZERO_D_CALLS = {
+    "cyl_symbol": lambda: conflap.cyl_symbol(FracParams(3, 0.5), 0, np.asarray(0.5)),
+    "kernel_base": lambda: kernel_base(FracParams(3, 0.5), np.asarray(0.5)),
+    "periodized_kernel": lambda: conflap.periodized_kernel(_SPEC, 4.0, np.asarray(0.5)),
+    "sphere_kernel": lambda: conflap.sphere_kernel(_SPEC, np.asarray(0.5)),
+    "sphere_symbol": lambda: conflap.sphere_symbol(FracParams(2, 0.3), np.asarray(2)),
+    "hyp2f1": lambda: hyp2f1(0.25, 0.5, 1.5, np.asarray(0.5)),
+}
+
+
+@pytest.mark.parametrize("call", ZERO_D_CALLS.values(), ids=ZERO_D_CALLS.keys())
+def test_zero_d_input_gives_a_float(call):
+    out = call()
+    assert type(out) is float
+
+
 def test_valid_construction():
     p = FracParams(3, 0.5)
     assert p.n == 3
