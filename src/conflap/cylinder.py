@@ -42,6 +42,9 @@ _LOG2 = math.log(2.0)
 #: largest x with a finite e^x
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _ZERO_SEPARATION = "cylinder kernel diverges at zero separation, got xi = {}"
+#: scipy's 2F1 is inf near z = 1 from n = 344 at s = 0.3, where the true
+#: value, about 3.6e50 there, is finite and the power factor is not large
+_NONFINITE_2F1 = "kernel profile's 2F1 factor is not finite at h = {}"
 
 
 def cyl_mode_parameter(n, m):
@@ -177,7 +180,9 @@ def kernel_base(p, h):
     digits that 1 - sech^2 h loses near h = 0.  Behaves like h^(-1-2s) at 0
     and decays like 2^(s+n/2) e^(-(n+2s)h/2).  Accepts scalar or array h,
     evaluated as an array; a scalar or 0-d h gives a float.  Raises
-    SingularityError where h is so small that the profile overflows float64.
+    SingularityError where scipy's 2F1 is not finite, as near h = 0 from
+    n = 344 at s = 0.3, and where h is so small that the power factor
+    overflows float64.
     """
     require_dimension(p.n, "the cylinder", least=2)
     hs = np.asarray(h, dtype=float)
@@ -187,6 +192,7 @@ def kernel_base(p, h):
     with np.errstate(over="ignore"):
         log_power, hyp = _profile_factors(p, hs, np.asarray)
         out = np.exp(log_power) * hyp
+    require(np.isfinite(hyp), _NONFINITE_2F1, h, SingularityError)
     require(np.isfinite(out), "kernel profile overflows float64 at h = {}", h, SingularityError)
     return float(out) if hs.ndim == 0 else out
 
@@ -275,6 +281,8 @@ def cyl_kernel(spec, xi):
     # near h = 1e308 the log factor is -inf in float arithmetic, which the
     # exponential takes to a profile of 0; np.exp would warn on overflow
     log_power, hyp = _profile_factors(p, h, float)
+    if not math.isfinite(hyp):
+        raise SingularityError(_NONFINITE_2F1.format(h))
     out = float(np.exp(log_power)) * float(hyp) if log_power <= _LOG_FLOAT_MAX else math.inf
     if not math.isfinite(out):
         raise SingularityError(f"kernel profile overflows float64 at h = {h}")

@@ -186,8 +186,10 @@ def _gmres(matvec, b, rtol, atol, steps):
 def _cosine_lift(size, modes):
     """Nodes k = 0 .. N/2 of the even profiles whose real-FFT spectrum is one
     of the lowest ``modes`` <= N/2 cosine modes, as read-only columns."""
-    nodes = np.outer(np.arange(size // 2 + 1), np.arange(modes)) % size
-    lift = np.cos(2.0 * math.pi / size * nodes) * np.where(np.arange(modes), 2.0, 1.0) / size
+    cosines = np.cos(2.0 * math.pi / size * np.arange(size))
+    # (j k) mod N by a bitmask, N being a power of two
+    nodes = np.outer(np.arange(size // 2 + 1), np.arange(modes)) & (size - 1)
+    lift = cosines[nodes] * np.where(np.arange(modes), 2.0, 1.0) / size
     return read_only(lift)
 
 
@@ -319,7 +321,7 @@ def solve_delaunay(p, period, size=512, tol=1e-11):
     half = size // 2
     unstable = theta[1] < cyl_curvature(p) * p.q
     tries = []
-    for w, start in _auto_starts(p, period, unstable, grid.dx * np.arange(half + 1)):
+    for w, start in _auto_starts(p, period, unstable, size):
         w, norm, failure, newton_steps, krylov_steps = _newton(p, theta, w, tol)
         tries.append((w, norm, failure, start, newton_steps, krylov_steps))
         nonconstant = not failure and float(np.ptp(w)) > _FLAT_SPREAD * float(w.max())
@@ -343,11 +345,12 @@ def solve_delaunay(p, period, size=512, tol=1e-11):
     )
 
 
-def _auto_starts(p, period, unstable, t):
-    """The named starts of ``solve_delaunay`` on the nodes t >= 0, in the
-    order tried: the constant while the first mode is stable, the
-    Lyapunov-Schmidt seed where it is positive and q eps <= _SEED_REACH,
-    else the tower, then the seed."""
+def _auto_starts(p, period, unstable, size):
+    """The named starts of ``solve_delaunay`` on the nodes k L/N, k = 0 ..
+    N/2, in the order tried: the constant while the first mode is stable,
+    the Lyapunov-Schmidt seed where it is positive and q eps <= _SEED_REACH,
+    else the tower (``_tower_table``), then the seed."""
+    t = _half_nodes(period, size)
     if not unstable:
         return [(np.ones(t.size), "constant")]
     eps2, a2 = _branch_expansion(p, period)
@@ -358,7 +361,7 @@ def _auto_starts(p, period, unstable, t):
     seed = [(w, "seed")] if eps > 0.0 and np.all(w > 0.0) else []
     if seed and p.q * eps <= _SEED_REACH:
         return seed
-    return [(_tower_values(p, period, t), "tower")] + seed
+    return [(_tower_table(p, period, size), "tower")] + seed
 
 
 def _critical_mass(p, f):
@@ -389,17 +392,25 @@ def kernel_functional_FL(spec, f):
     so the quadratic form becomes c int v^2 + (1/2) iint (v - v')^2 K_L,
     and the diagonal of the double sum is dropped (the squared difference
     vanishes there faster than the kernel blows up).
+
+    The double sum runs over the cyclic offsets j = 1 .. N-1, and both the
+    periodized kernel at j dx and the circular autocorrelation of any real v
+    are the same at j and N - j.  So the kernel is evaluated on the half
+    period only, j = 1 .. N/2, with the terms j < N/2 counted twice and
+    j = N/2 once; v need not be even.
     """
     p = spec.params
     denominator = _critical_mass(p, f)
     values = f.values
     size = f.size
+    half = size // 2
     h = f.dx
-    kernel = periodized_kernel(spec, f.length, h * np.arange(1, size))
+    kernel = periodized_kernel(spec, f.length, h * np.arange(1, half + 1))
+    kernel[-1] *= 0.5  # the offset N/2 is its own mirror
     # ||v - roll(v, -j)||^2 = 2 (||v||^2 - c_j), c the circular autocorrelation
     norm2 = float(values @ values)
     autocorr = np.fft.irfft(np.abs(np.fft.rfft(values)) ** 2, size)
-    acc = 2.0 * float(kernel @ (norm2 - autocorr[1:]))
+    acc = 4.0 * float(kernel @ (norm2 - autocorr[1 : half + 1]))
     quadratic = cyl_curvature(p) * h * norm2
     quadratic += 0.5 * h * h * acc
     return quadratic / denominator
@@ -445,10 +456,27 @@ def _tower_values(p, period, t):
     return asymptotic_profile(p, np.subtract.outer(t, shifts)).sum(axis=1)
 
 
+def _half_nodes(period, size):
+    """The nodes k L/N, k = 0 .. N/2, of the half period."""
+    return float(period) / size * np.arange(size // 2 + 1)
+
+
+@lru_cache(maxsize=32)  # a tower start and the defect of its solution share one
+def _tower_table(p, period, size):
+    """Read-only tower of limit bumps on the half-period nodes k L/N,
+    k = 0 .. N/2; the tower is even about 0 and L/2, so these fix it."""
+    return read_only(_tower_values(p, period, _half_nodes(period, size)))
+
+
 def bubble_tower_defect(sol):
     """L2(0, L) distance between a periodic profile and the tower of limit
-    bumps translated by the period lattice."""
+    bumps translated by the period lattice.
+
+    The tower is evaluated on the N/2 + 1 nodes of the half period only
+    (``_tower_table``, which a tower start at the same (p, L, N) already
+    filled) and mirrored onto the centred grid: x_j = (j - N/2) L/N, so the
+    tower at x_j is the table at |N/2 - j|."""
     p = FracParams(sol.n, sol.s)
     grid = sol.grid()
-    tower = _tower_values(p, sol.period, grid.x)
+    tower = np.roll(_even(_tower_table(p, sol.period, grid.size)), grid.size // 2)
     return math.sqrt(grid.dx * float(np.sum((sol.values - tower) ** 2)))

@@ -162,11 +162,12 @@ class TestKernel:
         assert caught == []
 
     def test_kernel_overflow_error_is_one_line(self, capsys):
-        # scipy's 2F1 is inf near z = 1 at n = 344; the error names one node
+        # scipy's 2F1 is inf near z = 1 at n = 344, though the power factor
+        # is about e^12 there; the error says so and names one node
         code, out, err = run(capsys, ["kernel", "cylinder", "--n", "344", "--s", "0.3"])
         assert code == 1
         assert out == ""
-        assert err.startswith("error: kernel profile overflows float64 at h = ")
+        assert err.startswith("error: kernel profile's 2F1 factor is not finite at h = ")
         assert err.rstrip("\n").endswith(", entry 0 of 64")
         assert err.count("\n") == 1
 

@@ -550,13 +550,26 @@ def test_array_refusals_name_the_first_offending_entry():
 
 
 def test_calibration_refusal_at_large_n_names_one_node():
-    # scipy's 2F1 is inf near z = 1 from n = 344 on; the refusal names the
+    # scipy's 2F1 is inf near z = 1 from n = 344 on, where the profile itself
+    # is finite; the refusal blames the 2F1, not an overflow, and names the
     # first node of the 64-node table instead of printing the table
     with pytest.raises(SingularityError) as caught:
         calibrate_kernel(FracParams(344, 0.3))
-    assert str(caught.value).startswith("kernel profile overflows float64 at h = ")
+    assert str(caught.value).startswith("kernel profile's 2F1 factor is not finite at h = ")
     assert str(caught.value).endswith(", entry 0 of 64")
     assert "\n" not in str(caught.value)
+
+
+def test_nonfinite_2f1_is_not_called_an_overflow():
+    # at n = 344 the power factor near h = 5.4e-4 is about e^12 and the
+    # 2F1 about 3.6e50 (finite at n = 343), but scipy returns inf; the
+    # scalar and the array path both blame the 2F1
+    spec = KernelSpec(FracParams(344, 0.3), 1.0)
+    for h, named in ((5.4e-4, ""), (np.array([1.0, 5.4e-4]), ", entry 1 of 2")):
+        with pytest.raises(SingularityError) as caught:
+            cyl_kernel(spec, h)
+        assert str(caught.value) == f"kernel profile's 2F1 factor is not finite at h = 0.00054{named}"
+    assert math.isfinite(cyl_kernel(KernelSpec(FracParams(343, 0.3), 1.0), 5.4e-4))
 
 
 @pytest.mark.parametrize("n", [_PFAFF_MAX_N + 1, 90, 100, 119, 343])

@@ -37,6 +37,7 @@ from conflap.delaunay import (
     _krylov_step,
     _newton,
     _symbol_table,
+    _tower_table,
     _tower_values,
 )
 from conflap.errors import NewtonDivergenceError, NonConvergenceError, ParameterError
@@ -423,7 +424,7 @@ class TestNewton:
         theta = _symbol_table(p, period, size)
         tries = []
         unstable = theta[1] < cyl_curvature(p) * p.q
-        for w, start in _auto_starts(p, period, unstable, period / size * np.arange(size // 2 + 1)):
+        for w, start in _auto_starts(p, period, unstable, size):
             tries.append((*_newton(p, theta, w, 1e-11), start))
             if tries[-1][2] is None:
                 break
@@ -454,6 +455,16 @@ class TestNewton:
         # the driver puts the peak at x = 0, the middle node
         v = _even(w)
         assert np.array_equal(sol.values, v) or np.array_equal(sol.values, np.roll(v, 256))
+
+    @pytest.mark.parametrize("size", [512, 2048])
+    def test_tower_start_is_the_tower_on_the_half_grid(self, size):
+        p = FracParams(3, 0.5)
+        period = 3.0 * PERIOD_THRESHOLD_3_HALF
+        dx = GridFunction(period, np.ones(size)).dx
+        [(w, start)] = _auto_starts(p, period, True, size)
+        assert start == "tower"
+        assert np.array_equal(w, _tower_values(p, period, dx * np.arange(size // 2 + 1)))
+        assert not w.flags.writeable
 
     def test_tower_then_seed_counts(self):
         p = FracParams(2, 0.99)
@@ -713,6 +724,16 @@ class TestKrylovAgainstDense:
         assert np.max(np.abs(lift - expected)) < 1e-15
         assert not lift.flags.writeable
 
+    @pytest.mark.parametrize("size", [8, 512, 2048])
+    def test_cosine_lift_matches_the_cosine_formula(self, size):
+        # the N-entry cosine table read at (j k) mod N has the bits of cos
+        # taken at each reduced argument
+        modes = min(delaunay._COARSE_MODES, size // 2)
+        nodes = np.outer(np.arange(size // 2 + 1), np.arange(modes)) % size
+        weights = np.where(np.arange(modes), 2.0, 1.0) / size
+        expected = np.cos(2.0 * math.pi / size * nodes) * weights
+        assert np.array_equal(_cosine_lift(size, modes), expected)
+
     def test_singular_coarse_block_is_refused(self):
         # theta_0 = 0 and no slope: the block is diag(theta) with a zero;
         # None sends _krylov_step to the plain 1/theta step
@@ -800,6 +821,22 @@ class TestEnergy:
         expected = numerator / _critical_mass(p, f)
         assert kernel_functional_FL(spec, f) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("size", [8, 64, 2048])
+    def test_kernel_route_fold_matches_the_full_sum(self, size):
+        # the half-period fold against the kernel on all N - 1 offsets, on
+        # random data even about no point
+        rng = np.random.default_rng(size)
+        for p in (FracParams(3, 0.5), FracParams(2, 0.3)):
+            spec = calibrate_kernel(p)
+            f = GridFunction(7.25, rng.uniform(0.5, 1.5, size))
+            v, h = f.values, f.dx
+            kernel = periodized_kernel(spec, f.length, h * np.arange(1, size))
+            autocorr = np.fft.irfft(np.abs(np.fft.rfft(v)) ** 2, size)
+            acc = 2.0 * float(kernel @ (float(v @ v) - autocorr[1:]))
+            numerator = cyl_curvature(p) * h * float(v @ v) + 0.5 * h * h * acc
+            expected = numerator / _critical_mass(p, f)
+            assert kernel_functional_FL(spec, f) == pytest.approx(expected, rel=1e-12)
+
 
 class TestTowerLimit:
     def test_limit_amplitude_matches_closed_form(self):
@@ -851,6 +888,32 @@ class TestTowerLimit:
             defects.append(bubble_tower_defect(sol))
         assert defects[0] > defects[1] > defects[2]
         assert defects[2] < 1e-6
+
+    @pytest.mark.parametrize("ratio", [1.2, 2.0, 3.0])
+    def test_defect_matches_full_grid_tower(self, ratio):
+        # the half-period table mirrored onto the centred grid against the
+        # tower summed at every node
+        p = FracParams(3, 0.5)
+        sol = solve_delaunay(p, ratio * PERIOD_THRESHOLD_3_HALF, size=1024)
+        grid = sol.grid()
+        tower = _tower_values(p, sol.period, grid.x)
+        expected = math.sqrt(grid.dx * float(np.sum((sol.values - tower) ** 2)))
+        assert bubble_tower_defect(sol) == pytest.approx(expected, rel=1e-12)
+
+    def test_solve_and_defect_share_one_tower(self, monkeypatch):
+        calls = []
+
+        def counting_tower(p, period, t):
+            calls.append(t.size)
+            return _tower_values(p, period, t)
+
+        monkeypatch.setattr(delaunay, "_tower_values", counting_tower)
+        _tower_table.cache_clear()
+        p = FracParams(3, 0.5)
+        sol = solve_delaunay(p, 3.0 * PERIOD_THRESHOLD_3_HALF, size=256)
+        assert sol.start == "tower"
+        bubble_tower_defect(sol)
+        assert calls == [129]
 
     def test_peak_approaches_limit_amplitude(self):
         p = FracParams(3, 0.5)
