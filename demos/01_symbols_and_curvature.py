@@ -17,8 +17,6 @@ from scipy.special import roots_gegenbauer
 from conflap import (
     FracParams,
     calibrate_sphere_kernel,
-    conformal_laplacian_eigenvalue,
-    factored_symbol,
     gjms_symbol,
     singular_integral_apply,
     sphere_curvature,
@@ -42,19 +40,22 @@ def main():
     print()
 
     print("integer orders recover the local operators (n = 5, m = 7):")
-    conf = conformal_laplacian_eigenvalue(5, 7)
     print(f"  s = 1: symbol = {sphere_symbol(FracParams(5, 1.0), 7):.10f}")
-    print(f"         conformal Laplacian eigenvalue = {conf:.10f}")
+    print(f"         conformal Laplacian eigenvalue = {gjms_symbol(5, 1, 7):.10f}")
     print(f"  s = 2: symbol = {sphere_symbol(FracParams(5, 2.0), 7):.10f}")
     print(f"         GJMS product                  = {gjms_symbol(5, 2, 7):.10f}")
     print()
 
-    print("shift factorization: symbol(s0 + k) as a polynomial times symbol(s0)")
-    p0 = FracParams(5, 0.4)
+    print("shift factorization: symbol(s0 + k) as k shifted Laplacian factors times symbol(s0)")
+    n, s0 = 5, 0.4
     for k in (1, 2):
         for m in (0, 3, 12):
-            direct = sphere_symbol(FracParams(5, 0.4 + k), m)
-            product = factored_symbol(p0, k, m)
+            direct = sphere_symbol(FracParams(n, s0 + k), m)
+            # the factors mu_m + (n/2 + s0 + j - 1)(n/2 - s0 - j), j = 1..k
+            mu = m * (m + n - 1)
+            product = sphere_symbol(FracParams(n, s0), m)
+            for j in range(1, k + 1):
+                product *= mu + (0.5 * n + s0 + j - 1) * (0.5 * n - s0 - j)
             rel = abs(product - direct) / direct
             print(f"  k = {k}, m = {m:>2}: direct = {direct:>16.8f}, "
                   f"factored = {product:>16.8f}, rel gap = {rel:.2e}")

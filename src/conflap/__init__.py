@@ -57,8 +57,6 @@ from .sphere import (
     apply_sphere,
     apply_sphere_grid,
     calibrate_sphere_kernel,
-    conformal_laplacian_eigenvalue,
-    factored_symbol,
     frac_lap_constant,
     gjms_symbol,
     singular_integral_apply,

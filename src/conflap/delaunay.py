@@ -16,7 +16,7 @@ from scipy.linalg.lapack import dgetrf, dgetri, dtrtrs
 
 from .cylinder import _bifurcation_root, cyl_curvature, cyl_symbol, periodized_kernel
 from .errors import NewtonDivergenceError, ParameterError
-from .params import FracParams, GridFunction, read_only, require
+from .params import FracParams, GridFunction, read_only, require, require_int
 from .sphere import sphere_curvature
 
 _RESIDUAL_CAP = 1e-10
@@ -65,7 +65,8 @@ def _apply_symbol(values, theta):
 @lru_cache(maxsize=32)  # a solve, its energy and its residual check share one
 def _symbol_table(p, period, size):
     """Read-only zero-mode symbol on the frequencies of an N-node grid of one period."""
-    return read_only(cyl_symbol(p, 0, GridFunction(period, np.ones(size)).frequencies))
+    frequencies = 2.0 * math.pi * np.fft.rfftfreq(size, d=float(period) / size)
+    return read_only(cyl_symbol(p, 0, frequencies))
 
 
 def delaunay_residual(p, f):
@@ -132,6 +133,10 @@ class DelaunaySolution:
 
 def _even(w):  # the even profile on the nodes k dx, k = 0 .. N-1, from k = 0 .. N/2
     return np.concatenate([w, w[-2:0:-1]])
+
+
+def _centred(w):  # the same on the centred grid x_j = (j - N/2) dx: w[|N/2 - j|]
+    return np.concatenate([w[::-1], w[1:-1]])
 
 
 def _gmres(matvec, b, rtol, atol, steps):
@@ -316,6 +321,7 @@ def solve_delaunay(p, period, size=512, tol=1e-11):
         raise ParameterError(
             f"tol {tol!r} exceeds the solution residual cap {_RESIDUAL_CAP:.1e}"
         )
+    require_int(size, "size")
     grid = GridFunction(period, np.ones(size))
     theta = _symbol_table(p, grid.length, size)
     half = size // 2
@@ -337,7 +343,7 @@ def solve_delaunay(p, period, size=512, tol=1e-11):
         )
     # put the peak at x = 0, the middle node; _even(w) already has it there
     # when w peaks at k = N/2
-    v = np.roll(_even(w), 0 if np.argmax(w) == half else half)
+    v = _even(w) if np.argmax(w) == half else _centred(w)
     return DelaunaySolution(
         n=p.n, s=p.s, period=period, values=v, residual_norm=norm,
         energy=functional_FL(p, GridFunction(period, v)), nonconstant=nonconstant,
@@ -478,5 +484,5 @@ def bubble_tower_defect(sol):
     tower at x_j is the table at |N/2 - j|."""
     p = FracParams(sol.n, sol.s)
     grid = sol.grid()
-    tower = np.roll(_even(_tower_table(p, sol.period, grid.size)), grid.size // 2)
+    tower = _centred(_tower_table(p, sol.period, grid.size))
     return math.sqrt(grid.dx * float(np.sum((sol.values - tower) ** 2)))

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import ParameterError
-from .params import read_only, require_unit_order
+from .params import read_only, require_int, require_unit_order
 from .specfun import log_gamma
 
 
@@ -150,6 +150,7 @@ def solve_extension_mode(p, xi, mesh_size=600):
     xi = abs(float(xi))
     if not math.isfinite(xi):
         raise ParameterError(f"frequency must be finite, got {xi!r}")
+    require_int(mesh_size, "mesh_size")
     if mesh_size < 32:
         raise ParameterError(f"mesh_size must be at least 32, got {mesh_size}")
     if xi == 0.0:

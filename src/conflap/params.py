@@ -45,11 +45,16 @@ def mode_degrees(m):
     return degrees
 
 
+def require_int(x, name):
+    """Refuse x unless it is an int; a bool, an int to Python, is refused."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ParameterError(f"{name} must be an int, got {x!r}")
+
+
 def require_dimension(n, context="dimension n", least=1, most=None):
     """Refuse n unless it is an int with least <= n (<= most, if given): the
     one dimension rule, n >= 2 on the cylinder and n = 1 on the line."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ParameterError(f"dimension n must be an int, got {n!r}")
+    require_int(n, "dimension n")
     if n < least:
         raise ParameterError(f"{context} needs n >= {least}, got n = {n}")
     if most is not None and n > most:

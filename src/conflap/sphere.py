@@ -5,8 +5,9 @@ The operator acts diagonally on spherical-harmonic degrees with multiplier
 constant fractional curvature of the round metric.  The same operator has a
 singular-integral form ``A u(z) + PV int (u(z) - u(zeta)) K(z . zeta)`` with
 the power-law kernel ``kappa (1 - z . zeta)^(-(n+2s)/2)``.  This module
-provides both routes plus the integer-order factorizations, so they can be
-checked against each other.
+provides both routes, so they can be checked against each other, and at
+integer order s = k the GJMS product of k shifted conformal-Laplacian
+factors, a third route that reads no Gamma function.
 """
 
 import math
@@ -61,45 +62,19 @@ def sphere_curvature(p):
     return sphere_symbol(p, 0)
 
 
-def conformal_laplacian_eigenvalue(n, m):
-    """Eigenvalue of -Delta + n(n-2)/4 on degree-m harmonics."""
-    return _mode_eigenvalue(n, m) + 0.25 * n * (n - 2)
-
-
 def gjms_symbol(n, k, m):
     """Multiplier of the order-2k product operator on S^n.
 
     The product runs over j = 1..k with factors -Delta + (n/2+j-1)(n/2-j);
     for k = 1 this is the conformal Laplacian.
     """
-    if not isinstance(k, int) or k < 1:
+    require_dimension(n)
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ParameterError(f"order k must be an int >= 1, got {k!r}")
     mu = _mode_eigenvalue(n, m)
     out = 1.0
     for j in range(1, k + 1):
         out *= mu + (0.5 * n + j - 1) * (0.5 * n - j)
-    return out
-
-
-def factored_symbol(p0, k, m):
-    """Multiplier of the order 2(s0+k) operator assembled by factorization.
-
-    Multiplies the order-2s0 symbol by k shifted conformal-Laplacian factors
-    with shifts c_j = -(s0+j-1)(s0+j).  Requires s0 in (0, 1) and
-    s0 + k < n/2, the range where the factorization identity holds.
-    """
-    if not isinstance(k, int) or k < 1:
-        raise ParameterError(f"factor count k must be an int >= 1, got {k!r}")
-    s0 = p0.s
-    require_unit_order(s0, "the factored symbol's base order")
-    if s0 + k >= 0.5 * p0.n:
-        raise ParameterError(
-            f"factored symbol needs s0 + k < n/2, got s0 = {s0}, k = {k}, n = {p0.n}"
-        )
-    lam = conformal_laplacian_eigenvalue(p0.n, m)
-    out = sphere_symbol(p0, m)
-    for j in range(1, k + 1):
-        out *= lam - (s0 + j - 1.0) * (s0 + j)
     return out
 
 

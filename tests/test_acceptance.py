@@ -19,12 +19,10 @@ from conflap import (
     calibrate_kernel,
     calibrate_sphere_kernel,
     commutator_check,
-    conformal_laplacian_eigenvalue,
     continue_branch,
     covariance_bridge,
     d_s_const,
     d_star_const,
-    factored_symbol,
     functional_FL,
     gjms_symbol,
     hyp2f1,
@@ -76,24 +74,25 @@ def test_c02_sphere_symbol_consistency():
         p_one = FracParams(n, 1.0)
         p_two = FracParams(n, 2.0)
         for m in range(51):
-            conf = conformal_laplacian_eigenvalue(n, m)
+            conf = gjms_symbol(n, 1, m)
             assert abs(sphere_symbol(p_one, m) - conf) <= 1e-12 * conf, (n, m)
             gjms = gjms_symbol(n, 2, m)
             assert abs(sphere_symbol(p_two, m) - gjms) <= 1e-12 * gjms, (n, m)
 
 
 def test_c03_symbol_factorization():
-    for n in (3, 4, 5):
-        for s0 in (0.3, 0.7):
-            for k in (1, 2):
-                if s0 + k >= 0.5 * n:
-                    continue
-                p0 = FracParams(n, s0)
-                shifted = FracParams(n, s0 + k)
-                for m in range(51):
-                    direct = sphere_symbol(shifted, m)
-                    product = factored_symbol(p0, k, m)
-                    assert abs(product - direct) <= 1e-10 * abs(direct), (n, s0, k, m)
+    # symbol(s0 + k) = symbol(s0) times the k shifted conformal-Laplacian
+    # factors mu_m + (n/2 + s0 + j - 1)(n/2 - s0 - j), j = 1..k
+    cases = [(n, s0, k) for n in (3, 4, 5) for s0 in (0.3, 0.7) for k in (1, 2)
+             if s0 + k < 0.5 * n]
+    cases += [(5, 0.4, 1), (7, 0.25, 2), (9, 0.8, 3)]
+    for n, s0, k in cases:
+        for m in range(51):
+            product = sphere_symbol(FracParams(n, s0), m)
+            for j in range(1, k + 1):
+                product *= m * (m + n - 1) + (0.5 * n + s0 + j - 1) * (0.5 * n - s0 - j)
+            direct = sphere_symbol(FracParams(n, s0 + k), m)
+            assert abs(product - direct) <= 1e-10 * abs(direct), (n, s0, k, m)
 
 
 def test_c04_circle_spectral_integral_duality():

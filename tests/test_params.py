@@ -15,7 +15,8 @@ _CIRCLE = conflap.ModeSpectrum(1, [1.0, 0.5])
 
 # one out-of-range input per public entry point of each (n, s) range rule:
 # s < n/2, n >= 2 on the cylinder, n = 1 on the line, 0 < s < 1 for the
-# kernels and the extension, degrees m >= 0 and dimensions n >= 1
+# kernels and the extension, degrees m >= 0, dimensions n >= 1 and int
+# sizes and orders
 REFUSALS = {
     "cyl_symbol at s = n/2": lambda: conflap.cyl_symbol(FracParams(3, 1.5), 0, 1.0),
     "cyl_symbol at n = 1": lambda: conflap.cyl_symbol(FracParams(1, 0.25), 0, 1.0),
@@ -39,7 +40,24 @@ REFUSALS = {
     "solve_extension_mode at s = 1": (
         lambda: conflap.solve_extension_mode(FracParams(3, 1.0), 1.0)
     ),
-    "factored_symbol with s0 = 1": lambda: conflap.factored_symbol(FracParams(7, 1.0), 1, 2),
+    "solve_extension_mode with mesh_size = 100.5": (
+        lambda: conflap.solve_extension_mode(FracParams(3, 0.5), 1.0, mesh_size=100.5)
+    ),
+    "solve_extension_mode with mesh_size = True": (
+        lambda: conflap.solve_extension_mode(FracParams(3, 0.5), 1.0, mesh_size=True)
+    ),
+    "solve_delaunay with size = 512.0": (
+        lambda: conflap.solve_delaunay(FracParams(3, 0.5), 6.0, size=512.0)
+    ),
+    "solve_delaunay with size = True": (
+        lambda: conflap.solve_delaunay(FracParams(3, 0.5), 6.0, size=True)
+    ),
+    "continue_branch with size = 512.0": (
+        lambda: conflap.continue_branch(FracParams(3, 0.5), [6.0], size=512.0)
+    ),
+    "gjms_symbol at n = 0": lambda: conflap.gjms_symbol(0, 1, 1),
+    "gjms_symbol at n = True": lambda: conflap.gjms_symbol(True, 1, 1),
+    "gjms_symbol with k = True": lambda: conflap.gjms_symbol(5, True, 2),
     "cyl_mode_parameter with m = True": lambda: cyl_mode_parameter(3, True),
     "cyl_mode_parameter with m = -1": lambda: cyl_mode_parameter(3, -1),
     "cyl_mode_parameter with m = 1.0": lambda: cyl_mode_parameter(3, 1.0),

@@ -1,4 +1,4 @@
-"""Sphere-operator tests: symbol values, factorizations, kernel duality."""
+"""Sphere-operator tests: symbol values, integer-order products, kernel duality."""
 
 import math
 import warnings
@@ -18,8 +18,6 @@ from conflap.sphere import (
     apply_sphere,
     apply_sphere_grid,
     calibrate_sphere_kernel,
-    conformal_laplacian_eigenvalue,
-    factored_symbol,
     frac_lap_constant,
     gjms_symbol,
     singular_integral_apply,
@@ -121,7 +119,7 @@ def test_integer_order_one_matches_conformal_laplacian():
         p = FracParams(n, 1.0)
         for m in (0, 1, 2, 10, 50):
             lhs = sphere_symbol(p, m)
-            rhs = conformal_laplacian_eigenvalue(n, m)
+            rhs = gjms_symbol(n, 1, m)
             assert math.isclose(lhs, rhs, rel_tol=1e-13)
 
 
@@ -134,29 +132,10 @@ def test_integer_order_two_matches_product():
             assert math.isclose(lhs, rhs, rel_tol=1e-13)
 
 
-def test_factored_symbol_matches_direct():
-    for n, s0, k in [(5, 0.4, 1), (7, 0.25, 2), (9, 0.8, 3)]:
-        p0 = FracParams(n, s0)
-        p = FracParams(n, s0 + k)
-        for m in (0, 1, 2, 7, 19):
-            lhs = factored_symbol(p0, k, m)
-            rhs = sphere_symbol(p, m)
-            assert math.isclose(lhs, rhs, rel_tol=1e-11), (n, s0, k, m)
-
-
-def test_factored_symbol_preconditions():
-    with pytest.raises(ParameterError):
-        factored_symbol(FracParams(3, 1.2), 1, 0)
-    with pytest.raises(ParameterError):
-        factored_symbol(FracParams(3, 0.5), 0, 0)
-    with pytest.raises(ParameterError):
-        factored_symbol(FracParams(3, 0.6), 1, 0)  # s0 + k >= n/2
-
-
 def test_mode_eigenvalue():
     assert _mode_eigenvalue(2, 3) == 12.0
     assert _mode_eigenvalue(1, 4) == 16.0
-    assert gjms_symbol(4, 1, 0) == conformal_laplacian_eigenvalue(4, 0)
+    assert gjms_symbol(4, 1, 0) == 2.0  # the conformal Laplacian's n(n-2)/4
 
 
 def test_vol_sphere():
