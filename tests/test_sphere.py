@@ -132,6 +132,20 @@ def test_integer_order_two_matches_product():
             assert math.isclose(lhs, rhs, rel_tol=1e-13)
 
 
+def test_factored_symbol_matches_direct():
+    # symbol(s0 + k) = symbol(s0) times the k shifted conformal-Laplacian
+    # factors mu_m + (n/2 + s0 + j - 1)(n/2 - s0 - j), j = 1..k
+    for n, s0, k in [(5, 0.4, 1), (7, 0.25, 2), (9, 0.8, 3)]:
+        p0 = FracParams(n, s0)
+        p = FracParams(n, s0 + k)
+        for m in range(51):
+            lhs = sphere_symbol(p0, m)
+            for j in range(1, k + 1):
+                lhs *= _mode_eigenvalue(n, m) + (0.5 * n + s0 + j - 1) * (0.5 * n - s0 - j)
+            rhs = sphere_symbol(p, m)
+            assert math.isclose(lhs, rhs, rel_tol=1e-11), (n, s0, k, m)
+
+
 def test_mode_eigenvalue():
     assert _mode_eigenvalue(2, 3) == 12.0
     assert _mode_eigenvalue(1, 4) == 16.0
