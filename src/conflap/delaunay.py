@@ -16,7 +16,7 @@ from scipy.linalg.lapack import dgetrf, dgetri, dtrtrs
 
 from .cylinder import _bifurcation_root, cyl_curvature, cyl_symbol, periodized_kernel
 from .errors import NewtonDivergenceError, ParameterError
-from .params import FracParams, GridFunction, read_only, require, require_int
+from .params import FracParams, GridFunction, read_only, require, require_grid, require_int
 from .sphere import sphere_curvature
 
 _RESIDUAL_CAP = 1e-10
@@ -322,8 +322,7 @@ def solve_delaunay(p, period, size=512, tol=1e-11):
             f"tol {tol!r} exceeds the solution residual cap {_RESIDUAL_CAP:.1e}"
         )
     require_int(size, "size")
-    grid = GridFunction(period, np.ones(size))
-    theta = _symbol_table(p, grid.length, size)
+    theta = _symbol_table(p, require_grid(period, (size,)), size)
     half = size // 2
     unstable = theta[1] < cyl_curvature(p) * p.q
     tries = []

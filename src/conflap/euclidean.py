@@ -3,12 +3,13 @@
 Two independent realizations of (-Delta)^s on uniform symmetric grids, both
 taking the samples as zero off the grid: the Fourier multiplier |xi|^(2s)
 through a continuum Fourier quadrature, whose panels are one grid frequency
-wide so that its transforms are plain FFTs, and a product-integration
-quadrature of the singular difference integral with its closed-form
-constant C_(1,s), so the two routes agree as a check, not by a fit.  On top
-of those sit the commutator identity check for the weight (1+|x|^2)/2 and
-the stereographic bridge that pushes the operator forward to the round
-circle; both take (-Delta)^s from the same continuum quadrature.
+wide, and a product-integration quadrature of the singular difference
+integral with its closed-form constant C_(1,s), so the two routes agree as a
+check, not by a fit.  Both are kernels on the grid, applied by one
+convolution.  On top of those sit the commutator identity check for the
+weight (1+|x|^2)/2 and the stereographic bridge that pushes the operator
+forward to the round circle; both take (-Delta)^s from the same continuum
+quadrature.
 """
 
 import math
@@ -21,7 +22,6 @@ from .params import GridFunction, require_dimension, require_unit_order
 from .specfun import jacobi_unit_rule, panel_rule
 from .sphere import frac_lap_constant, sphere_symbol
 
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 #: Gauss-Jacobi size for the near part of _factor_power_flat_lap
 _JACOBI_SIZE = 112
 #: Gauss-Jacobi size for the continuum quadrature's first panel (0, 2 pi / L)
@@ -94,16 +94,10 @@ def frac_lap_integral(p, f):
     n = values.size
     h = f.dx
     weights = _difference_weights(n, h, s)
-    # correlated_i = sum_k u_k w_|i-k| needs w_0 .. w_(n-1) only, so a
-    # circular convolution of length 2n with the even kernel holds it
-    kernel = np.concatenate([weights[: n + 1], weights[n - 1 : 0 : -1]])
-    correlated = np.fft.irfft(
-        np.fft.rfft(values, 2 * n) * np.fft.rfft(kernel), 2 * n
-    )[:n]
     tail = (n * h) ** (-2.0 * s) / (2.0 * s)
     # sum_d w_d (2u_i - u_(i+d) - u_(i-d)) over d >= 1, with the symmetric
     # convolution counting the d = 0 weight once
-    out = values * (2.0 * weights.sum() - weights[0] + 2.0 * tail) - correlated
+    out = values * (2.0 * weights.sum() - weights[0] + 2.0 * tail) - _toeplitz(values, weights)
     return GridFunction(f.length, frac_lap_constant(p) * out)
 
 
@@ -112,62 +106,45 @@ def frac_lap_integral(p, f):
 # ----------------------------------------------------------------------
 
 
-def _grid_angles(size):
-    """w x_k = -pi + 2 pi k / N on the centred grid, with w = 2 pi / L."""
-    return math.pi * (2.0 * np.arange(size) / size - 1.0)
+def _fourier_kernel(size, lam, first_rule, first_lam):
+    """K(m) = sum_t w_t t^lam e^(2 pi i t m / N), m = 0 .. N, over the nodes
+    t of the continuum quadrature in units of w = 2 pi / L: the Legendre
+    panels p + c, p = 1 .. N/2 - 1, at order lam, and the nodes of
+    ``first_rule`` on the first panel (0, 1) at order first_lam.  With
+    hat(u)(xi) = (2 pi)^(-1/2) int u e^(-i xi x) by the trapezoid rule,
+    sum_t w_t t^lam hat(u)(t w) e^(i t w x_j) = dx/sqrt(2 pi) sum_k u_k K(j-k).
+    Over p it is one inverse FFT per Legendre node, taken node by node so
+    that no array outgrows the grid."""
+    m = np.arange(size + 1)
+    band = np.zeros(size)
+    kernel = np.zeros(size + 1, dtype=complex)
+    for node, weight in zip(*_PANEL_RULE):
+        band[1 : size // 2] = weight * (np.arange(1, size // 2) + node) ** lam
+        lattice = size * np.fft.ifft(band)
+        kernel += np.exp(2j * math.pi / size * node * m) * np.append(lattice, lattice[0])
+    for node, weight in zip(*first_rule):
+        kernel += weight * node**first_lam * np.exp(2j * math.pi / size * node * m)
+    return kernel
 
 
-def _lattice_sum(values, dx, rule, powers):
-    """sum_(c, p) w_c (p + c)^lam hat(u)((p + c) w) e^(i (p + c) w x) at every
-    point x of the centred grid, for each order lam in ``powers``, over the
-    last axis of ``values``; shape (len(powers), ..., N).
-
-    Here w = 2 pi / L, hat(u)(xi) = (2 pi)^(-1/2) int u e^(-i xi x) by the
-    trapezoid rule, (c, w_c) are the nodes and weights of ``rule``, and the
-    band is p = 1 .. N/2 - 1.  For each node c the sum is a Fourier
-    multiplier on u e^(-i c w x): one FFT, the band times (p + c)^lam, one
-    inverse FFT.
-    """
-    size = values.shape[-1]
-    theta = _grid_angles(size)
-    band = slice(1, size // 2)
-    sums = np.zeros((len(powers),) + values.shape, dtype=complex)
-    padded = np.zeros(values.shape, dtype=complex)
-    for node, weight in zip(*rule):
-        tilt = np.exp(1j * node * theta)
-        spectrum = np.fft.fft(values * tilt.conj())[..., band]
-        lattice = np.arange(size)[band] + node
-        for out, lam in zip(sums, powers):
-            padded[..., band] = weight * lattice**lam * spectrum
-            out += tilt * np.fft.ifft(padded)
-    return size * dx / math.sqrt(2.0 * math.pi) * sums
-
-
-def _first_panel(values, dx, rule, powers):
-    """The bin p = 0 that _lattice_sum leaves out: sum_c w_c c^lam hat(u)(c w)
-    e^(i c w x) for each order lam in ``powers``; shape (len(powers), ..., N).
-    Per node c, hat(u)(c w) is one dense product with the phase e^(-i c w x),
-    and the sum back to the grid is a multiple of e^(i c w x)."""
-    theta = _grid_angles(values.shape[-1])
-    sums = np.zeros((len(powers),) + values.shape, dtype=complex)
-    for node, weight in zip(*rule):
-        tilt = np.exp(1j * node * theta)
-        fhat = weight * (values @ tilt.conj())
-        for out, lam in zip(sums, powers):
-            out += (node**lam * fhat)[..., None] * tilt
-    return dx / math.sqrt(2.0 * math.pi) * sums
+def _toeplitz(values, kernel, odd=False):
+    """sum_k u_k K(j - k) over the last axis of ``values`` (size n), for a
+    real kernel K(m), m = 0 .. n, even in m or, with ``odd``, odd.  Only
+    |j - k| <= n - 1 enters, so a circular convolution of length 2n holds it."""
+    n = values.shape[-1]
+    full = np.concatenate([kernel[: n + 1], (-1.0 if odd else 1.0) * kernel[n - 1 : 0 : -1]])
+    return np.fft.irfft(np.fft.rfft(values, 2 * n) * np.fft.rfft(full), 2 * n)[..., :n]
 
 
 def _continuum_frac_lap(values, dx, s):
     """(-Delta)^s on the centred grid of data that is zero off it, over the
     last axis: sqrt(2/pi) int_0^pi/dx xi^(2s) Re(hat(u)(xi) e^(i xi x)) d xi,
     the Jacobi rule carrying (xi/w)^(2s) on the first panel (0, w)."""
-    step = 2.0 * math.pi / (values.shape[-1] * dx)
+    size = values.shape[-1]
+    step = 2.0 * math.pi / (size * dx)
     rule = jacobi_unit_rule(2.0 * s, _FIRST_PANEL_SIZE)
-    lap = _lattice_sum(values, dx, _PANEL_RULE, (2.0 * s,)) + _first_panel(
-        values, dx, rule, (0.0,)
-    )
-    return _SQRT_2_OVER_PI * step ** (2.0 * s + 1.0) * lap[0].real
+    kernel = _fourier_kernel(size, 2.0 * s, rule, 0.0).real
+    return step ** (2.0 * s + 1.0) * dx / math.pi * _toeplitz(values, kernel)
 
 
 def commutator_check(p, f):
@@ -176,15 +153,15 @@ def commutator_check(p, f):
 
     Both sides are assembled from continuum Fourier quadrature of the
     compactly supported input (a grid FFT misrepresents the slowly decaying
-    order s-1 term), sharing nothing but the transform of f.  The panels
-    are one grid frequency step w = 2 pi / L wide and end at the band limit
+    order s-1 term), sharing nothing but the input.  The panels are one grid
+    frequency step w = 2 pi / L wide and end at the band limit
     xi_max = pi/dx: a 16-node Gauss-Jacobi rule on (0, w) and the 12-point
-    Gauss-Legendre rule on the rest.  The Legendre panels are one
-    shifted-lattice sum (_lattice_sum), one FFT per Gauss node and one
-    inverse FFT per order; the first panel is a single frequency bin
-    (_first_panel), one dense product per Jacobi node.  Returns a report
-    dict with the relative l2 residual over the grid points with
-    |x| <= L/4, their count, xi_max and the panel count N/2.
+    Gauss-Legendre rule on the rest.  Each side tabulates the quadrature's
+    kernel (_fourier_kernel) and convolves the input with it (_toeplitz):
+    order 2s on the left; order 2s - 2, with the finite part added as a
+    constant, and the odd kernel of order 2s - 1 for f' on the right.
+    Returns a report dict with the relative l2 residual over the grid points
+    with |x| <= L/4, their count, xi_max and the panel count N/2.
 
     s = 1/2 is rejected: the second xi-derivative of |xi|^(2s) produces a
     genuine Dirac term at the origin exactly there, so the displayed identity
@@ -223,18 +200,17 @@ def commutator_check(p, f):
     lhs = (lap_s_bu - weight * lap_s_u)[mask]
 
     # the order s-1 sides in units of w: the Jacobi rule on (0, w) carries
-    # (xi/w)^(lam+1), and the finite part peels off hat(u)(0)
+    # (xi/w)^(lam+1), and the finite part, which peels off hat(u)(0), is a
+    # constant added to the kernel; d/dx brings i xi, and Re(i z) = -Im z
+    # takes the odd kernel of order lam + 1
     step = 2.0 * math.pi / f.length
     lam = 2.0 * s - 2.0
     rule_shift = jacobi_unit_rule(lam + 1.0, _FIRST_PANEL_SIZE)
-    g, g_prime = _lattice_sum(u, f.dx, _PANEL_RULE, (lam, lam + 1.0)) + _first_panel(
-        u, f.dx, rule_shift, (-1.0, 0.0)
-    )
-    fhat_zero = f.dx * np.sum(u) / math.sqrt(2.0 * math.pi)
-    finite_part = fhat_zero * (1.0 / (lam + 1.0) - np.sum(rule_shift[1] / rule_shift[0]))
-    g = _SQRT_2_OVER_PI * step ** (lam + 1.0) * (g.real + finite_part)
-    # d/dx brings i xi: Re(i z) = -Im z of the order lam + 1 sum
-    g_prime = -_SQRT_2_OVER_PI * step ** (lam + 2.0) * g_prime.imag
+    finite_part = 1.0 / (lam + 1.0) - np.sum(rule_shift[1] / rule_shift[0])
+    kernel = _fourier_kernel(f.size, lam, rule_shift, -1.0).real + finite_part
+    g = step ** (lam + 1.0) * f.dx / math.pi * _toeplitz(u, kernel)
+    kernel = _fourier_kernel(f.size, lam + 1.0, rule_shift, 0.0).imag
+    g_prime = -(step ** (lam + 2.0)) * f.dx / math.pi * _toeplitz(u, kernel, odd=True)
     rhs = -s * (2.0 * targets * g_prime[mask] + (2.0 * s - 1.0) * g[mask])
 
     denom = max(np.linalg.norm(lhs), np.linalg.norm(rhs))

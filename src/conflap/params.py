@@ -61,6 +61,20 @@ def require_dimension(n, context="dimension n", least=1, most=None):
         raise ParameterError(f"{context} needs n <= {most}, got n = {n}")
 
 
+def require_grid(length, shape):
+    """The one grid rule: a finite positive length, and a 1-d shape whose size
+    is a power of two >= 8, so the transforms always get a clean FFT length.
+    Returns the length as a float."""
+    length_value = float(length)
+    if not math.isfinite(length_value) or length_value <= 0.0:
+        raise ParameterError(f"grid length must be positive, got {length!r}")
+    if len(shape) != 1 or shape[0] < 8 or shape[0] & (shape[0] - 1) != 0:
+        raise ParameterError(
+            f"grid size must be a power of two >= 8 on a 1-d array, got shape {shape}"
+        )
+    return length_value
+
+
 def require_unit_order(s, context):
     """Refuse s outside 0 < s < 1, the range of the singular kernels, of the
     extension and of its constants; integer s, where the operator is local,
@@ -157,25 +171,17 @@ class GridFunction:
     """Samples on the centred uniform grid x_j = -length/2 + j length/N.
 
     One container for the line, where the samples are taken as zero off the
-    grid, and for one period of a periodic profile.  N must be a power of two
-    with N >= 8 so the transforms always get a clean FFT length; the right
-    endpoint length/2 is excluded, matching their periodic convention.
+    grid, and for one period of a periodic profile.  Its length and size
+    follow ``require_grid``; the right endpoint length/2 is excluded,
+    matching the transforms' periodic convention.
     """
 
     length: float
     values: np.ndarray
 
     def __post_init__(self):
-        length = float(self.length)
-        if not math.isfinite(length) or length <= 0.0:
-            raise ParameterError(f"grid length must be positive, got {self.length!r}")
-        object.__setattr__(self, "length", length)
         v = np.array(self.values, dtype=float)  # the record's own copy
-        n = v.size
-        if v.ndim != 1 or n < 8 or n & (n - 1) != 0:
-            raise ParameterError(
-                f"grid size must be a power of two >= 8 on a 1-d array, got shape {v.shape}"
-            )
+        object.__setattr__(self, "length", require_grid(self.length, v.shape))
         require(np.isfinite(v), "values must be finite, got {}", self.values)
         object.__setattr__(self, "values", read_only(v))
 

@@ -302,6 +302,13 @@ class TestChecks:
         assert payload["diagnostics"]["failures"] == ["s=0.5 xi=1.0"]
         assert err == "numerical failure: extension-check failures: s=0.5 xi=1.0\n"
 
+    def test_extension_mesh_past_the_cap_is_input_error(self, capsys):
+        # 10^9 nodes would exhaust memory; the cap refuses it before the solve
+        code, out, err = run(capsys, ["extension-check", "--mesh-size", "1000000000"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: mesh_size must be in [32, 1000000], got 1000000000\n"
+
     def test_overflowing_frequency_is_input_error(self, capsys):
         # one scale-free solve serves every frequency whose xi^(2s) is a
         # normal float; at s = 0.8 and xi = 1e-300 it is 1e-480

@@ -15,8 +15,8 @@ from conflap.euclidean import (
     frac_lap_spectral,
     _difference_weights,
     _factor_power_flat_lap,
-    _first_panel,
-    _lattice_sum,
+    _fourier_kernel,
+    _toeplitz,
 )
 from conflap.params import FracParams, GridFunction
 from conflap.specfun import jacobi_unit_rule, panel_rule
@@ -59,6 +59,28 @@ FRAC_GAUSSIAN_TABLE = {
     (0.25, 3.5): -0.09267855828430944992607,
 }
 
+# the same closed form at the ends of the order range, 40 digits
+FRAC_GAUSSIAN_EDGES = {
+    0.05: {
+        0.0: 0.9439550525582937707958,
+        0.5: 0.8221985058910107342547,
+        1.0: 0.5387210034448635849228,
+        2.0: 0.07231332089247597942485,
+        3.5: -0.03168148462906647761893,
+        5.0: -0.0213040231491191500301,
+        8.0: -0.01228567580724807780569,
+    },
+    0.99: {
+        0.0: 0.9927767214749715771955,
+        0.5: 0.6591901934265916969962,
+        1.0: 0.004955905426310233853588,
+        2.0: -0.4025716674494650672944,
+        3.5: -0.02646052020395158758236,
+        5.0: -0.0006407889851230751595018,
+        8.0: -0.0001107540125701106248927,
+    },
+}
+
 
 class TestLineGridFunction:
     """The line grid on [-T, T): GridFunction(2 T, values)."""
@@ -86,7 +108,7 @@ class TestLineGridFunction:
 class TestSpectralRoute:
     def test_gaussian_against_closed_form(self):
         # the continuum quadrature of the data taken as zero off the grid:
-        # measured 2.0e-15 at s = 0.25 and 5.4e-14 at s = 0.6
+        # measured 9.1e-15 at s = 0.25 and 1.5e-13 at s = 0.6
         x = grid(32.0, 4096)
         f = GridFunction(64.0, np.exp(-0.5 * x**2))
         for s in (0.25, 0.6):
@@ -95,6 +117,18 @@ class TestSpectralRoute:
                 if sv == s:
                     idx = int(round((xv + 32.0) * 64))
                     assert out.values[idx] == pytest.approx(target, rel=1e-12)
+
+    @pytest.mark.parametrize("s, tol", [(0.05, 2e-15), (0.99, 2e-11)])
+    def test_gaussian_at_the_ends_of_the_range(self, s, tol):
+        # error relative to the peak at seven points on |x| <= 8, measured
+        # 2.4e-16 at s = 0.05 and 3.3e-12 at s = 0.99, where xi^(2s)
+        # amplifies the round-off of the band's top
+        x = grid(32.0, 4096)
+        out = frac_lap_spectral(FracParams(1, s), GridFunction(64.0, np.exp(-0.5 * x**2)))
+        table = FRAC_GAUSSIAN_EDGES[s]
+        peak = max(abs(v) for v in table.values())
+        for xv, target in table.items():
+            assert abs(out.values[int(round((xv + 32.0) * 64))] - target) <= tol * peak, xv
 
     @pytest.mark.parametrize("s", [0.3, 0.7])
     def test_data_not_negligible_at_the_edges(self, s):
@@ -230,67 +264,65 @@ class TestCommutator:
 
 
 class TestPanelQuadrature:
-    """_lattice_sum and _first_panel, the panel quadrature of
-    commutator_check, against the dense double sum: the transform _nudft at
-    every node, then explicit phases e^(i xi x) at every 32nd grid point,
-    for Gaussians of width 1 and 3 on L = 80 (the commutator inputs, at a
-    grid small enough for the dense reference)."""
+    """_fourier_kernel, applied by _toeplitz, against the dense double sum of
+    the continuum quadrature: the transform _nudft at every node, then
+    explicit phases e^(i xi x) at every 32nd grid point, for Gaussians of
+    width 1 and 3 on L = 80 (the commutator inputs, at a grid small enough
+    for the dense reference)."""
 
     size = 1024
     length = 80.0
+    no_first_panel = (np.empty(0), np.empty(0))
 
-    def compare(self, sigma, rule, band, powers, panel_sum):
+    def apply(self, values, kernel):
+        # sum_t w_t t^lam hat(u)(t w) e^(i t w x_j) = dx / sqrt(2 pi)
+        # sum_k u_k K(j - k), with Re K even and Im K odd in m
+        dx = self.length / self.size
+        conv = _toeplitz(values, kernel.real) + 1j * _toeplitz(values, kernel.imag, odd=True)
+        return dx / math.sqrt(2.0 * math.pi) * conv
+
+    def compare(self, sigma, rule, lam, first_lam):
         x = grid(0.5 * self.length, self.size)
         dx = self.length / self.size
         values = np.exp(-0.5 * (x / sigma) ** 2)
-        nodes, weights = rule
+        nodes, weights = panel_rule(0.0, 1.0, 1)
+        band = np.arange(1, self.size // 2)
         lattice = (band[:, None] + nodes).ravel()
-        xi = 2.0 * math.pi / self.length * lattice
+        first_nodes, first_weights = rule
+        t = np.concatenate([first_nodes, lattice])
+        coeffs = np.concatenate(
+            [first_weights * first_nodes**first_lam, np.tile(weights, band.size) * lattice**lam]
+        )
+        xi = 2.0 * math.pi / self.length * t
         # eight blocks keep the dense phase matrix near 12 MB
         fhat = np.concatenate(
             [_nudft(values, x, part, dx) for part in np.array_split(xi, 8)]
         )
         pick = np.arange(0, self.size, 32)
-        phases = np.exp(1j * np.outer(x[pick], xi))
-        fast = panel_sum(values, dx, rule, powers)[:, pick]
-        for lam, row in zip(powers, fast):
-            dense = phases @ (np.tile(weights, band.size) * lattice**lam * fhat)
-            assert np.max(np.abs(row - dense)) <= 1e-13 * np.max(np.abs(dense)), lam
+        dense = np.exp(1j * np.outer(x[pick], xi)) @ (coeffs * fhat)
+        kernel = _fourier_kernel(self.size, lam, rule, first_lam)
+        fast = self.apply(values, kernel)[pick]
+        assert np.max(np.abs(fast - dense)) <= 1e-13 * np.max(np.abs(dense)), (lam, first_lam)
+        # and the kernel itself against its defining sum at every 16th m
+        m = np.arange(0, self.size + 1, 16)
+        direct = np.exp(2j * math.pi / self.size * np.outer(m, t)) @ coeffs
+        assert np.max(np.abs(kernel[m] - direct)) <= 1e-13 * np.max(np.abs(direct))
 
     @pytest.mark.parametrize("sigma", [1.0, 3.0])
     def test_legendre_panels_match_dense_sum(self, sigma):
         # panels (p w, (p + 1) w), p = 1 .. N/2 - 1, at the orders 2s, 2s - 2
-        # and 2s - 1 that the check takes at s = 0.3
-        band = np.arange(1, self.size // 2)
-        self.compare(sigma, panel_rule(0.0, 1.0, 1), band, (0.6, -1.4, -0.4), _lattice_sum)
-
-    @pytest.mark.parametrize("sigma", [1.0, 3.0])
-    def test_forward_matches_dense_transform(self, sigma):
-        # for one node c at order 0 the sum is a trigonometric polynomial in
-        # e^(i (p + c) w x); its coefficients, read back on the grid, must be
-        # hat(v)((p + c) w) for every Legendre node across the whole band,
-        # for u and for the B u of the commutator's left side
-        x = grid(0.5 * self.length, self.size)
-        dx = self.length / self.size
-        u = np.exp(-0.5 * (x / sigma) ** 2)
-        stacked = np.stack([u, 0.5 * (1.0 + x**2) * u])
-        theta = 2.0 * math.pi / self.length * x
-        band = np.arange(1, self.size // 2)
-        for node in panel_rule(0.0, 1.0, 1)[0]:
-            out = _lattice_sum(stacked, dx, ([node], [1.0]), (0.0,))[0]
-            read_back = np.exp(-1j * np.outer(band + node, theta)) @ out.T / self.size
-            dense = _nudft(stacked.T, x, 2.0 * math.pi / self.length * (band + node), dx)
-            # sup of |hat(v)| over all xi, attained at xi = 0 for v >= 0
-            scale = dx * np.sum(np.abs(stacked), axis=1) / math.sqrt(2.0 * math.pi)
-            assert np.all(np.max(np.abs(read_back - dense), axis=0) <= 1e-13 * scale)
+        # and 2s - 1 that the check takes at s = 0.3: measured at most 7.7e-15
+        # for the sum and 9.7e-15 for the kernel
+        for lam in (0.6, -1.4, -0.4):
+            self.compare(sigma, self.no_first_panel, lam, 0.0)
 
     @pytest.mark.parametrize("sigma", [1.0, 3.0])
     def test_inverse_matches_dense_phase_sum(self, sigma):
         # the sum back over every Legendre panel against explicit phases at
         # every 32nd grid point, with the closed-form transform
         # sigma e^(-(sigma xi)^2 / 2) of the Gaussian as coefficients
+        # (measured 1.1e-15)
         x = grid(0.5 * self.length, self.size)
-        dx = self.length / self.size
         nodes, weights = panel_rule(0.0, 1.0, 1)
         lattice = (np.arange(1, self.size // 2)[:, None] + nodes).ravel()
         xi = 2.0 * math.pi / self.length * lattice
@@ -301,15 +333,35 @@ class TestPanelQuadrature:
         pick = np.arange(0, self.size, 32)
         dense = np.exp(1j * np.outer(x[pick], xi)) @ coeffs
         values = np.exp(-0.5 * (x / sigma) ** 2)
-        fast = _lattice_sum(values, dx, (nodes, weights), (-0.6,))[0, pick]
-        assert np.max(np.abs(fast - dense)) <= 1e-13 * np.max(np.abs(dense))
+        fast = self.apply(values, _fourier_kernel(self.size, -0.6, self.no_first_panel, 0.0))
+        assert np.max(np.abs(fast[pick] - dense)) <= 1e-13 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("sigma", [1.0, 3.0])
     def test_first_panel_matches_dense_sum(self, sigma):
         # the first panel (0, w) on the Jacobi nodes, with the finite part's
-        # order -1 and the derivative's order 0
+        # order -1 and the derivative's order 0, beside the Legendre panels
+        # at the orders 2s - 2 and 2s - 1 that go with them at s = 0.3
+        # (measured at most 2.1e-15 for the sum and 5.9e-15 for the kernel)
         rule = jacobi_unit_rule(-0.4, 16)
-        self.compare(sigma, rule, np.arange(1), (-1.0, 0.0), _first_panel)
+        for lam, first_lam in ((-1.4, -1.0), (-0.4, 0.0)):
+            self.compare(sigma, rule, lam, first_lam)
+
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_toeplitz_matches_dense_product(self, odd):
+        # sum_k u_k K(j - k) with K(-m) = +-K(m), on two stacked rows
+        # (measured 4.7e-16 even and 3.8e-16 odd)
+        rng = np.random.default_rng(7)
+        n = 256
+        values = rng.standard_normal((2, n))
+        kernel = rng.standard_normal(n + 1)
+        if odd:
+            kernel[0] = 0.0
+        shift = np.subtract.outer(np.arange(n), np.arange(n))
+        matrix = np.where(shift < 0, -1.0 if odd else 1.0, 1.0) * kernel[np.abs(shift)]
+        dense = values @ matrix.T
+        fast = _toeplitz(values, kernel, odd=odd)
+        assert fast.shape == (2, n)
+        assert np.max(np.abs(fast - dense)) <= 1e-14 * np.max(np.abs(dense))
 
 
 class TestCovarianceBridge:

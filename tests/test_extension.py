@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -136,6 +137,19 @@ class TestExtensionMode:
             solve_extension_mode(p, 1.0, mesh_size=16)
         with pytest.raises(ParameterError):
             solve_extension_mode(FracParams(3, 1.2), 1.0)
+
+    @pytest.mark.parametrize("mesh_size", [10**6 + 1, 10**9])
+    def test_mesh_cap_refuses_before_the_mesh(self, mesh_size):
+        # a mesh past 10^6 nodes is refused with its range named, before any
+        # array of that length is allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match=r"mesh_size must be in \[32, 1000000\]"):
+                solve_extension_mode(FracParams(3, 0.5), 2.0, mesh_size=mesh_size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_small_order_solves_on_log_mesh(self):
         # carried as log t, the couplings 2s / (t_(k+1)^(2s) - t_k^(2s)) keep

@@ -52,6 +52,12 @@ REFUSALS = {
     "solve_delaunay with size = True": (
         lambda: conflap.solve_delaunay(FracParams(3, 0.5), 6.0, size=True)
     ),
+    "solve_delaunay with size = -8": (
+        lambda: conflap.solve_delaunay(FracParams(3, 0.5), 6.0, size=-8)
+    ),
+    "solve_delaunay with size = 12": (
+        lambda: conflap.solve_delaunay(FracParams(3, 0.5), 6.0, size=12)
+    ),
     "continue_branch with size = 512.0": (
         lambda: conflap.continue_branch(FracParams(3, 0.5), [6.0], size=512.0)
     ),

@@ -133,6 +133,23 @@ def test_only_specfun_calls_roots_jacobi():
     assert callers == {"specfun.py"}
 
 
+def test_only_toeplitz_calls_real_ffts_in_euclidean():
+    # the integral route's correlation and the continuum quadrature's kernel
+    # both reach the grid through one zero-padded convolution, _toeplitz
+    def real_ffts(tree):
+        return sum(
+            (isinstance(node, ast.Attribute) and node.attr in ("rfft", "irfft"))
+            or (isinstance(node, ast.Name) and node.id in ("rfft", "irfft"))
+            for node in ast.walk(tree)
+        )
+
+    module = ast.parse((PACKAGE / "euclidean.py").read_text())
+    (toeplitz,) = [
+        f for f in module.body if isinstance(f, ast.FunctionDef) and f.name == "_toeplitz"
+    ]
+    assert real_ffts(module) == real_ffts(toeplitz) > 0
+
+
 def test_only_params_sets_writeable():
     # params.read_only is the one place that freezes an array; caches and
     # records call it instead of setting flags.writeable themselves
