@@ -8,7 +8,7 @@ the Delaunay branch.  The translation-invariant part also has a convolution
 kernel in the axial variable, a hypergeometric profile with an algebraic
 singularity at 0 and exponential decay, which this module evaluates directly,
 normalizes in closed form, checks against the symbol, and periodizes for the
-study of periodic solutions.
+study of periodic solutions, past separation 1 as one exponential series.
 """
 
 import math
@@ -21,15 +21,21 @@ from scipy.special import hyp2f1, loggamma, psi
 from .errors import NonConvergenceError, ParameterError, SingularityError
 from .params import KernelSpec, mode_degrees, read_only, require, require_dimension
 from .sphere import frac_lap_constant, vol_sphere
-from .specfun import jacobi_unit_rule, log_gamma, panel_rule
+from .specfun import jacobi_unit_rule, log_gamma
 
-_PERIODIZE_REL_TOL = 1e-15
+#: most shells ``periodized_kernel`` evaluates directly, those whose
+#: separation can fall below 1; it refuses periods below about 1/400.5
 _PERIODIZE_MAX_SHELLS = 400
-#: about the most (2J+1) x entries kernel values ``periodized_kernel`` holds at once
+#: about the most values ``periodized_kernel`` holds at once, 2J+1 direct
+#: and twice the series' terms per entry
 _PERIODIZE_BLOCK = 2**16
 #: largest |xi| ``kernel_multiplier`` accepts: the 64-node Jacobi rule on
-#: (0, 1) resolves 1 - cos(xi h) to about 1e-9 up to here, and not past it
+#: (0, 1) resolves 1 - cos(xi h) to about 1e-9 up to here, and not past it;
+#: the exponential series takes h > 1 in closed form at every xi
 KERNEL_MULTIPLIER_XI_MAX = 200.0
+#: terms ``_kernel_series`` holds; at separations >= 1 and 0 < s < 1 at most
+#: 23 of them reach 1e-17 of the first
+_SERIES_TERMS = 40
 #: absolute tolerance of ``bifurcation_period`` on xi
 BIFURCATION_XTOL = 1e-12
 #: largest n whose kernel profile goes through Pfaff's form.  scipy's 2F1 on
@@ -197,48 +203,51 @@ def kernel_base(p, h):
     return float(out) if hs.ndim == 0 else out
 
 
-@lru_cache(maxsize=64)  # every kernel_multiplier call at (p, density) reuses it
-def _difference_table(p, density):
-    """Nodes and weighted kernel values of the quadrature for
-    int_0^h_cut (1 - cos(xi h)) K0(h) dh, as read-only arrays.
+@lru_cache(maxsize=64)  # every kernel_multiplier and periodized_kernel call at p reuses it
+def _kernel_series(p):
+    """Rates lambda_k = sigma + 2k and log amplitudes log a_k, k < 40, of
+    K0(h) = (2 e^(-h))^sigma 2F1(1+s, n/2+s; n/2; e^(-2h)) = sum_k a_k e^(-lambda_k h),
+    Pfaff's transformation (DLMF 15.8.1) of the profile's Pfaff form, as
+    read-only arrays: a_k = 2^sigma c_k, c_0 = 1 and
+    c_(k+1)/c_k = (1+s+k)(n/2+s+k)/((n/2+k)(k+1)) > 0.  Logs, since at
+    n = 343 2^sigma is about 4e51 and e^(-lambda h) underflows before it."""
+    k = np.arange(_SERIES_TERMS - 1.0)
+    ratios = (1.0 + p.s + k) * (0.5 * p.n + p.s + k) / ((0.5 * p.n + k) * (k + 1.0))
+    log_amps = p.sigma * _LOG2 + np.concatenate([[0.0], np.cumsum(np.log(ratios))])
+    return read_only(p.sigma + 2.0 * np.arange(_SERIES_TERMS)), read_only(log_amps)
 
-    On (0, 1) the integrand is h^(1-2s) times a smooth even function of h,
-    so the 64-node Gauss-Jacobi rule for that weight takes weights *
-    h^(2s-1) K0(h); on (1, h_cut) composite Gauss-Legendre panels of width
-    1/density take weights * K0(h).  Neither depends on xi.  From sigma = 45
-    on (n >= 90 at s = 0.3) h_cut <= 1 and there are no panels: the near
-    rule and the tail then overlap on (h_cut, 1), where K0 is below
-    e^(-45) of its amplitude.
-    """
+
+def _series_terms(p, gap):
+    """Rates and log amplitudes of the series terms at least 1e-17 (e^-39.2) of
+    the first at separation gap, a prefix since log a_k - lambda_k gap is concave in k."""
+    rates, log_amps = _kernel_series(p)
+    keep = np.count_nonzero(log_amps - log_amps[0] - (rates - p.sigma) * gap >= -39.2)
+    if keep == _SERIES_TERMS:
+        raise NonConvergenceError(f"kernel series needs over {_SERIES_TERMS} terms at s = {p.s}")
+    return rates[:keep], log_amps[:keep]
+
+
+@lru_cache(maxsize=64)  # every kernel_multiplier call at p reuses it
+def _difference_table(p):
+    """Nodes and weighted kernel values of the 64-node Gauss-Jacobi rule for
+    int_0^1 (1 - cos(xi h)) K0(h) dh, whose integrand is h^(1-2s) times a
+    smooth even function: weights * h^(2s-1) K0(h), the same at every xi."""
     nodes, weights = jacobi_unit_rule(1.0 - 2.0 * p.s, 64)
-    weights = weights * nodes ** (2.0 * p.s - 1.0)
-    h_cut = 45.0 / p.sigma
-    if h_cut > 1.0:
-        far, far_weights = panel_rule(1.0, h_cut, math.ceil((h_cut - 1.0) * density))
-        nodes, weights = np.concatenate([nodes, far]), np.concatenate([weights, far_weights])
-    return read_only(nodes), read_only(weights * kernel_base(p, nodes))
+    return nodes, read_only(weights * nodes ** (2.0 * p.s - 1.0) * kernel_base(p, nodes))
 
 
 def _difference_integral(p, xi):
-    """int_R (1 - cos(xi h)) K0(h) dh for the unnormalized profile.
-
-    One table per (p, density) (``_difference_table``) covers h < h_cut =
-    45/sigma, and the closed-form exponential tail covers h > h_cut.  The
-    panels on (1, h_cut) have width 1/density, with density 4 up to xi = 16
-    and doubling with each doubling of xi past 16, so each 12-point panel
-    spans at most 4 radians of cos(xi h) and every xi <= 16 at p reads the
-    same table.
-    """
-    density = 4 if xi <= 16.0 else 4 * 2 ** math.ceil(math.log2(xi / 16.0))
-    nodes, table = _difference_table(p, density)
+    """int_R (1 - cos(xi h)) K0(h) dh for the unnormalized profile: the table
+    (``_difference_table``) on (0, 1) and the series in closed form beyond,
+    e^(-lam) (2 lam^2 sin^2(xi/2) + xi (xi + lam sin xi)) / (lam (lam^2 + xi^2))
+    per rate lam, which is e^(-lam) (1/lam - Re(e^(i xi) / (lam - i xi)))
+    without its loss of digits as xi -> 0."""
+    nodes, table = _difference_table(p)
     body = float(table @ (2.0 * np.sin(0.5 * xi * nodes) ** 2))
-    h_cut = 45.0 / p.sigma
-    lam = p.sigma
-    amp = 2.0 ** (p.s + 0.5 * p.n)
-    decay = math.exp(-lam * h_cut)
-    osc = complex(lam, -xi)
-    tail = amp * (decay / lam - (np.exp(complex(-lam, xi) * h_cut) / osc).real)
-    return 2.0 * (body + tail)
+    lam, log_amps = _series_terms(p, 1.0)
+    bracket = 2.0 * (lam * math.sin(0.5 * xi)) ** 2 + xi * (xi + lam * math.sin(xi))
+    tail = np.exp(log_amps - lam) * bracket / (lam * (lam**2 + xi**2))
+    return 2.0 * (body + float(tail.sum()))
 
 
 def calibrate_kernel(p):
@@ -310,15 +319,13 @@ def periodized_kernel(spec, period, xi):
     """Lattice sum K_L(xi) = sum_j K(xi - j L) of the calibrated kernel.
 
     With xc = dist(xi, L Z) <= L/2, shell j holds K(j L - xc) and K(j L + xc).
-    K(h) e^(sigma h) decreases for h > 0, so both are at most
-    K(xc) e^(-sigma (j-1) L), and the shells past shell J add at most
-    2.1 K(J L - xc) / (e^(sigma L) - 1).  J is the least count at which that
-    bound drops below 1e-15 of K(xc), fixed before any evaluation and capped
-    at 400.  The entries go in equal blocks of about _PERIODIZE_BLOCK / (2J+1)
-    or fewer, each block's 2J+1 terms come from one ``kernel_base`` call and
-    are summed over the shell axis in the same order as one whole table would
-    be, and every entry is then checked against the remainder bound on its
-    own last term.
+    ``kernel_base`` evaluates the central term and the J = max(0, ceil(1/L -
+    1/2)) shells that can come closer than 1 (none for L >= 2; past 400, for
+    L below about 1/400.5, the call is refused), and the exponential series
+    sums every farther shell at once, as sum_k a_k (e^(-lam_k ((J+1) L - xc))
+    + e^(-lam_k ((J+1) L + xc))) / (1 - e^(-lam_k L)).  The entries go in
+    blocks of at most about _PERIODIZE_BLOCK values, and each entry's sum
+    runs in the same order whatever its block.
 
     xi may be any finite non-lattice real, scalar or array (a scalar gives a
     float); the result is L-periodic and symmetric about L/2 by construction.
@@ -332,31 +339,32 @@ def periodized_kernel(spec, period, xi):
     xc = np.minimum(x, period - x)
     message = "periodized kernel diverges on the period lattice (xi = {})"
     require(xc > 1e-9 * period, message, xi, SingularityError)
+    reach = 1.0 / period - 0.5  # inf below L ~ 5e-309
+    if not reach <= _PERIODIZE_MAX_SHELLS:
+        message = f"periodized kernel needs over {_PERIODIZE_MAX_SHELLS} shells at L = {period!r}"
+        raise NonConvergenceError(message)
+    shells = max(0, math.ceil(reach))
     p = spec.params
-    decay = p.sigma * period
-    # log of 2.1 / (e^(sigma L) - 1), the remainder bound over the last left
-    # term, in a form that does not overflow on long periods
-    log_ratio = math.log(2.1) - decay - math.log(-math.expm1(-decay))
-    needed = math.ceil((log_ratio - math.log(_PERIODIZE_REL_TOL)) / decay)
-    shells = min(_PERIODIZE_MAX_SHELLS, 1 + max(0, needed))
-    lattice = period * np.arange(1.0, shells + 1.0)
+    offsets = period * np.arange(-shells, shells + 1.0)
+    far = (shells + 1) * period
     entries = xc.reshape(-1)
     total = np.empty(entries.size)
-    # equal blocks, so that no block of a longer call holds a single entry:
-    # numpy sums a lone column pairwise and a wider block row by row
-    blocks = max(1, math.ceil(entries.size * (2 * shells + 1) / _PERIODIZE_BLOCK))
-    edges = [entries.size * k // blocks for k in range(blocks + 1)]
-    for lo, hi in zip(edges, edges[1:]):
-        block = entries[lo:hi]
-        h = np.concatenate(
-            [block[None], np.subtract.outer(lattice, block), np.add.outer(lattice, block)]
-        )
-        terms = spec.normalization * kernel_base(p, h)
-        sums = terms.sum(axis=0)
-        if not (math.exp(log_ratio) * terms[shells] < _PERIODIZE_REL_TOL * sums).all():
-            raise NonConvergenceError(
-                f"periodized kernel did not converge within {_PERIODIZE_MAX_SHELLS} shells"
-            )
-        total[lo:hi] = sums
+    # from L ~ 1e306 on, products with L overflow to inf, and the series
+    # terms they enter are 0
+    with np.errstate(over="ignore"):
+        lam, log_amps = _series_terms(p, (shells + 0.5) * period)
+        log_amps = log_amps - np.log(-np.expm1(-lam * period))  # the geometric sum over shells
+        # the direct terms in one row per entry, summed along the row alone,
+        # and the series terms in one column per gap, at least two columns,
+        # which numpy sums term by term: every entry's sum runs in one order
+        # whatever its block
+        rows = max(1, _PERIODIZE_BLOCK // (offsets.size + 2 * lam.size))
+        for lo in range(0, entries.size, rows):
+            block = entries[lo : lo + rows]
+            gaps = np.concatenate([far - block, far + block])
+            tail = np.exp(log_amps[:, None] - np.multiply.outer(lam, gaps)).sum(axis=0)
+            tail = tail[: block.size] + tail[block.size :]
+            direct = kernel_base(p, np.abs(block[:, None] - offsets)).sum(axis=1)
+            total[lo : lo + rows] = spec.normalization * (direct + tail)
     total = total.reshape(xs.shape)
     return float(total) if xs.ndim == 0 else total

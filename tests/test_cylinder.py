@@ -14,6 +14,7 @@ from conflap.params import FracParams, KernelSpec
 from conflap.cylinder import (
     _PFAFF_MAX_N,
     _difference_table,
+    _series_terms,
     KERNEL_MULTIPLIER_XI_MAX,
     calibrate_kernel,
     cyl_curvature,
@@ -464,10 +465,12 @@ def _direct_lattice_sum(spec, period, xi):
     return math.fsum(cyl_kernel(spec, xi - period * np.arange(-shells, shells + 1)))
 
 
-@pytest.mark.parametrize("n, s, decay", [(2, 0.05, 0.0848), (3, 0.5, 0.0784), (5, 0.95, 0.0671)])
+@pytest.mark.parametrize(
+    "n, s, decay", [(2, 0.05, 0.0848), (3, 0.5, 0.0784), (5, 0.95, 0.0671), (2, 0.05, 0.078)]
+)
 def test_periodized_kernel_at_the_shortest_periods(n, s, decay):
-    # sigma L just above the least value the 400-shell cap admits at
-    # xi = L/2, the entry farthest from the lattice
+    # short periods, with 12 to 51 direct shells and the series past them,
+    # at xi = L/2, the entry farthest from the lattice, and at L/10
     p = FracParams(n, s)
     spec = calibrate_kernel(p)
     period = decay / p.sigma
@@ -477,10 +480,56 @@ def test_periodized_kernel_at_the_shortest_periods(n, s, decay):
 
 
 def test_periodized_kernel_refuses_periods_past_the_shell_cap():
+    # L = 0.002 has J = 500 shells whose separation can fall below 1
     p = FracParams(3, 0.5)
-    period = 0.05 / p.sigma
+    period = 0.002
     with pytest.raises(NonConvergenceError, match="400 shells"):
         periodized_kernel(calibrate_kernel(p), period, 0.5 * period)
+
+
+def test_periodized_kernel_at_large_n():
+    # at n = 343 the series amplitude 2^sigma is about 4e51; for L >= 2 there
+    # are no direct shells, and at xi = L/2 the series carries half the sum
+    spec = calibrate_kernel(FracParams(343, 0.3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for period in (0.5, 2.2, 3.0):
+            for xi in (0.5 * period, 0.3 * period, 0.05 * period):
+                got = periodized_kernel(spec, period, xi)
+                direct = _direct_lattice_sum(spec, period, xi)
+                assert math.isclose(got, direct, rel_tol=1e-13), (period, xi)
+
+
+def test_periodized_kernel_refuses_a_series_past_its_terms():
+    # for 0 < s < 1 at most 23 terms reach 1e-17 of the first at separation
+    # 1; at (40, 15) all 40 do, so the sum would be cut short
+    spec = KernelSpec(FracParams(40, 15.0), 1.0)
+    with pytest.raises(NonConvergenceError, match="over 40 terms"):
+        periodized_kernel(spec, 2.0 / 3.0, 1.0 / 3.0)
+
+
+# (n, bound): three to four times the largest error measured with scipy 1.17
+SERIES_BOUNDS = [(2, 1e-15), (3, 1e-15), (5, 1e-15), (28, 3e-15), (29, 3e-15), (100, 1e-14),
+                 (343, 4e-14)]
+
+
+@pytest.mark.parametrize("n, bound", SERIES_BOUNDS)
+def test_kernel_series_against_mpmath(n, bound):
+    # sum_k a_k e^(-lambda_k h) = (2 e^(-h))^sigma 2F1(1+s, n/2+s; n/2; e^(-2h)),
+    # compared times e^(sigma h), which stays a normal float where the
+    # profile itself underflows (n = 343 from h = 5 on)
+    import mpmath
+
+    for s in (0.005, 0.5, 0.995):
+        p = FracParams(n, s)
+        for h in (1.0, 2.0, 5.0, 20.0):
+            lam, log_amps = _series_terms(p, h)
+            got = np.exp(log_amps - (lam - p.sigma) * h).sum()
+            with mpmath.workdps(40):
+                half, z = mpmath.mpf(n) / 2, mpmath.exp(-2 * mpmath.mpf(h))
+                hyp = mpmath.hyp2f1(1 + mpmath.mpf(s), half + s, half, z)
+                ref = float(2 ** mpmath.mpf(p.sigma) * hyp)
+            assert abs(got / ref - 1) < bound, (s, h)
 
 
 def test_periodized_kernel_array_matches_scalar_calls():
@@ -500,6 +549,12 @@ def test_periodized_kernel_over_long_periods():
         assert math.isclose(
             periodized_kernel(spec, period, 1.0), cyl_kernel(spec, 1.0), rel_tol=1e-15
         )
+    # far from the lattice every term underflows, and the products with L
+    # that overflow from L ~ 1e306 on stay silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for period in (1e6, 1e300, 1.7e308):
+            assert periodized_kernel(spec, period, 0.3 * period) == 0.0
 
 
 def test_periodized_kernel_rejects_non_finite_xi():
@@ -575,14 +630,14 @@ def test_nonfinite_2f1_is_not_called_an_overflow():
 @pytest.mark.parametrize("n", [_PFAFF_MAX_N + 1, 90, 100, 119, 343])
 def test_calibration_at_large_n(n):
     # past _PFAFF_MAX_N the profile keeps the sech^2 form, finite on the near
-    # table up to n = 343; at s = 0.3, h_cut = 45/sigma drops below 1 from
-    # n = 90 on, and the table then takes no far panels
+    # table up to n = 343; the table is the 64 nodes on (0, 1) at every n,
+    # and the exponential series takes h > 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         spec = calibrate_kernel(FracParams(n, 0.3))
     assert spec.calibration["residual"] < 1e-9
-    nodes, _ = _difference_table(spec.params, 4)
-    assert (nodes.size == 64) == (n >= 90)
+    nodes, _ = _difference_table(spec.params)
+    assert nodes.size == 64
 
 
 def _clear_library_caches():
@@ -618,7 +673,7 @@ def test_kernel_tables_survive_clearing_the_caches():
 
 
 def test_difference_table_is_read_only():
-    nodes, table = _difference_table(FracParams(3, 0.5), 4)
+    nodes, table = _difference_table(FracParams(3, 0.5))
     for array in (nodes, table):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -627,23 +682,21 @@ def test_difference_table_is_read_only():
 
 @pytest.mark.parametrize("xi", [16.0, 16.5, 40.0, 200.0])
 def test_kernel_multiplier_across_the_panel_densities(xi):
-    # xi = 16 is the last point of the density-4 table, 16.5 the first of the
-    # density-8 one; 40 and 200 read the density-16 and density-64 tables
+    # up to the cap at 200 the only limit on xi is the table on (0, 1); the
+    # series takes h > 1 in closed form at every xi
     for n, s in ((2, 0.05), (3, 0.5), (5, 0.95)):
         p = FracParams(n, s)
         rhs = theta0(p, xi)
         assert abs(kernel_multiplier(calibrate_kernel(p), xi) / rhs - 1.0) < 1e-8, (n, s)
 
 
-def test_multipliers_up_to_xi_16_share_one_table():
+def test_multipliers_at_every_xi_share_one_table():
     p = FracParams(4, 0.3)
     _difference_table.cache_clear()
     spec = calibrate_kernel(p)
-    for xi in (0.01, 0.5, 3.0, 9.9, 16.0):
+    for xi in (0.01, 0.5, 3.0, 9.9, 16.0, 16.5, 40.0, KERNEL_MULTIPLIER_XI_MAX):
         kernel_multiplier(spec, xi)
     assert _difference_table.cache_info().currsize == 1
-    kernel_multiplier(spec, 16.5)
-    assert _difference_table.cache_info().currsize == 2
 
 
 @pytest.mark.parametrize(
@@ -664,9 +717,8 @@ def test_kernel_profile_at_tiny_separations(point, refs):
 
 
 def test_periodized_kernel_memory_is_bounded_by_blocks():
-    # at the 400-shell cap a 2047-entry call would hold an 801 x 2047 table;
-    # in blocks it stays at a few MB, and each entry's shell sum runs in the
-    # same order, so the blocks add up as one table would
+    # with J = 51 direct shells and 23 series terms a 2047-entry call would
+    # hold 2047 x 149 values at once; in blocks it stays at a few MB
     p = FracParams(5, 0.95)
     spec = calibrate_kernel(p)
     period = 0.0671 / p.sigma
@@ -680,6 +732,6 @@ def test_periodized_kernel_memory_is_bounded_by_blocks():
     assert peak < 8e6
     for k in (0, 700, 2046):
         assert table[k] == periodized_kernel(spec, period, xi[[k, k - 1]])[0]
-    # 82 entries take two blocks; a block of one entry would be summed
-    # pairwise by numpy, apart from the row-by-row sum of wider blocks
+    # 82 entries take one block, the whole call five of at most 439; each
+    # entry's terms are summed in the same order either way
     assert np.array_equal(periodized_kernel(spec, period, xi[:82]), table[:82])

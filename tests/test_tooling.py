@@ -165,15 +165,16 @@ def test_only_params_sets_writeable():
 
 
 def test_every_library_cache_is_bounded():
-    # cached tables grow with their keys (a density-64 kernel table is about
-    # 0.5 MB), so an unbounded functools cache would let RSS grow without end
+    # cached tables grow with their keys (a zonal table holds 2 r^2 floats),
+    # so an unbounded functools cache would let RSS grow without end
     caches = {}
     for path in PACKAGE.glob("*.py"):
         module = importlib.import_module(f"conflap.{path.stem}")
         for name, value in vars(module).items():
             if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
                 caches[f"{path.stem}.{name}"] = value.cache_parameters()["maxsize"]
-    assert {"cylinder._difference_table", "sphere._zonal_table", "specfun.jacobi_rule"} <= set(caches)
+    assert {"cylinder._difference_table", "cylinder._kernel_series", "sphere._zonal_table",
+            "specfun.jacobi_rule"} <= set(caches)
     assert sorted(name for name, size in caches.items() if size is None) == []
 
 
