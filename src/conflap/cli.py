@@ -562,7 +562,7 @@ def _selftest_records():
         "line_route_agreement",
         np.max(np.abs(spectral[core] - integral[core]))
         / np.max(np.abs(spectral)),
-        1e-4,
+        1e-10,
     )
     p13 = FracParams(1, 0.3)
     report = commutator_check(p13, gauss)

@@ -227,6 +227,16 @@ def _series_terms(p, gap):
     return rates[:keep], log_amps[:keep]
 
 
+@lru_cache(maxsize=64)  # every periodized_kernel call at (p, L) reuses it
+def _shell_series(p, period, shells):
+    """Rates and log amplitudes of the series past J = ``shells`` direct shells
+    at period L, the sum over shells 1/(1 - e^(-lam_k L)) folded in."""
+    # as in periodized_kernel, an overflow to inf at huge L is a term of 0
+    with np.errstate(over="ignore"):
+        lam, log_amps = _series_terms(p, (shells + 0.5) * period)
+        return lam, read_only(log_amps - np.log(-np.expm1(-lam * period)))
+
+
 @lru_cache(maxsize=64)  # every kernel_multiplier call at p reuses it
 def _difference_table(p):
     """Nodes and weighted kernel values of the 64-node Gauss-Jacobi rule for
@@ -349,11 +359,10 @@ def periodized_kernel(spec, period, xi):
     far = (shells + 1) * period
     entries = xc.reshape(-1)
     total = np.empty(entries.size)
+    lam, log_amps = _shell_series(p, period, shells)
     # from L ~ 1e306 on, products with L overflow to inf, and the series
     # terms they enter are 0
     with np.errstate(over="ignore"):
-        lam, log_amps = _series_terms(p, (shells + 0.5) * period)
-        log_amps = log_amps - np.log(-np.expm1(-lam * period))  # the geometric sum over shells
         # the direct terms in one row per entry, summed along the row alone,
         # and the series terms in one column per gap, at least two columns,
         # which numpy sums term by term: every entry's sum runs in one order

@@ -3,19 +3,20 @@
 Two independent realizations of (-Delta)^s on uniform symmetric grids, both
 taking the samples as zero off the grid: the Fourier multiplier |xi|^(2s)
 through a continuum Fourier quadrature, whose panels are one grid frequency
-wide, and a product-integration quadrature of the singular difference
-integral with its closed-form constant C_(1,s), so the two routes agree as a
-check, not by a fit.  Both are kernels on the grid, applied by one
-convolution.  On top of those sit the commutator identity check for the
-weight (1+|x|^2)/2 and the stereographic bridge that pushes the operator
-forward to the round circle; both take (-Delta)^s from the same continuum
-quadrature.
+wide, and the trapezoid rule for the singular difference integral with
+closed-form zeta corrections at the singularity and the closed-form constant
+C_(1,s), so the two routes agree as a check, not by a fit.  Both are kernels
+on the grid, applied by one convolution.  On top of those sit the commutator
+identity check for the weight (1+|x|^2)/2 and the stereographic bridge that
+pushes the operator forward to the round circle; both take (-Delta)^s from
+the same continuum quadrature.
 """
 
 import math
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
+from scipy.special import zeta
 
 from .errors import ParameterError, SupportError
 from .params import GridFunction, require_dimension, require_unit_order
@@ -36,16 +37,6 @@ _COMPARE_CAP = 4.0
 #: O(W^-3) at fixed dx, under 1e-5 over degrees 0..8 for s in [0.01, 0.99]
 BRIDGE_GRID = (250.0, 1 << 13)
 
-#: cubic Lagrange basis on offsets {-1, 0, 1, 2}, coefficients in tau^k
-_CUBIC_BASIS = np.array(
-    [
-        [0.0, -1.0 / 3.0, 0.5, -1.0 / 6.0],
-        [1.0, -0.5, -1.0, 0.5],
-        [0.0, 1.0, 0.5, -0.5],
-        [0.0, -1.0 / 6.0, 0.0, 1.0 / 6.0],
-    ]
-)
-
 
 def frac_lap_spectral(p, f):
     """(-Delta)^s on the line as the Fourier multiplier |xi|^(2s) of the
@@ -56,48 +47,39 @@ def frac_lap_spectral(p, f):
 
 
 def _difference_weights(size, h, s):
-    """Product-integration weights w_d with
-    int_0^(D h) g(t) t^(-1-2s) dt ~ sum_d w_d g(d h) for smooth even g,
-    g(0) = 0.  Interior cells (d h, (d + 1) h) interpolate g by cubics; their
-    moments h^(-2s) int_0^1 tau^k (d + tau)^(-1-2s) d tau have integrands
-    analytic on [0, 1] for d >= 1, so the 12-point Gauss rule gives them to
-    round-off.  The first cell fits an even polynomial through three nodes.
-    """
-    d = np.arange(1.0, size)
-    weights = np.zeros(size + 3)
-    tau, tau_weights = _PANEL_RULE
-    basis = _CUBIC_BASIS @ tau ** np.arange(4)[:, None]
-    kernel = tau_weights * (d[:, None] + tau) ** (-1.0 - 2.0 * s)
-    moments = h ** (-2.0 * s) * basis @ kernel.T
-    for r in range(4):
-        weights[r : r + d.size] += moments[r]
-    # first cell: g even with g(0) = 0, fit a tau^2, tau^4, tau^6 polynomial
-    vand = np.array([[j ** (2 * k + 2) for k in range(3)] for j in (1, 2, 3)], float)
-    first_moments = np.array(
-        [h ** (-2.0 * s) / (2.0 * k + 2.0 - 2.0 * s) for k in range(3)]
-    )
-    weights[1:4] += np.linalg.solve(vand.T, first_moments)
-    return weights
+    """Weights w_d, d = 0 .. size, with int_0^inf g(t) t^(-1-2s) dt ~
+    sum_d w_d g(d h) for smooth even g, g(0) = 0: the trapezoid rule
+    h^(-2s) d^(-1-2s), w_0 = 0, less its closed-form error (Navot, J. Math.
+    Phys. 40, 1961) sum_k zeta(2s-1-2k) c_k h^(2+2k-2s) for
+    g(t) = sum_k c_k t^(2+2k), with c_0 .. c_3 fitted through g(h) .. g(4h):
+    an error O(h^(10-2s))."""
+    k = np.arange(4)
+    weights = np.append(0.0, np.arange(1.0, size + 1.0) ** (-1.0 - 2.0 * s))
+    vand = np.arange(1.0, 5.0)[:, None] ** (2.0 + 2.0 * k)
+    weights[1:5] -= np.linalg.solve(vand.T, zeta(2.0 * s - 1.0 - 2.0 * k))
+    return h ** (-2.0 * s) * weights
 
 
 def frac_lap_integral(p, f):
     """(-Delta)^s through the singular difference integral.
 
-    C_(1,s) times a quadrature of int_0^inf (2u(x) - u(x+t) - u(x-t))
-    t^(-1-2s) dt.  u is treated as identically zero beyond the grid, so the
-    tail reduces to 2 u(x) integrated in closed form past the weighted range.
+    C_(1,s) times the corrected trapezoid sum (``_difference_weights``) of
+    int_0^inf (2u(x) - u(x+t) - u(x-t)) t^(-1-2s) dt.  u is taken as zero
+    beyond the grid, so past d = N the sum is 2 u(x) times the weights' tail
+    h^(-2s) sum_(d > N) d^(-1-2s), by Euler-Maclaurin from a = N + 1 with
+    its integral a^(-2s)/(2s) exact in s (zeta(1 + 2s, a) rounds s off).
     """
     require_dimension(p.n, "the line", most=1)
     require_unit_order(p.s, "the singular-integral route")
     s = p.s
     values = f.values
-    n = values.size
-    h = f.dx
-    weights = _difference_weights(n, h, s)
-    tail = (n * h) ** (-2.0 * s) / (2.0 * s)
-    # sum_d w_d (2u_i - u_(i+d) - u_(i-d)) over d >= 1, with the symmetric
-    # convolution counting the d = 0 weight once
-    out = values * (2.0 * weights.sum() - weights[0] + 2.0 * tail) - _toeplitz(values, weights)
+    a = values.size + 1.0
+    weights = _difference_weights(values.size, f.dx, s)
+    tail = (a * f.dx) ** (-2.0 * s) * (
+        1.0 / (2.0 * s) + 0.5 / a + (1.0 + 2.0 * s) / (12.0 * a**2)
+        - (1.0 + 2.0 * s) * (2.0 + 2.0 * s) * (3.0 + 2.0 * s) / (720.0 * a**4)
+    )
+    out = 2.0 * values * (weights.sum() + tail) - _toeplitz(values, weights)
     return GridFunction(f.length, frac_lap_constant(p) * out)
 
 

@@ -1,11 +1,12 @@
 """Special functions and quadrature rules backing the symbol and kernel routines.
 
-Two functions are needed beyond the stdlib: the squared modulus
-``|Gamma(x+iy)|^2`` along vertical lines in the complex plane, and the Gauss
-hypergeometric function on ``[0, 1]``.  They are thin validated wrappers
-over ``scipy.special``, one evaluation path each: the wrappers raise
-ParameterError on poles and out-of-domain input instead of returning inf or
-NaN.  The quadrature rules shared by the sphere, cylinder and line routines
+Thin validated wrappers over ``scipy.special``, one evaluation path each,
+which raise ParameterError on poles and out-of-domain input instead of
+returning inf or NaN: ``log_gamma``, which the sphere, cylinder and
+extension call, and the squared modulus ``|Gamma(x+iy)|^2`` and the Gauss
+hypergeometric function on ``[0, 1]``, which no library module calls (the
+cylinder calls scipy's 2F1 directly) and only the benchmark and the tests
+use.  The quadrature rules shared by the sphere, cylinder and line routines
 live here too, built by one generator, so each rule exists once: the
 Gauss-Jacobi rule on (-1, 1), its map to the unit interval, and composite
 panels of its alpha = beta = 0 case, the 12-point Gauss-Legendre rule.

@@ -25,6 +25,7 @@ from .params import (
     read_only,
     require,
     require_dimension,
+    require_int,
     require_unit_order,
 )
 from .specfun import jacobi_rule, log_gamma
@@ -69,8 +70,9 @@ def gjms_symbol(n, k, m):
     for k = 1 this is the conformal Laplacian.
     """
     require_dimension(n)
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ParameterError(f"order k must be an int >= 1, got {k!r}")
+    require_int(k, "order k")
+    if k < 1:
+        raise ParameterError(f"order k must be >= 1, got {k!r}")
     mu = _mode_eigenvalue(n, m)
     out = 1.0
     for j in range(1, k + 1):

@@ -64,6 +64,7 @@ REFUSALS = {
     "gjms_symbol at n = 0": lambda: conflap.gjms_symbol(0, 1, 1),
     "gjms_symbol at n = True": lambda: conflap.gjms_symbol(True, 1, 1),
     "gjms_symbol with k = True": lambda: conflap.gjms_symbol(5, True, 2),
+    "gjms_symbol with k = 0": lambda: conflap.gjms_symbol(5, 0, 2),
     "cyl_mode_parameter with m = True": lambda: cyl_mode_parameter(3, True),
     "cyl_mode_parameter with m = -1": lambda: cyl_mode_parameter(3, -1),
     "cyl_mode_parameter with m = 1.0": lambda: cyl_mode_parameter(3, 1.0),

@@ -173,8 +173,8 @@ def test_every_library_cache_is_bounded():
         for name, value in vars(module).items():
             if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
                 caches[f"{path.stem}.{name}"] = value.cache_parameters()["maxsize"]
-    assert {"cylinder._difference_table", "cylinder._kernel_series", "sphere._zonal_table",
-            "specfun.jacobi_rule"} <= set(caches)
+    assert {"cylinder._difference_table", "cylinder._kernel_series", "cylinder._shell_series",
+            "sphere._zonal_table", "specfun.jacobi_rule"} <= set(caches)
     assert sorted(name for name, size in caches.items() if size is None) == []
 
 
